@@ -13,7 +13,6 @@ from .closure import (
 from .fusion import (
     FusionSystem,
     PreFusionSystem,
-    fusion_equal,
     fusion_from_group,
     fusion_generated,
     fusion_intersect,
@@ -36,7 +35,6 @@ from .permgroup import (
     hom_build,
     isomorphism_search,
     quotient_group,
-    standard_subgroup,
     subgroups,
     upper_central_series,
 )
@@ -61,7 +59,6 @@ from .solubility import (
     thompson_factorization_holds,
 )
 from .subsystems import (
-    Subsystem,
     aut_f_acts_on,
     centralizer_system,
     inner_system,

@@ -34,6 +34,8 @@ def _subgroup_from_arg(F, text: str):
         gens = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"subgroup spec is not valid JSON: {exc}") from exc
+    if not isinstance(gens, list):
+        raise ParseError("subgroup spec must be a JSON list of generator images")
     G = F.parent
     ids = [G.index_of(pg.Perm.checked(g, G.degree)) for g in gens]
     return G.subgroup_of(ids)

@@ -15,17 +15,24 @@ from dataclasses import dataclass
 
 from . import permgroup as pg
 from . import subsystems as subsys
-from .errors import CenterJoinFailure, DecompositionNotFound, MorphismNotInSystem, NotSaturated, NotStronglyClosed
+from .errors import (
+    DecompositionNotFound,
+    InvariantViolation,
+    MorphismNotInSystem,
+    NotSaturated,
+    NotStronglyClosed,
+)
 from .fusion import (
     FusionSystem,
     aut_realization,
+    extensions,
     is_fully_normalized,
     is_saturated,
     is_strongly_closed,
     is_weakly_closed,
     same_system,
 )
-from .permgroup import GroupHom, Subgroup, hom_key
+from .permgroup import GroupHom, Subgroup, cached, hom_key
 
 
 @dataclass(frozen=True)
@@ -41,23 +48,21 @@ class SubgroupClassification:
 
 def is_centric(F: FusionSystem, Q: Subgroup) -> bool:
     """Every F-conjugate of Q contains its carrier-centralizer."""
-    cache = F._caches.setdefault("centric", {})
-    got = cache.get(Q.mask)
-    if got is None:
-        got = all(F.centralizer_in_carrier(R) <= R for R in F.iso_class(Q))
-        cache[Q.mask] = got
-    return got
+    return cached(F, "centric", Q.mask, _centric, F, Q)
+
+
+def _centric(F: FusionSystem, Q: Subgroup) -> bool:
+    return all(F.centralizer_in_carrier(R) <= R for R in F.iso_class(Q))
 
 
 def is_radical(F: FusionSystem, Q: Subgroup) -> bool:
     """O_p(Aut_F(Q)) equals the inner automorphisms of Q."""
-    cache = F._caches.setdefault("radical", {})
-    got = cache.get(Q.mask)
-    if got is None:
-        real = aut_realization(F, Q)
-        got = pg.core_p(real.group, F.p).mask == real.inn.mask
-        cache[Q.mask] = got
-    return got
+    return cached(F, "radical", Q.mask, _radical, F, Q)
+
+
+def _radical(F: FusionSystem, Q: Subgroup) -> bool:
+    real = aut_realization(F, Q)
+    return pg.core_p(real.group, F.p).mask == real.inn.mask
 
 
 def _check_in_carrier(F: FusionSystem, Q: Subgroup):
@@ -80,12 +85,12 @@ def classify(F: FusionSystem, Q: Subgroup) -> SubgroupClassification:
 
 def fnrc_subgroups(F: FusionSystem) -> list[Subgroup]:
     """The fully normalized, centric, radical subgroups (canonical order)."""
-    got = F._caches.get("fnrc")
-    if got is None:
-        got = [S for S in F.subgroups()
-               if is_fully_normalized(F, S) and is_centric(F, S) and is_radical(F, S)]
-        F._caches["fnrc"] = got
-    return got
+    return cached(F, "fnrc", None, _fnrc, F)
+
+
+def _fnrc(F: FusionSystem) -> list[Subgroup]:
+    return [S for S in F.subgroups()
+            if is_fully_normalized(F, S) and is_centric(F, S) and is_radical(F, S)]
 
 
 def is_normal_subgroup(F: FusionSystem, Q: Subgroup, strict: bool = False) -> bool:
@@ -103,12 +108,11 @@ def is_normal_subgroup(F: FusionSystem, Q: Subgroup, strict: bool = False) -> bo
         warnings.warn("system is not saturated; using the definitional normality check",
                       stacklevel=2)
         return definitional_normal(F, Q)
-    cache = F._caches.setdefault("normal_subgroup", {})
-    got = cache.get(Q.mask)
-    if got is None:
-        got = is_strongly_closed(F, Q) and all(Q <= T for T in fnrc_subgroups(F))
-        cache[Q.mask] = got
-    return got
+    return cached(F, "normal_subgroup", Q.mask, _normal_by_criterion, F, Q)
+
+
+def _normal_by_criterion(F: FusionSystem, Q: Subgroup) -> bool:
+    return is_strongly_closed(F, Q) and all(Q <= T for T in fnrc_subgroups(F))
 
 
 def definitional_normal(F: FusionSystem, Q: Subgroup) -> bool:
@@ -119,13 +123,8 @@ def definitional_normal(F: FusionSystem, Q: Subgroup) -> bool:
     for (r, _), homs in F.table.items():
         qr = pg.join(Q, r)
         for phi in homs:
-            fm = phi.mapping
-            rmem = r.members
-            if not any(
-                pg.mask_image(psi.mapping, Q.mask) == Q.mask
-                and all(psi.mapping[x] == fm[x] for x in rmem)
-                for psi in F.isos_from(qr)
-            ):
+            if not any(pg.mask_image(psi.mapping, Q.mask) == Q.mask
+                       for psi in extensions(F, phi, qr)):
                 return False
     return True
 
@@ -140,39 +139,38 @@ def o_p(F: FusionSystem) -> Subgroup:
     """
     if not is_saturated(F):
         raise NotSaturated("O_p is defined for saturated systems")
-    got = F._caches.get("o_p")
-    if got is None:
-        meet_mask = F.carrier.mask
-        for T in fnrc_subgroups(F):
-            meet_mask &= T.mask
-        best = F.parent.trivial_subgroup()
-        for S in F.subgroups():
-            if S.mask & ~meet_mask:
-                continue
-            if is_strongly_closed(F, S):
-                best = pg.join(best, S)
-        assert best.mask & ~meet_mask == 0 and is_strongly_closed(F, best)
-        got = best
-        F._caches["o_p"] = got
-    return got
+    return cached(F, "o_p", None, _o_p, F)
+
+
+def _o_p(F: FusionSystem) -> Subgroup:
+    meet_mask = F.carrier.mask
+    for T in fnrc_subgroups(F):
+        meet_mask &= T.mask
+    return _closed_join(F, F.subgroups(), meet_mask, is_strongly_closed)
 
 
 def center_of_fusion(F: FusionSystem) -> Subgroup:
     """The largest central subgroup Z with C_F(Z) = F."""
     if not is_saturated(F):
         raise NotSaturated("the centre is defined for saturated systems")
-    got = F._caches.get("z_f")
-    if got is None:
-        zp = pg.center(F.carrier)
-        good = [Z for Z in pg.subgroups_of(zp) if _centralizes_system(F, Z)]
-        top = F.parent.trivial_subgroup()
-        for Z in good:
-            top = pg.join(top, Z)
-        if not _centralizes_system(F, top):
-            raise CenterJoinFailure("join of centralizing subgroups does not centralize")
-        got = top
-        F._caches["z_f"] = got
-    return got
+    return cached(F, "z_f", None, _center_of_fusion, F)
+
+
+def _center_of_fusion(F: FusionSystem) -> Subgroup:
+    zp = pg.center(F.carrier)
+    return _closed_join(F, pg.subgroups_of(zp), zp.mask, _centralizes_system)
+
+
+def _closed_join(F: FusionSystem, subs: list[Subgroup], mask: int, closed) -> Subgroup:
+    """The join of the S in subs inside the subgroup mask with closed(F, S);
+    the property is one that joins keep, so the join is the largest such S."""
+    top = F.parent.trivial_subgroup()
+    for S in subs:
+        if S.mask & ~mask == 0 and closed(F, S):
+            top = pg.join(top, S)
+    if top.mask & ~mask or not closed(F, top):
+        raise InvariantViolation("the join of the closed subgroups is not closed")
+    return top
 
 
 def _centralizes_system(F: FusionSystem, Z: Subgroup) -> bool:
@@ -197,23 +195,10 @@ def strongly_closed_central_series(F: FusionSystem, Q: Subgroup, mode: str = "st
     closed = is_strongly_closed if mode == "strong" else is_weakly_closed
     if mode == "weak" and not is_strongly_closed(F, Q):
         raise NotStronglyClosed("weak mode requires Q itself strongly closed")
-    G = F.parent
-    qmem = Q.members
-    series = [G.trivial_subgroup()]
+    series = [F.parent.trivial_subgroup()]
     while series[-1].mask != Q.mask:
         prev = series[-1].mask
-        pre_mask = 0
-        for x in qmem:
-            xi = G.inv(x)
-            if all((prev >> G.mul(G.mul(G.mul(xi, G.inv(q)), x), q)) & 1 for q in qmem):
-                pre_mask |= 1 << x
-        step = G.trivial_subgroup()
-        for S in pg.subgroups_of(Q):
-            if S.mask & ~pre_mask:
-                continue
-            if closed(F, S):
-                step = pg.join(step, S)
-        assert step.mask & ~pre_mask == 0 and closed(F, step)
+        step = _closed_join(F, pg.subgroups_of(Q), pg.central_preimage(Q, prev), closed)
         if step.mask == prev:
             return None
         series.append(step)

@@ -65,10 +65,6 @@ class NotSaturated(FuskitError):
     pass
 
 
-class CenterJoinFailure(FuskitError):
-    pass
-
-
 class DecompositionNotFound(FuskitError):
     pass
 
@@ -105,3 +101,9 @@ class ParseError(FuskitError):
 
 class ValidationError(ParseError):
     pass
+
+
+# --- internal invariants --------------------------------------------------
+
+class InvariantViolation(FuskitError):
+    """A result the algorithms guarantee did not hold: a defect, not bad input."""

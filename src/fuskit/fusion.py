@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import permgroup as pg
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
     NotInjective,
     OrderCapExceeded,
 )
-from .permgroup import Group, GroupHom, Subgroup, hom_key, subgroup_key
+from .permgroup import Group, GroupHom, Subgroup, cached, hom_key, subgroup_key
 
 TablePair = tuple[Subgroup, Subgroup]
 IsoTable = dict[TablePair, frozenset[GroupHom]]
@@ -54,7 +54,6 @@ class PreFusionSystem:
             if homs:
                 norm[(q, r)] = homs
         self.table = {k: norm[k] for k in sorted(norm, key=lambda k: (subgroup_key(k[0]), subgroup_key(k[1])))}
-        self._by_domain: dict[int, tuple[GroupHom, ...]] = {}
         self._caches: dict = {}
 
     # -- carrier helpers -------------------------------------------------
@@ -68,20 +67,10 @@ class PreFusionSystem:
         return pg.subgroups_of(self.carrier)
 
     def normalizer_in_carrier(self, Q: Subgroup) -> Subgroup:
-        cache = self._caches.setdefault("norm", {})
-        got = cache.get(Q.mask)
-        if got is None:
-            got = pg.normalizer(self.carrier, Q)
-            cache[Q.mask] = got
-        return got
+        return cached(self, "norm", Q.mask, pg.normalizer, self.carrier, Q)
 
     def centralizer_in_carrier(self, Q: Subgroup) -> Subgroup:
-        cache = self._caches.setdefault("cent", {})
-        got = cache.get(Q.mask)
-        if got is None:
-            got = pg.centralizer(self.carrier, Q)
-            cache[Q.mask] = got
-        return got
+        return cached(self, "cent", Q.mask, pg.centralizer, self.carrier, Q)
 
     # -- iso access ------------------------------------------------------
 
@@ -92,15 +81,7 @@ class PreFusionSystem:
         return self.isos(Q, Q)
 
     def isos_from(self, Q: Subgroup) -> tuple[GroupHom, ...]:
-        got = self._by_domain.get(Q.mask)
-        if got is None:
-            acc = []
-            for (a, _), homs in self.table.items():
-                if a.mask == Q.mask:
-                    acc.extend(homs)
-            got = tuple(sorted(acc, key=hom_key))
-            self._by_domain[Q.mask] = got
-        return got
+        return cached(self, "by_domain", Q.mask, _isos_from, self, Q)
 
     def all_isos(self) -> list[GroupHom]:
         out = []
@@ -115,20 +96,23 @@ class PreFusionSystem:
         return sum(len(v) for v in self.table.values())
 
     def iso_class(self, Q: Subgroup) -> frozenset[Subgroup]:
-        cache = self._caches.setdefault("class", {})
-        got = cache.get(Q.mask)
-        if got is None:
-            acc = {Q}
-            for (a, b) in self.table:
-                if a.mask == Q.mask:
-                    acc.add(b)
-            got = frozenset(acc)
-            cache[Q.mask] = got
-        return got
+        return cached(self, "class", Q.mask, _iso_class, self, Q)
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(p={self.p}, |P|={self.carrier.order}, "
                 f"isos={self.iso_count()}, {self.provenance})")
+
+
+def _isos_from(F: PreFusionSystem, Q: Subgroup) -> tuple[GroupHom, ...]:
+    acc = []
+    for (a, _), homs in F.table.items():
+        if a.mask == Q.mask:
+            acc.extend(homs)
+    return tuple(sorted(acc, key=hom_key))
+
+
+def _iso_class(F: PreFusionSystem, Q: Subgroup) -> frozenset[Subgroup]:
+    return frozenset([Q] + [b for (a, b) in F.table if a.mask == Q.mask])
 
 
 class FusionSystem(PreFusionSystem):
@@ -162,14 +146,9 @@ def _conjugation_table(carrier: Subgroup, acting_ids: Iterable[int]) -> dict[Tab
         cm = G.conj_map(g)
         for Q in subs:
             img = 0
-            ok = True
             for x in Q.members:
-                y = cm[x]
-                if not (cmask >> y) & 1:
-                    ok = False
-                    break
-                img |= 1 << y
-            if not ok:
+                img |= 1 << cm[x]
+            if img & ~cmask:
                 continue
             R = Subgroup(G, img)
             table.setdefault((Q, R), set()).add(GroupHom(Q, R, ((x, cm[x]) for x in Q.members)))
@@ -282,16 +261,18 @@ def fusion_intersect(F1: PreFusionSystem, F2: PreFusionSystem) -> FusionSystem:
     return FusionSystem(F1.carrier, F1.p, table, provenance="derived")
 
 
-def fusion_equal(F1: PreFusionSystem, F2: PreFusionSystem) -> bool:
-    """Iso-table equality of systems on the same carrier."""
-    if F1.carrier != F2.carrier:
-        raise DifferentCarrier("systems live on different carriers")
-    return F1.table == F2.table
-
-
 def same_system(F1: PreFusionSystem, F2: PreFusionSystem) -> bool:
-    """Like fusion_equal but returns False on a carrier mismatch."""
+    """Equality of carriers and iso tables."""
     return F1.carrier == F2.carrier and F1.table == F2.table
+
+
+def image_table(homs: Iterable[GroupHom], m, G: Group) -> dict[TablePair, set[GroupHom]]:
+    """The iso table of the homs that the given isos induce under the element map m."""
+    table: dict[TablePair, set[GroupHom]] = {}
+    for h in homs:
+        bar = pg.induced_hom(h, m, G)
+        table.setdefault((bar.domain, bar.codomain), set()).add(bar)
+    return table
 
 
 def transport(F: PreFusionSystem, theta: GroupHom) -> FusionSystem:
@@ -302,34 +283,21 @@ def transport(F: PreFusionSystem, theta: GroupHom) -> FusionSystem:
         validate_hom(theta)
     except (NotAHomomorphism, NotInjective) as exc:
         raise NotAnIsomorphism(str(exc)) from exc
-    tm = theta.mapping
-    target_parent = theta.codomain.parent
-    carrier2 = theta.image()
-    table = {}
-    for (q, r), homs in F.table.items():
-        q2 = Subgroup(target_parent, _mask_image(tm, q.mask))
-        r2 = Subgroup(target_parent, _mask_image(tm, r.mask))
-        table[(q2, r2)] = {
-            GroupHom(q2, r2, ((tm[x], tm[y]) for x, y in h.pairs)) for h in homs
-        }
-    out = FusionSystem(carrier2, F.p, table, provenance="derived")
-    return out
-
-
-_mask_image = pg.mask_image
+    table = image_table((h for homs in F.table.values() for h in homs),
+                        theta.mapping, theta.codomain.parent)
+    return FusionSystem(theta.image(), F.p, table, provenance="derived")
 
 
 # -- closure predicates --------------------------------------------------------
 
 def is_fully_normalized(F: PreFusionSystem, Q: Subgroup) -> bool:
     """True iff |N_P(Q)| is maximal over the F-isomorphism class of Q."""
-    cache = F._caches.setdefault("fully_normalized", {})
-    got = cache.get(Q.mask)
-    if got is None:
-        mine = F.normalizer_in_carrier(Q).order
-        got = all(F.normalizer_in_carrier(R).order <= mine for R in F.iso_class(Q))
-        cache[Q.mask] = got
-    return got
+    return cached(F, "fully_normalized", Q.mask, _fully_normalized, F, Q)
+
+
+def _fully_normalized(F: PreFusionSystem, Q: Subgroup) -> bool:
+    mine = F.normalizer_in_carrier(Q).order
+    return all(F.normalizer_in_carrier(R).order <= mine for R in F.iso_class(Q))
 
 
 def is_weakly_closed(F: PreFusionSystem, Q: Subgroup) -> bool:
@@ -338,19 +306,12 @@ def is_weakly_closed(F: PreFusionSystem, Q: Subgroup) -> bool:
 
 def is_strongly_closed(F: PreFusionSystem, Q: Subgroup) -> bool:
     """No F-morphism carries a subgroup of Q outside Q."""
-    cache = F._caches.setdefault("strongly_closed", {})
-    got = cache.get(Q.mask)
-    if got is None:
-        got = True
-        for R in pg.subgroups_of(Q):
-            for h in F.isos_from(R):
-                if h.image_mask & ~Q.mask:
-                    got = False
-                    break
-            if not got:
-                break
-        cache[Q.mask] = got
-    return got
+    return cached(F, "strongly_closed", Q.mask, _strongly_closed, F, Q)
+
+
+def _strongly_closed(F: PreFusionSystem, Q: Subgroup) -> bool:
+    return all(h.image_mask & ~Q.mask == 0
+               for R in pg.subgroups_of(Q) for h in F.isos_from(R))
 
 
 # -- N_phi and saturation ------------------------------------------------------
@@ -387,11 +348,7 @@ def is_saturated(F: FusionSystem) -> bool:
         Aut_F(P), and
     (2) every iso with fully normalized image extends to its N_phi.
     """
-    got = F._caches.get("saturated")
-    if got is None:
-        got = _saturated(F)
-        F._caches["saturated"] = got
-    return got
+    return cached(F, "saturated", None, _saturated, F)
 
 
 def _saturated(F: FusionSystem) -> bool:
@@ -410,16 +367,19 @@ def _saturated(F: FusionSystem) -> bool:
             continue
         for phi in homs:
             n_sub = n_phi(F, phi)
-            if n_sub.mask == q.mask:
-                continue
-            fm = phi.mapping
-            qmem = q.members
-            if not any(
-                all(psi.mapping[x] == fm[x] for x in qmem)
-                for psi in F.isos_from(n_sub)
-            ):
+            if n_sub.mask != q.mask and next(extensions(F, phi, n_sub), None) is None:
                 return False
     return True
+
+
+def extensions(F: PreFusionSystem, phi: GroupHom, over: Subgroup) -> Iterator[GroupHom]:
+    """The isos of F out of `over` whose restriction to the domain of phi is phi."""
+    fm = phi.mapping
+    dom = phi.domain.members
+    for psi in F.isos_from(over):
+        pm = psi.mapping
+        if all(pm[x] == fm[x] for x in dom):
+            yield psi
 
 
 # -- Aut_F(Q) as an abstract group ----------------------------------------------
@@ -444,9 +404,7 @@ class AutRealization:
 
     def subgroup_for(self, homs: Iterable[GroupHom]) -> Subgroup:
         """The realized subgroup for a closed set of automorphisms."""
-        mask = 1
-        for h in homs:
-            mask |= 1 << self.id_of(h)
+        mask = 1 | pg.mask_of(self.id_of(h) for h in homs)
         sub = Subgroup(self.group, mask)
         if pg._closure_mask(self.group, mask) != mask:
             raise NotASubgroupOfAut("the given automorphisms are not a subgroup")
@@ -459,10 +417,10 @@ class AutRealization:
 def aut_realization(F: PreFusionSystem, Q: Subgroup) -> AutRealization:
     if Q.parent != F.parent or not Q <= F.carrier:
         raise NotASubgroup("the subgroup does not lie in the carrier")
-    cache = F._caches.setdefault("aut_real", {})
-    got = cache.get(Q.mask)
-    if got is not None:
-        return got
+    return cached(F, "aut_real", Q.mask, _aut_realization, F, Q)
+
+
+def _aut_realization(F: PreFusionSystem, Q: Subgroup) -> AutRealization:
     members = Q.members
     pos = {x: i for i, x in enumerate(members)}
     auts = sorted(F.aut(Q), key=hom_key)
@@ -475,14 +433,6 @@ def aut_realization(F: PreFusionSystem, Q: Subgroup) -> AutRealization:
     homs: list[Optional[GroupHom]] = [None] * grp.order
     for h, perm in perms.items():
         homs[grp.index_of(perm)] = h
-    inn_mask = 1
-    G = Q.parent
-    for qid in members:
-        cm = G.conj_map(qid)
-        pairs = tuple((x, cm[x]) for x in members)
-        inn_h = GroupHom(Q, Q, pairs)
-        if inn_h in perms:
-            inn_mask |= 1 << grp.index_of(perms[inn_h])
-    real = AutRealization(grp, members, tuple(homs), Subgroup(grp, inn_mask))
-    cache[Q.mask] = real
-    return real
+    inner = (pg.conjugation_hom(g, Q, Q) for g in members)
+    inn_mask = 1 | pg.mask_of(grp.index_of(perms[h]) for h in inner if h in perms)
+    return AutRealization(grp, members, tuple(homs), Subgroup(grp, inn_mask))

@@ -12,6 +12,7 @@ from math import prod
 
 from . import permgroup as pg
 from .closure import definitional_normal, is_centric
+from .errors import InvariantViolation
 from .fusion import FusionSystem
 from .permgroup import Group, Subgroup
 from .quotients import _preimage_subgroup, _quotient_parts, factor_parts
@@ -23,7 +24,8 @@ def oracle_o_p(F: FusionSystem) -> Subgroup:
     for Q in F.subgroups():
         if definitional_normal(F, Q):
             best = pg.join(best, Q)
-    assert definitional_normal(F, best)
+    if not definitional_normal(F, best):
+        raise InvariantViolation("the join of the normal subgroups is not normal")
     return best
 
 

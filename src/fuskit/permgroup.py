@@ -18,6 +18,7 @@ from .errors import (
     ConjugateEscapes,
     DoesNotGenerate,
     ImageEscapesCodomain,
+    InvariantViolation,
     NotAHomomorphism,
     NotAPermutation,
     NotASubgroup,
@@ -42,6 +43,21 @@ def order_cap(explicit: Optional[int] = None) -> int:
     return int(env) if env else DEFAULT_ORDER_CAP
 
 
+def cached(owner, name: str, key, build, *args):
+    """The memo entry ``owner._caches[name][key]``, computed once as ``build(*args)``.
+
+    Every memo table in the package goes through here: groups, fusion
+    systems and the verification context each own a ``_caches`` dict of
+    named tables.
+    """
+    try:
+        return owner._caches[name][key]
+    except KeyError:
+        pass
+    got = owner._caches.setdefault(name, {})[key] = build(*args)
+    return got
+
+
 class Perm:
     """A permutation of {0..degree-1}, stored as its one-line image tuple."""
 
@@ -53,6 +69,8 @@ class Perm:
 
     @classmethod
     def checked(cls, images: Sequence[int], degree: Optional[int] = None) -> "Perm":
+        if not isinstance(images, (list, tuple)) or not all(isinstance(i, int) for i in images):
+            raise NotAPermutation(f"not a list of point indices: {images!r}")
         imgs = tuple(images)
         if degree is not None and len(imgs) != degree:
             raise NotAPermutation(f"expected degree {degree}, got {len(imgs)}")
@@ -146,7 +164,8 @@ class Group:
         self._conj = {}
         self._hash = None
         self._caches = {}
-        assert elements[0].is_identity(), "canonical order must put the identity first"
+        if not elements[0].is_identity():
+            raise InvariantViolation("canonical order must put the identity first")
 
     # -- construction --------------------------------------------------
 
@@ -227,11 +246,7 @@ class Group:
         return Subgroup(self, 1)
 
     def subgroup_of(self, ids: Iterable[int]) -> "Subgroup":
-        mask = 1  # identity is in every subgroup
-        for i in ids:
-            mask |= 1 << i
-        mask = _closure_mask(self, mask)
-        return Subgroup(self, mask)
+        return Subgroup(self, _closure_mask(self, 1 | mask_of(ids)))  # 1: the identity
 
     def is_abelian(self) -> bool:
         for i, a in enumerate(self.generators):
@@ -323,11 +338,7 @@ class Subgroup:
         return self._hash
 
     def conjugate(self, g: int) -> "Subgroup":
-        cm = self.parent.conj_map(g)
-        mask = 0
-        for x in self.members:
-            mask |= 1 << cm[x]
-        return Subgroup(self.parent, mask)
+        return Subgroup(self.parent, mask_image(self.parent.conj_map(g), self.mask))
 
     def perms(self) -> list[Perm]:
         return [self.parent.elements[i] for i in self.members]
@@ -374,6 +385,22 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def mask_of(ids: Iterable[int]) -> int:
+    """The bitmask of a collection of element ids."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
+
+
+def mask_image(mapping, mask: int) -> int:
+    """Apply an element-index map (dict or table) to a bitmask of element ids."""
+    out = 0
+    for x in _bits(mask):
+        out |= 1 << mapping[x]
+    return out
 
 
 def _closure_mask(G: Group, mask: int) -> int:
@@ -425,12 +452,11 @@ def subgroups(G: Group, cap: Optional[int] = None) -> list[Subgroup]:
 
 def subgroups_of(S: Subgroup) -> list[Subgroup]:
     """All subgroups of the subgroup S, ordered by (order, bitmask).  Cached."""
-    G = S.parent
-    cache = G._caches.setdefault("subgroups_of", {})
-    got = cache.get(S.mask)
-    if got is not None:
-        return got
+    return cached(S.parent, "subgroups_of", S.mask, _subgroups_of, S)
 
+
+def _subgroups_of(S: Subgroup) -> list[Subgroup]:
+    G = S.parent
     # one representative per cyclic subgroup: <x'> = <x> gives the same joins
     cyc_rep: dict[int, int] = {}
     for x in S.members:
@@ -453,9 +479,7 @@ def subgroups_of(S: Subgroup) -> list[Subgroup]:
                     known[j] = new_gens
                     nxt.append(j)
         layer = nxt
-    out = sorted((Subgroup(G, m) for m in known), key=subgroup_key)
-    cache[S.mask] = out
-    return out
+    return sorted((Subgroup(G, m) for m in known), key=subgroup_key)
 
 
 def normal_subgroups(G: Group) -> list[Subgroup]:
@@ -492,19 +516,17 @@ def normal_closure(G: Group, ids: Iterable[int]) -> Subgroup:
 
 def conjugacy_class_reps(G: Group) -> list[int]:
     """Least-element representatives of the conjugacy classes, cached."""
-    got = G._caches.get("class_reps")
-    if got is None:
-        seen = 0
-        reps = []
-        for x in range(G.order):
-            if (seen >> x) & 1:
-                continue
+    return cached(G, "class_reps", None, _class_reps, G)
+
+
+def _class_reps(G: Group) -> list[int]:
+    seen = 0
+    reps = []
+    for x in range(G.order):
+        if not (seen >> x) & 1:
             reps.append(x)
-            for g in range(G.order):
-                seen |= 1 << G.conj_map(g)[x]
-        got = reps
-        G._caches["class_reps"] = got
-    return got
+            seen |= mask_of(G.conj_map(g)[x] for g in range(G.order))
+    return reps
 
 
 # -- the standard subgroup constructions -------------------------------------
@@ -512,11 +534,11 @@ def conjugacy_class_reps(G: Group) -> list[int]:
 def center(S: Subgroup) -> Subgroup:
     G = S.parent
     mem = S.members
-    mask = 0
-    for x in mem:
-        if all(G.mul(x, y) == G.mul(y, x) for y in mem):
-            mask |= 1 << x
-    return Subgroup(G, mask)
+    return Subgroup(G, mask_of(x for x in mem if all(G.mul(x, y) == G.mul(y, x) for y in mem)))
+
+
+# centralizer and normalizer sit in the fusion layer's inner loops, so their
+# loops are written out rather than built from mask_of over generators
 
 
 def centralizer(ambient: Subgroup, Q: Subgroup) -> Subgroup:
@@ -538,25 +560,23 @@ def normalizer(ambient: Subgroup, Q: Subgroup) -> Subgroup:
     mask = 0
     for g in ambient.members:
         cm = G.conj_map(g)
-        ok = True
         for x in Q.members:
             if not (qmask >> cm[x]) & 1:
-                ok = False
                 break
-        if ok:
+        else:
             mask |= 1 << g
     return Subgroup(G, mask)
+
+
+def commutator(G: Group, a: int, b: int) -> int:
+    """[a, b] = a^-1 b^-1 a b."""
+    return G.mul(G.mul(G.mul(G.inv(a), G.inv(b)), a), b)
 
 
 def commutator_subgroup(A: Subgroup, B: Subgroup) -> Subgroup:
     _check_same_parent(A, B)
     G = A.parent
-    comms = set()
-    for a in A.members:
-        ai = G.inv(a)
-        for b in B.members:
-            comms.add(G.mul(G.mul(G.mul(ai, G.inv(b)), a), b))
-    return generated_subgroup(G, comms)
+    return generated_subgroup(G, {commutator(G, a, b) for a in A.members for b in B.members})
 
 
 def omega1(S: Subgroup, p: int) -> Subgroup:
@@ -600,26 +620,26 @@ def sylow(G: Group, p: int) -> Subgroup:
 
 def core_p(G: Group, p: int) -> Subgroup:
     """O_p(G): the intersection of all conjugates of a Sylow p-subgroup."""
-    got = G._caches.get(("core_p", p))
-    if got is not None:
-        return got
+    return cached(G, "core_p", p, _core_p, G, p)
+
+
+def _core_p(G: Group, p: int) -> Subgroup:
     P = sylow(G, p)
     mask = P.mask
     for g in range(G.order):
         mask &= P.conjugate(g).mask
         if mask == 1:
             break
-    got = Subgroup(G, mask)
-    G._caches[("core_p", p)] = got
-    return got
+    return Subgroup(G, mask)
 
 
 def core_pprime(G: Group, p: int) -> Subgroup:
     """O_p'(G): join of the normal closures that are p'-subgroups."""
     _check_prime(p)
-    got = G._caches.get(("core_pprime", p))
-    if got is not None:
-        return got
+    return cached(G, "core_pprime", p, _core_pprime, G, p)
+
+
+def _core_pprime(G: Group, p: int) -> Subgroup:
     acc = 1
     for x in conjugacy_class_reps(G):
         if (acc >> x) & 1:
@@ -629,9 +649,7 @@ def core_pprime(G: Group, p: int) -> Subgroup:
         N = normal_closure(G, [x])
         if N.order % p != 0:
             acc = _closure_mask(G, acc | N.mask)
-    got = Subgroup(G, acc)
-    G._caches[("core_pprime", p)] = got
-    return got
+    return Subgroup(G, acc)
 
 
 def join(A: Subgroup, B: Subgroup) -> Subgroup:
@@ -652,10 +670,7 @@ def set_product(A: Subgroup, B: Subgroup) -> Subgroup:
     """The set AB, provided it is a subgroup."""
     _check_same_parent(A, B)
     G = A.parent
-    mask = 0
-    for a in A.members:
-        for b in B.members:
-            mask |= 1 << G.mul(a, b)
+    mask = mask_of(G.mul(a, b) for a in A.members for b in B.members)
     if _closure_mask(G, mask) != mask:
         raise ProductNotASubgroup("the set product AB is not closed under multiplication")
     return Subgroup(G, mask)
@@ -672,60 +687,20 @@ def is_normal_in(Q: Subgroup, ambient: Subgroup) -> bool:
     return True
 
 
-def standard_subgroup(G: Group, kind: str, *args) -> Subgroup:
-    """Dispatcher over the named subgroup constructions.
-
-    Kinds: center, normalizer(Q), centralizer(Q), commutator(A,B), omega1(p),
-    thompson_J, sylow(p), core_p(p), core_pprime(p), join(A,B),
-    set_product(A,B).
-    """
-    full = G.full_subgroup()
-    for a in args:
-        if isinstance(a, Subgroup) and a.parent != G:
-            raise NotASubgroup(f"argument subgroup does not live in {G.name}")
-    if kind == "center":
-        return center(full)
-    if kind == "normalizer":
-        return normalizer(full, args[0])
-    if kind == "centralizer":
-        return centralizer(full, args[0])
-    if kind == "commutator":
-        return commutator_subgroup(args[0], args[1])
-    if kind == "omega1":
-        return omega1(full, args[0])
-    if kind == "thompson_J":
-        return thompson_subgroup(full)
-    if kind == "sylow":
-        return sylow(G, args[0])
-    if kind == "core_p":
-        return core_p(G, args[0])
-    if kind == "core_pprime":
-        return core_pprime(G, args[0])
-    if kind == "join":
-        return join(args[0], args[1])
-    if kind == "set_product":
-        return set_product(args[0], args[1])
-    raise ValueError(f"unknown subgroup kind {kind!r}")
+def central_preimage(Q: Subgroup, prev: int) -> int:
+    """The mask of the x in Q with [x, Q] inside the subgroup mask prev."""
+    G = Q.parent
+    mem = Q.members
+    return mask_of(x for x in mem if all((prev >> commutator(G, x, q)) & 1 for q in mem))
 
 
 def upper_central_series(Q: Subgroup) -> list[Subgroup]:
     """1 = Z_0 <= Z_1 <= ... up to the hypercenter of Q."""
     G = Q.parent
-    mem = Q.members
     series = [Subgroup(G, 1)]
     while True:
         prev = series[-1].mask
-        nxt = 0
-        for x in mem:
-            xi = G.inv(x)
-            central = True
-            for q in mem:
-                comm = G.mul(G.mul(G.mul(xi, G.inv(q)), x), q)
-                if not (prev >> comm) & 1:
-                    central = False
-                    break
-            if central:
-                nxt |= 1 << x
+        nxt = central_preimage(Q, prev)
         if nxt == prev:
             break
         series.append(Subgroup(G, nxt))
@@ -770,16 +745,15 @@ def quotient_group(G: Group, N: Subgroup) -> tuple[Group, tuple[int, ...]]:
 
 def as_group(S: Subgroup) -> tuple[Group, tuple[int, ...]]:
     """Reify a subgroup as a standalone Group; returns (group, new->parent ids)."""
+    return cached(S.parent, "as_group", S.mask, _as_group, S)
+
+
+def _as_group(S: Subgroup) -> tuple[Group, tuple[int, ...]]:
     parent = S.parent
-    cache = parent._caches.setdefault("as_group", {})
-    got = cache.get(S.mask)
-    if got is not None:
-        return got
     mem = S.members  # ascending parent ids are already in canonical perm order
     gens = [parent.elements[i] for i in S.generating_ids()] or [Perm.identity(parent.degree)]
     G = Group(parent.degree, f"{parent.name}|{S.order}",
               tuple(gens), tuple(parent.elements[i] for i in mem))
-    cache[S.mask] = (G, mem)
     return G, mem
 
 
@@ -825,10 +799,7 @@ class GroupHom:
     @property
     def image_mask(self) -> int:
         if self._image_mask is None:
-            m = 0
-            for _, y in self.pairs:
-                m |= 1 << y
-            self._image_mask = m
+            self._image_mask = _image_mask(self.pairs)
         return self._image_mask
 
     def image(self) -> Subgroup:
@@ -844,10 +815,7 @@ class GroupHom:
         """Restrict to Q <= domain; the codomain becomes the image of Q."""
         m = self.mapping
         pairs = tuple((x, m[x]) for x in Q.members)
-        mask = 0
-        for _, y in pairs:
-            mask |= 1 << y
-        return GroupHom(Q, Subgroup(self.codomain.parent, mask), pairs)
+        return GroupHom(Q, Subgroup(self.codomain.parent, _image_mask(pairs)), pairs)
 
     def inverse(self) -> "GroupHom":
         img = self.image()
@@ -857,10 +825,7 @@ class GroupHom:
         """Left-to-right composite; other must be defined on this image."""
         om = other.mapping
         pairs = tuple((x, om[y]) for x, y in self.pairs)
-        mask = 0
-        for _, y in pairs:
-            mask |= 1 << y
-        return GroupHom(self.domain, Subgroup(other.codomain.parent, mask), pairs)
+        return GroupHom(self.domain, Subgroup(other.codomain.parent, _image_mask(pairs)), pairs)
 
     def with_codomain(self, R: Subgroup) -> "GroupHom":
         if self.image_mask & ~R.mask:
@@ -884,6 +849,16 @@ class GroupHom:
                 f" in {self.codomain.parent.name})")
 
 
+def _image_mask(pairs) -> int:
+    """The bitmask of the images in (source, image) pairs.  Homs are composed
+    and restricted in the fixpoint's inner loop, where a loop written out here
+    is markedly faster than mask_of over a generator."""
+    mask = 0
+    for _, y in pairs:
+        mask |= 1 << y
+    return mask
+
+
 def hom_key(h: GroupHom) -> tuple:
     """Canonical sort key for homs: domain order/mask, image mask, mapping."""
     return (h.domain.order, h.domain.mask, h.image_mask, h.pairs)
@@ -895,7 +870,6 @@ def hom_build(domain: Subgroup, codomain: Subgroup,
     GA = domain.parent
     GB = codomain.parent
     mapd = {0: 0}
-    used = {0}
     queue = []
     for s, t in gen_images:
         if s not in domain:
@@ -903,23 +877,16 @@ def hom_build(domain: Subgroup, codomain: Subgroup,
         cur = mapd.get(s)
         if cur is None:
             mapd[s] = t
-            used.add(t)
             queue.append(s)
         elif cur != t:
             raise NotAHomomorphism("conflicting generator images")
     if not _extend_hom(mapd, GA.mul, GB.mul, queue):
         raise NotAHomomorphism("generator images do not extend multiplicatively")
-    dom_mask = 0
-    for x in mapd:
-        dom_mask |= 1 << x
-    if dom_mask != domain.mask:
+    if mask_of(mapd) != domain.mask:
         raise DoesNotGenerate("the listed sources do not generate the domain")
     if len(set(mapd.values())) != len(mapd):
         raise NotInjective("the extension is not injective")
-    img = 0
-    for y in mapd.values():
-        img |= 1 << y
-    if img & ~codomain.mask:
+    if mask_of(mapd.values()) & ~codomain.mask:
         raise ImageEscapesCodomain("image is not contained in the codomain")
     return GroupHom(domain, codomain, mapd.items())
 
@@ -954,6 +921,15 @@ def conjugation_hom(g: int, Q: Subgroup, R: Subgroup) -> GroupHom:
             raise ConjugateEscapes(f"conjugate of element {x} lands outside R")
         pairs.append((x, y))
     return GroupHom(Q, R, pairs)
+
+
+def induced_hom(h: GroupHom, m, G: Group) -> GroupHom:
+    """The hom m(domain) -> m(image) in G that h induces under the element
+    map m (a dict or table defined on the domain and image of h)."""
+    out = {m[x]: m[y] for x, y in h.pairs}
+    if len(out) < len(h.pairs) and any(out[m[x]] != m[y] for x, y in h.pairs):
+        raise InvariantViolation("the induced map is not well defined")
+    return GroupHom(Subgroup(G, mask_of(out)), Subgroup(G, mask_of(out.values())), out.items())
 
 
 # -- isomorphism search ------------------------------------------------------
@@ -1011,13 +987,11 @@ def isomorphism_search(G: Group, H: Group, cap: int = DEFAULT_ISO_CAP) -> Option
 
 def automorphisms(Q: Subgroup) -> list[GroupHom]:
     """All automorphisms of Q (cached on the parent group)."""
-    cache = Q.parent._caches.setdefault("automorphisms", {})
-    got = cache.get(Q.mask)
-    if got is None:
-        got = isomorphisms_between(Q, Q, find_all=True)
-        got.sort(key=hom_key)
-        cache[Q.mask] = got
-    return got
+    return cached(Q.parent, "automorphisms", Q.mask, _automorphisms, Q)
+
+
+def _automorphisms(Q: Subgroup) -> list[GroupHom]:
+    return sorted(isomorphisms_between(Q, Q, find_all=True), key=hom_key)
 
 
 def characteristic_subgroups(Q: Subgroup) -> list[Subgroup]:
@@ -1025,21 +999,9 @@ def characteristic_subgroups(Q: Subgroup) -> list[Subgroup]:
     auts = automorphisms(Q)
     out = []
     for S in subgroups_of(Q):
-        if all(_apply_mask(a, S.mask) == S.mask for a in auts):
+        if all(mask_image(a.mapping, S.mask) == S.mask for a in auts):
             out.append(S)
     return out
-
-
-def mask_image(mapping: dict[int, int], mask: int) -> int:
-    """Apply an element-index map to a bitmask of element ids."""
-    out = 0
-    for x in _bits(mask):
-        out |= 1 << mapping[x]
-    return out
-
-
-def _apply_mask(h: GroupHom, mask: int) -> int:
-    return mask_image(h.mapping, mask)
 
 
 def _is_p_power(n: int, p: int) -> bool:
@@ -1048,8 +1010,12 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
 def _check_prime(p: int):
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 
 

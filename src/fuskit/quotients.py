@@ -15,6 +15,8 @@ from typing import Optional
 from . import permgroup as pg
 from .errors import (
     ImageNotAFusionSystem,
+    NotAHomomorphism,
+    NotInjective,
     NotNormalInP,
     NotSaturated,
     NotStronglyClosed,
@@ -23,13 +25,15 @@ from .fusion import (
     FusionSystem,
     PreFusionSystem,
     generated_on,
+    image_table,
     is_saturated,
     is_strongly_closed,
     is_weakly_closed,
     same_system,
+    transport,
     validate_hom,
 )
-from .permgroup import Group, GroupHom, Subgroup
+from .permgroup import Group, GroupHom, Subgroup, cached
 
 
 # -- quotient plumbing --------------------------------------------------------
@@ -40,63 +44,28 @@ class _QuotientParts:
     proj: dict[int, int]            # carrier member id (ambient) -> quotient id
 
 
-def _mask_of(ids) -> int:
-    mask = 0
-    for i in ids:
-        mask |= 1 << i
-    return mask
-
-
 def _quotient_parts(F: PreFusionSystem, Q: Subgroup) -> _QuotientParts:
     if not Q <= F.carrier:
         raise NotNormalInP("Q must lie inside the carrier")
-    cache = F._caches.setdefault("quotient_parts", {})
-    got = cache.get(Q.mask)
-    if got is not None:
-        return got
+    return cached(F, "quotient_parts", Q.mask, _build_quotient_parts, F, Q)
+
+
+def _build_quotient_parts(F: PreFusionSystem, Q: Subgroup) -> _QuotientParts:
     CG, new_to_par = pg.as_group(F.carrier)
     par_to_new = {p: i for i, p in enumerate(new_to_par)}
-    N = Subgroup(CG, _mask_of(par_to_new[x] for x in Q.members))
+    N = Subgroup(CG, pg.mask_image(par_to_new, Q.mask))
     if not pg.is_normal_in(N, CG.full_subgroup()):
         raise NotNormalInP("Q is not normal in the carrier")
     QG, proj_new = pg.quotient_group(CG, N)
-    proj = {p: proj_new[i] for i, p in enumerate(new_to_par)}
-    got = _QuotientParts(QG, proj)
-    cache[Q.mask] = got
-    return got
-
-
-def _induced_iso(parts: _QuotientParts, phi: GroupHom) -> GroupHom:
-    """The map QR'/Q -> QS'/Q induced by phi: R' -> S' (well-defined because
-    the kernel is strongly closed / setwise fixed)."""
-    proj = parts.proj
-    out: dict[int, int] = {}
-    for x, y in phi.pairs:
-        a, b = proj[x], proj[y]
-        prev = out.get(a)
-        if prev is None:
-            out[a] = b
-        elif prev != b:
-            raise AssertionError("induced map is not well defined")
-    G = parts.group
-    dom = Subgroup(G, _mask_of(out))
-    img = Subgroup(G, _mask_of(out.values()))
-    return GroupHom(dom, img, out.items())
+    return _QuotientParts(QG, {p: proj_new[i] for i, p in enumerate(new_to_par)})
 
 
 def _image_subgroup(parts: _QuotientParts, R: Subgroup) -> Subgroup:
-    mask = 0
-    for x in R.members:
-        mask |= 1 << parts.proj[x]
-    return Subgroup(parts.group, mask)
+    return Subgroup(parts.group, pg.mask_image(parts.proj, R.mask))
 
 
 def _preimage_subgroup(F: PreFusionSystem, parts: _QuotientParts, S: Subgroup) -> Subgroup:
-    mask = 0
-    for x in F.carrier.members:
-        if parts.proj[x] in S:
-            mask |= 1 << x
-    return Subgroup(F.parent, mask)
+    return Subgroup(F.parent, pg.mask_of(x for x in F.carrier.members if parts.proj[x] in S))
 
 
 # -- factor and bar systems ---------------------------------------------------
@@ -104,21 +73,14 @@ def _preimage_subgroup(F: PreFusionSystem, parts: _QuotientParts, S: Subgroup) -
 def factor_parts(F: PreFusionSystem, Q: Subgroup) -> tuple[FusionSystem, dict[int, int]]:
     """The factor system F/Q plus the carrier projection map."""
     parts = _quotient_parts(F, Q)
-    cache = F._caches.setdefault("factor_system", {})
-    sys = cache.get(Q.mask)
-    if sys is None:
-        table: dict = {}
-        for (r, s), homs in F.table.items():
-            if not (Q <= r and Q <= s):
-                continue
-            for phi in homs:
-                if pg.mask_image(phi.mapping, Q.mask) != Q.mask:
-                    continue
-                bar = _induced_iso(parts, phi)
-                table.setdefault((bar.domain, bar.image()), set()).add(bar)
-        sys = FusionSystem(parts.group.full_subgroup(), F.p, table, provenance="factor")
-        cache[Q.mask] = sys
-    return sys, parts.proj
+    return cached(F, "factor_system", Q.mask, _factor_system, F, Q, parts), parts.proj
+
+
+def _factor_system(F: PreFusionSystem, Q: Subgroup, parts: _QuotientParts) -> FusionSystem:
+    fixing_q = (phi for (r, s), homs in F.table.items() if Q <= r and Q <= s
+                for phi in homs if pg.mask_image(phi.mapping, Q.mask) == Q.mask)
+    return FusionSystem(parts.group.full_subgroup(), F.p,
+                        image_table(fixing_q, parts.proj, parts.group), provenance="factor")
 
 
 def factor_system(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
@@ -130,31 +92,26 @@ def bar_system(F: PreFusionSystem, Q: Subgroup) -> PreFusionSystem:
     """The prefusion system on P/Q induced by ALL morphisms of F."""
     if not is_strongly_closed(F, Q):
         raise NotStronglyClosed("the bar construction needs a strongly closed kernel")
-    cache = F._caches.setdefault("bar_system", {})
-    got = cache.get(Q.mask)
-    if got is not None:
-        return got
+    return cached(F, "bar_system", Q.mask, _bar_system, F, Q)
+
+
+def _bar_system(F: PreFusionSystem, Q: Subgroup) -> PreFusionSystem:
     parts = _quotient_parts(F, Q)
-    table: dict = {}
-    for (r, s), homs in F.table.items():
-        for phi in homs:
-            bar = _induced_iso(parts, phi)
-            table.setdefault((bar.domain, bar.image()), set()).add(bar)
-    got = PreFusionSystem(parts.group.full_subgroup(), F.p, table, provenance="bar")
-    cache[Q.mask] = got
-    return got
+    # phi: R' -> S' induces QR'/Q -> QS'/Q, well defined as Q is strongly closed
+    table = image_table((phi for homs in F.table.values() for phi in homs),
+                        parts.proj, parts.group)
+    return PreFusionSystem(parts.group.full_subgroup(), F.p, table, provenance="bar")
 
 
 def generated_bar(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
     """The fusion closure of the bar system."""
-    cache = F._caches.setdefault("generated_bar", {})
-    got = cache.get(Q.mask)
-    if got is None:
-        bar = bar_system(F, Q)
-        got = generated_on(bar.carrier, F.p, [], base={k: set(v) for k, v in bar.table.items()},
-                           provenance="generated-bar")
-        cache[Q.mask] = got
-    return got
+    return cached(F, "generated_bar", Q.mask, _generated_bar, F, Q)
+
+
+def _generated_bar(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
+    bar = bar_system(F, Q)
+    return generated_on(bar.carrier, F.p, [], base={k: set(v) for k, v in bar.table.items()},
+                        provenance="generated-bar")
 
 
 # -- the prefusion axiom checker ----------------------------------------------
@@ -176,28 +133,26 @@ def prefusion_is_fusion(pre: PreFusionSystem) -> tuple[bool, Optional[PrefusionW
     carrier = pre.carrier
     for A in pg.subgroups_of(carrier):
         for g in carrier.members:
-            cm = G.conj_map(g)
-            img = Subgroup(G, _mask_of(cm[x] for x in A.members))
-            theta = GroupHom(A, img, ((x, cm[x]) for x in A.members))
-            if theta not in pre.table.get((A, img), frozenset()):
+            theta = pg.conjugation_hom(g, A, A.conjugate(g))
+            if not pre.contains_iso(theta):
                 return False, PrefusionWitness("missing-conjugation", (theta,))
     isos = pre.all_isos()
     for h in isos:
         inv = h.inverse()
-        if inv not in pre.table.get((inv.domain, inv.image()), frozenset()):
+        if not pre.contains_iso(inv):
             return False, PrefusionWitness("missing-inverse", (h,))
     for h in isos:
         for A in pg.subgroups_of(h.domain):
             if A.mask == h.domain.mask:
                 continue
             res = h.restriction(A)
-            if res not in pre.table.get((res.domain, res.image()), frozenset()):
+            if not pre.contains_iso(res):
                 return False, PrefusionWitness("missing-restriction", (h, res))
     for phi in isos:
         img = phi.image()
         for psi in pre.isos_from(img):
             comp = phi.then(psi)
-            if comp not in pre.table.get((comp.domain, comp.image()), frozenset()):
+            if not pre.contains_iso(comp):
                 return False, PrefusionWitness("missing-composite", (phi, psi))
     return True, None
 
@@ -218,14 +173,7 @@ class FusionSystemMorphism:
     kernel: Subgroup
 
     def apply(self, phi: GroupHom) -> GroupHom:
-        m = self.carrier_map
-        out: dict[int, int] = {}
-        for x, y in phi.pairs:
-            out[m[x]] = m[y]
-        G = self.target.parent
-        dom = Subgroup(G, _mask_of(out))
-        img = Subgroup(G, _mask_of(out.values()))
-        return GroupHom(dom, img, out.items())
+        return pg.induced_hom(phi, self.carrier_map, self.target.parent)
 
 
 def quotient_morphism(F: FusionSystem, Q: Subgroup, target: str = "generated-bar") -> FusionSystemMorphism:
@@ -251,10 +199,9 @@ def quotient_morphism(F: FusionSystem, Q: Subgroup, target: str = "generated-bar
     else:
         tgt = generated_bar(F, Q)
     morph = FusionSystemMorphism(F, tgt, dict(parts.proj), Q)
-    for (r, s), homs in F.table.items():
+    for homs in F.table.values():
         for phi in homs:
-            bar = morph.apply(phi)
-            if bar not in tgt.table.get((bar.domain, bar.image()), frozenset()):
+            if not tgt.contains_iso(morph.apply(phi)):
                 raise ImageNotAFusionSystem("functor condition failed on a morphism")
     return morph
 
@@ -320,13 +267,14 @@ def closure_transfer(F: FusionSystem, Q: Subgroup, strong: bool = True) -> Closu
 
 # -- isomorphism theorems ---------------------------------------------------------
 
-def _canonical_transport_equal(A: PreFusionSystem, B: PreFusionSystem,
-                               pairs: dict[int, int]) -> bool:
-    """Transport A along the canonical map given by (A-carrier id -> B-carrier id)
-    pairs and compare with B.  A canonical map that fails to be an isomorphism
-    counts as a comparison failure, not an error."""
-    from .errors import NotAHomomorphism, NotInjective
-    from .fusion import transport
+def _canonical_transport_equal(A: PreFusionSystem, B: PreFusionSystem, xs,
+                               to_a, to_b) -> bool:
+    """Transport A along the canonical map to_a(x) -> to_b(x), x in xs, from
+    A's carrier to B's, and compare with B.  A canonical map that is not well
+    defined or not an isomorphism counts as a comparison failure, not an error."""
+    pairs = {to_a[x]: to_b[x] for x in xs}
+    if any(pairs[to_a[x]] != to_b[x] for x in xs):
+        return False
     if set(pairs) != set(A.carrier.members) or len(set(pairs.values())) != B.carrier.order:
         return False
     theta = GroupHom(A.carrier, B.carrier, pairs.items())
@@ -346,23 +294,13 @@ def verify_second_iso(F: FusionSystem, Q: Subgroup, E: FusionSystem) -> bool:
         raise NotStronglyClosed("Q must be strongly closed")
     R = E.carrier
     parts = _quotient_parts(F, Q)
-    table: dict = {}
-    for (a, b), homs in E.table.items():
-        for phi in homs:
-            bar = _induced_iso(parts, phi)
-            table.setdefault((bar.domain, bar.image()), set()).add(bar)
-    image_carrier = _image_subgroup(parts, R)
-    eqq = FusionSystem(image_carrier, E.p, table, provenance="derived")
+    table = image_table((phi for homs in E.table.values() for phi in homs),
+                        parts.proj, parts.group)
+    eqq = FusionSystem(_image_subgroup(parts, R), E.p, table, provenance="derived")
 
     cap = pg.meet(R, Q)
     right, rproj = factor_parts(E, cap)
-    pairs: dict[int, int] = {}
-    for x in R.members:
-        a = parts.proj[x]
-        b = rproj[x]
-        if pairs.setdefault(a, b) != b:
-            return False
-    return _canonical_transport_equal(eqq, right, pairs)
+    return _canonical_transport_equal(eqq, right, R.members, parts.proj, rproj)
 
 
 def verify_third_iso(F: FusionSystem, Q: Subgroup, R: Subgroup) -> bool:
@@ -378,13 +316,8 @@ def verify_third_iso(F: FusionSystem, Q: Subgroup, R: Subgroup) -> bool:
     r_over_q = _image_subgroup(parts1, R)
     f2, proj2 = factor_parts(fq, r_over_q)
     fr, proj3 = factor_parts(F, R)
-    pairs: dict[int, int] = {}
-    for x in F.carrier.members:
-        a = proj2[proj1[x]]
-        b = proj3[x]
-        if pairs.setdefault(a, b) != b:
-            return False
-    return _canonical_transport_equal(f2, fr, pairs)
+    members = F.carrier.members
+    return _canonical_transport_equal(f2, fr, members, {x: proj2[proj1[x]] for x in members}, proj3)
 
 
 def local_determination_holds(F: FusionSystem, Q: Subgroup) -> bool:

@@ -33,6 +33,17 @@ def _require(cond: bool, msg: str):
         raise ParseError(msg)
 
 
+def _require_fields(d: dict, what: str, fields: tuple[str, ...]):
+    for fld in fields:
+        _require(fld in d, f"{what} is missing field {fld!r}")
+
+
+def _prime_field(d: dict) -> int:
+    p = d["p"]
+    _require(isinstance(p, int) and pg.is_prime(p), "field 'p' must be a prime")
+    return p
+
+
 # -- groups -------------------------------------------------------------------
 
 def group_to_dict(G: Group) -> dict:
@@ -45,8 +56,7 @@ def group_to_dict(G: Group) -> dict:
 
 def group_from_dict(d: dict, cap: Optional[int] = None) -> Group:
     _require(isinstance(d, dict), "group document must be an object")
-    for fld in ("name", "degree", "generators"):
-        _require(fld in d, f"group document is missing field {fld!r}")
+    _require_fields(d, "group document", ("name", "degree", "generators"))
     _require(isinstance(d["degree"], int) and d["degree"] >= 1,
              "field 'degree' must be a positive integer")
     _require(isinstance(d["generators"], list), "field 'generators' must be a list")
@@ -91,8 +101,9 @@ def _resolve_group(ref, base_dir: Optional[Path], resolver: Optional[GroupResolv
 
 
 def _seed_from_dict(G: Group, d: dict) -> GroupHom:
-    _require(isinstance(d, dict) and "domain_gens" in d and "images" in d,
-             "seed morphism needs 'domain_gens' and 'images'")
+    _require(isinstance(d, dict) and isinstance(d.get("domain_gens"), list)
+             and isinstance(d.get("images"), list),
+             "seed morphism needs the lists 'domain_gens' and 'images'")
     srcs = [G.index_of(pg.Perm.checked(img, G.degree)) for img in d["domain_gens"]]
     dsts = [G.index_of(pg.Perm.checked(img, G.degree)) for img in d["images"]]
     _require(len(srcs) == len(dsts), "seed morphism lists have unequal lengths")
@@ -107,10 +118,8 @@ def fusion_spec_from_dict(d: dict, base_dir: Optional[Path] = None,
     """Build a system from a spec document: conjugation fusion of an ambient
     group, or a generated system from seed morphisms on a p-group."""
     _require(isinstance(d, dict), "fusion spec must be an object")
-    for fld in ("group", "p", "mode"):
-        _require(fld in d, f"fusion spec is missing field {fld!r}")
-    p = d["p"]
-    _require(isinstance(p, int) and p >= 2, "field 'p' must be a prime")
+    _require_fields(d, "fusion spec", ("group", "p", "mode"))
+    p = _prime_field(d)
     mode = d["mode"]
     if mode == "from-group":
         ref = d.get("ambient", d["group"])
@@ -157,13 +166,23 @@ def system_from_dict(d: dict, cap: Optional[int] = None) -> PreFusionSystem:
     _require(isinstance(d, dict) and d.get("format") == "fusion-system",
              "not a fusion-system document")
     _require(d.get("version") == 1, "unsupported fusion-system version")
+    _require_fields(d, "fusion-system document", ("p", "ambient", "carrier", "isos"))
+    p = _prime_field(d)
     G = group_from_dict(d["ambient"], cap=cap)
     carrier = Subgroup(G, _member_mask(G, d["carrier"]))
+    _require(isinstance(d["isos"], list), "field 'isos' must be a list")
     table: dict = {}
     for iso in d["isos"]:
+        _require(isinstance(iso, dict), "a stored morphism must be an object")
+        _require_fields(iso, "stored morphism", ("domain", "codomain", "map"))
         dom = Subgroup(G, _member_mask(G, iso["domain"]))
         cod = Subgroup(G, _member_mask(G, iso["codomain"]))
-        h = GroupHom(dom, cod, ((int(a), int(b)) for a, b in iso["map"]))
+        pairs = iso["map"]
+        _require(isinstance(pairs, list) and all(isinstance(pr, list) and len(pr) == 2
+                                                 for pr in pairs),
+                 "field 'map' must be a list of [source, image] pairs")
+        _element_ids(G, [i for pr in pairs for i in pr])
+        h = GroupHom(dom, cod, map(tuple, pairs))
         try:
             validate_hom(h)
         except FuskitError as exc:
@@ -172,17 +191,20 @@ def system_from_dict(d: dict, cap: Optional[int] = None) -> PreFusionSystem:
             raise ValidationError("stored morphism is not onto its codomain")
         table.setdefault((dom, cod), set()).add(h)
     cls = FusionSystem if d.get("kind", "fusion") == "fusion" else PreFusionSystem
-    return cls(carrier, int(d["p"]), table, provenance=str(d.get("provenance", "parsed")))
+    return cls(carrier, p, table, provenance=str(d.get("provenance", "parsed")))
+
+
+def _element_ids(G: Group, ids: list) -> list:
+    n = G.order
+    for i in ids:
+        if type(i) is not int or not 0 <= i < n:
+            raise ValidationError(f"element id {i!r} is not an element index of {G.name}")
+    return ids
 
 
 def _member_mask(G: Group, ids) -> int:
-    mask = 0
-    for i in ids:
-        i = int(i)
-        if not 0 <= i < G.order:
-            raise ValidationError(f"element id {i} out of range for {G.name}")
-        mask |= 1 << i
-    return mask
+    _require(isinstance(ids, list), "a subgroup must be a list of element ids")
+    return pg.mask_of(_element_ids(G, ids))
 
 
 def dump_system(F: PreFusionSystem) -> str:
@@ -195,6 +217,7 @@ def load_system_or_spec(path: Union[str, Path], resolver: Optional[GroupResolver
     of the quotient subcommand."""
     path = Path(path)
     d = load_json(path)
+    _require(isinstance(d, dict), "a system or spec document must be an object")
     if isinstance(d.get("system"), dict) and d["system"].get("format") == "fusion-system":
         d = d["system"]
     if d.get("format") == "fusion-system":

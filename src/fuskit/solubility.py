@@ -9,9 +9,9 @@ from typing import Optional
 
 from . import permgroup as pg
 from .closure import o_p
-from .errors import NotSaturated, OrderCapExceeded, SylowMismatch
+from .errors import InvariantViolation, NotSaturated, OrderCapExceeded, SylowMismatch
 from .fusion import FusionSystem, fusion_from_group, generated_on, is_saturated, same_system, transport
-from .permgroup import Group, Subgroup
+from .permgroup import Group, Subgroup, cached
 from .quotients import _preimage_subgroup, _quotient_parts, factor_parts
 from .subsystems import centralizer_system, normalizer_system
 
@@ -108,11 +108,7 @@ def is_qdp_free_group(G: Group, p: int, cap: Optional[int] = None) -> bool:
     pg._check_prime(p)
     if G.order > pg.order_cap(cap):
         raise OrderCapExceeded(f"group of order {G.order} exceeds cap")
-    got = G._caches.get(("qdp_free", p))
-    if got is not None:
-        return got
-    G._caches[("qdp_free", p)] = got = _qdp_free(G, p, cap)
-    return got
+    return cached(G, "qdp_free", p, _qdp_free, G, p, cap)
 
 
 def _qdp_free(G: Group, p: int, cap: Optional[int]) -> bool:
@@ -145,7 +141,8 @@ def thompson_factorization_holds(F: FusionSystem) -> bool:
     omega = pg.omega1(pg.center(P), F.p)
     nj = normalizer_system(F, j_sub)
     comega = centralizer_system(F, omega)
-    assert nj.carrier == P and comega.carrier == P
+    if nj.carrier != P or comega.carrier != P:
+        raise InvariantViolation("a normalizer or centralizer system is not on the carrier")
     base: dict = {}
     for sys in (nj, comega):
         for key, homs in sys.table.items():
@@ -157,17 +154,15 @@ def thompson_factorization_holds(F: FusionSystem) -> bool:
 def group_is_p_soluble(G: Group, p: int) -> bool:
     """Alternating p'-core / p-core tower on the group side."""
     pg._check_prime(p)
-    got = G._caches.get(("p_soluble", p))
-    if got is not None:
-        return got
-    top = G
+    return cached(G, "p_soluble", p, _p_soluble, G, p)
+
+
+def _p_soluble(G: Group, p: int) -> bool:
     while G.order > 1:
         n = pg.core_pprime(G, p)
         if n.order == 1:
             n = pg.core_p(G, p)
         if n.order == 1:
-            top._caches[("p_soluble", p)] = False
             return False
         G, _ = pg.quotient_group(G, n)
-    top._caches[("p_soluble", p)] = True
     return True

@@ -7,7 +7,6 @@ subset check on the iso tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import permgroup as pg
@@ -17,25 +16,13 @@ from .fusion import (
     PreFusionSystem,
     _conjugation_table,
     aut_realization,
+    extensions,
     is_saturated,
     is_strongly_closed,
     same_system,
     transport,
 )
-from .permgroup import GroupHom, Subgroup
-
-
-@dataclass(frozen=True)
-class Subsystem:
-    """A fusion system paired with the parent it sits inside; construction
-    checks that every morphism really is one of the parent's."""
-
-    parent: FusionSystem
-    system: FusionSystem
-
-    def __post_init__(self):
-        if not is_subsystem_of(self.system, self.parent):
-            raise NotASubgroup("the morphisms do not all belong to the parent system")
+from .permgroup import GroupHom, Subgroup, cached
 
 
 def is_subsystem_of(E: PreFusionSystem, F: PreFusionSystem) -> bool:
@@ -59,12 +46,11 @@ def _infer_p(order: int, p: Optional[int]) -> int:
 def inner_system(Q: Subgroup, p: Optional[int] = None) -> FusionSystem:
     """The fusion system of Q on itself: conjugation maps by elements of Q."""
     p = _infer_p(Q.order, p)
-    cache = Q.parent._caches.setdefault("inner_system", {})
-    got = cache.get((Q.mask, p))
-    if got is None:
-        got = FusionSystem(Q, p, _conjugation_table(Q, Q.members), provenance="inner")
-        cache[(Q.mask, p)] = got
-    return got
+    return cached(Q.parent, "inner_system", (Q.mask, p), _inner_system, Q, p)
+
+
+def _inner_system(Q: Subgroup, p: int) -> FusionSystem:
+    return FusionSystem(Q, p, _conjugation_table(Q, Q.members), provenance="inner")
 
 
 def k_normalizer_system(F: FusionSystem, Q: Subgroup, K: Iterable[GroupHom]) -> FusionSystem:
@@ -77,42 +63,29 @@ def k_normalizer_system(F: FusionSystem, Q: Subgroup, K: Iterable[GroupHom]) -> 
     real = aut_realization(F, Q)
     K = list(K)
     real.subgroup_for(K)  # validates membership and closure under products
-    cache = F._caches.setdefault("k_normalizer", {})
-    cache_key = (Q.mask, tuple(sorted(h.pairs for h in K)))
-    cached = cache.get(cache_key)
-    if cached is not None:
-        return cached
+    key = (Q.mask, tuple(sorted(h.pairs for h in K)))
+    return cached(F, "k_normalizer", key, _k_normalizer_system, F, Q, K)
+
+
+def _k_normalizer_system(F: FusionSystem, Q: Subgroup, K: list[GroupHom]) -> FusionSystem:
     k_pairs = {h.pairs for h in K}
     k_pairs.add(GroupHom.identity(Q).pairs)
     G = F.parent
     qmem = Q.members
-    n_mask = 0
-    for g in F.normalizer_in_carrier(Q).members:
-        cm = G.conj_map(g)
-        if tuple((x, cm[x]) for x in qmem) in k_pairs:
-            n_mask |= 1 << g
-    carrier = Subgroup(G, n_mask)
+    n_mask = pg.mask_of(g for g in F.normalizer_in_carrier(Q).members
+                        if tuple((x, G.conj_map(g)[x]) for x in qmem) in k_pairs)
 
     table = {}
     for (r, s), homs in F.table.items():
         if r.mask & ~n_mask or s.mask & ~n_mask:
             continue
         qr = pg.join(Q, r)
-        kept = set()
-        for phi in homs:
-            fm = phi.mapping
-            rmem = r.members
-            for psi in F.isos_from(qr):
-                pm = psi.mapping
-                if all(pm[x] == fm[x] for x in rmem) and \
-                        tuple((x, pm[x]) for x in qmem) in k_pairs:
-                    kept.add(phi)
-                    break
+        kept = {phi for phi in homs
+                if any(tuple((x, psi.mapping[x]) for x in qmem) in k_pairs
+                       for psi in extensions(F, phi, qr))}
         if kept:
             table[(r, s)] = kept
-    out = FusionSystem(carrier, F.p, table, provenance="derived")
-    cache[cache_key] = out
-    return out
+    return FusionSystem(Subgroup(G, n_mask), F.p, table, provenance="derived")
 
 
 def normalizer_system(F: FusionSystem, Q: Subgroup) -> FusionSystem:
@@ -140,11 +113,7 @@ def is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
                 for phi in E.isos_from(R):
                     if phi.image_mask & ~S.mask:
                         continue
-                    fm = phi.mapping
-                    dom = Subgroup(G, pg.mask_image(pm, R.mask))
-                    img = Subgroup(G, pg.mask_image(pm, phi.image_mask))
-                    chi = GroupHom(dom, img, ((pm[x], pm[fm[x]]) for x in R.members))
-                    if chi not in E.table.get((dom, img), frozenset()):
+                    if not E.contains_iso(pg.induced_hom(phi, pm, G)):
                         return False
     return True
 
@@ -155,20 +124,14 @@ def is_frattini(F: FusionSystem, E: PreFusionSystem) -> bool:
     Q = E.carrier
     _require_strongly_closed(F, Q)
     G = F.parent
-    auts = [(a.mapping, a) for a in sorted(F.aut(Q), key=pg.hom_key)]
+    auts = [a.mapping for a in sorted(F.aut(Q), key=pg.hom_key)]
     for R in pg.subgroups_of(Q):
-        rmem = R.members
         for phi in F.isos_from(R):
+            # beta = alpha^-1 phi : alpha(R) -> phi(R)
             fm = phi.mapping
-            found = False
-            for am, _ in auts:
-                dom = Subgroup(G, pg.mask_image(am, R.mask))
-                img = phi.image()
-                beta = GroupHom(dom, img, ((am[x], fm[x]) for x in rmem))
-                if beta in E.table.get((dom, img), frozenset()):
-                    found = True
-                    break
-            if not found:
+            if not any(E.contains_iso(GroupHom(Subgroup(G, pg.mask_image(am, R.mask)), phi.image(),
+                                               ((am[x], fm[x]) for x in R.members)))
+                       for am in auts):
                 return False
     return True
 
@@ -176,17 +139,8 @@ def is_frattini(F: FusionSystem, E: PreFusionSystem) -> bool:
 def aut_f_acts_on(E: PreFusionSystem, alphas: Iterable[GroupHom]) -> bool:
     """Each alpha must send every morphism of E to a morphism of E."""
     G = E.parent
-    for alpha in alphas:
-        am = alpha.mapping
-        for (r, s), homs in E.table.items():
-            dom = Subgroup(G, pg.mask_image(am, r.mask))
-            img = Subgroup(G, pg.mask_image(am, s.mask))
-            have = E.table.get((dom, img), frozenset())
-            for phi in homs:
-                chi = GroupHom(dom, img, ((am[x], am[y]) for x, y in phi.pairs))
-                if chi not in have:
-                    return False
-    return True
+    return all(E.contains_iso(pg.induced_hom(phi, alpha.mapping, G))
+               for alpha in alphas for homs in E.table.values() for phi in homs)
 
 
 def is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:

@@ -23,6 +23,7 @@ from . import subsystems as ss
 from .corpus import CorpusEntry, SystemRecord, corpus_systems, load_corpus
 from .errors import FuskitError
 from .fusion import (
+    FusionSystem,
     fusion_from_group,
     fusion_intersect,
     generated_on,
@@ -34,7 +35,7 @@ from .fusion import (
     restricted_to,
     same_system,
 )
-from .permgroup import GroupHom, Subgroup
+from .permgroup import GroupHom, Subgroup, cached
 from .serialization import canonical_json
 
 
@@ -116,15 +117,11 @@ class _Ctx:
     corpus_dir: Path
     entries: list[CorpusEntry]
     records: list[SystemRecord]
-    memo: dict = field(default_factory=dict)
+    _caches: dict = field(default_factory=dict)
 
     @property
     def saturated(self) -> list[SystemRecord]:
-        got = self.memo.get("saturated")
-        if got is None:
-            got = [r for r in self.records if is_saturated(r.system)]
-            self.memo["saturated"] = got
-        return got
+        return cached(self, "saturated", None, _saturated_records, self)
 
     def named_subgroup(self, rec: SystemRecord, name: str) -> Subgroup:
         gens = rec.entry.named_subgroups[name]
@@ -138,22 +135,28 @@ class _Ctx:
     def knorm_instances(self, rec: SystemRecord):
         """(Q, K-homs, N_F(Q), N_F^K(Q)) for fully normalized Q and K normal
         in Aut_F(Q); shared between several suites."""
-        key = ("knorm", rec.key)
-        got = self.memo.get(key)
-        if got is None:
-            F = rec.system
-            got = []
-            for Q in F.subgroups():
-                if not is_fully_normalized(F, Q):
-                    continue
-                real = cl.aut_realization(F, Q)
-                nq = ss.normalizer_system(F, Q)
-                for K in pg.normal_subgroups(real.group):
-                    homs = real.homs_for(K)
-                    nk = ss.k_normalizer_system(F, Q, homs)
-                    got.append((Q, homs, nq, nk))
-            self.memo[key] = got
-        return got
+        return cached(self, "knorm", rec.key, _knorm_instances, rec.system)
+
+    def model(self, rec: SystemRecord):
+        return cached(self, "models", (rec.entry.name, rec.p), rec.entry.load_model, rec.p)
+
+
+def _saturated_records(ctx: _Ctx) -> list[SystemRecord]:
+    return [r for r in ctx.records if is_saturated(r.system)]
+
+
+def _knorm_instances(F: FusionSystem) -> list:
+    got = []
+    for Q in F.subgroups():
+        if not is_fully_normalized(F, Q):
+            continue
+        real = cl.aut_realization(F, Q)
+        nq = ss.normalizer_system(F, Q)
+        for K in pg.normal_subgroups(real.group):
+            homs = real.homs_for(K)
+            nk = ss.k_normalizer_system(F, Q, homs)
+            got.append((Q, homs, nq, nk))
+    return got
 
 
 Check = Iterator[tuple[str, bool, Optional[dict]]]
@@ -582,15 +585,11 @@ def _s_psoluble_constrained(ctx: _Ctx) -> Check:
         "a constrained system comes from a p-soluble group exactly when the "
         "automorphisms of its core form a p-soluble group")
 def _s_model(ctx: _Ctx) -> Check:
-    model_cache = ctx.memo.setdefault("models", {})
     for rec in ctx.saturated:
         F = rec.system
         if rec.label != "conj":
             continue
-        mkey = (rec.entry.name, rec.p)
-        if mkey not in model_cache:
-            model_cache[mkey] = rec.entry.load_model(rec.p)
-        model = model_cache[mkey]
+        model = ctx.model(rec)
         if model is None:
             continue
         if not sol.is_constrained(F):
@@ -810,13 +809,9 @@ def _s_expected(ctx: _Ctx) -> Check:
 
 # -- driver ---------------------------------------------------------------------------
 
-def run_verification(corpus_dir, theorem: Optional[str] = None, seed: int = 0,
+def run_verification(corpus_dir, theorem: Optional[str] = None,
                      cap: Optional[int] = None) -> VerificationReport:
-    """Run the registered theorem suites over a corpus directory.
-
-    Everything here is deterministic; `seed` is accepted for interface
-    stability but nothing draws randomness from it.
-    """
+    """Run the registered theorem suites over a corpus directory."""
     corpus_dir = Path(corpus_dir)
     entries = load_corpus(corpus_dir)
     records = corpus_systems(entries, cap=cap)

@@ -10,6 +10,7 @@ from fuskit.errors import (
     ConjugateEscapes,
     DoesNotGenerate,
     ImageEscapesCodomain,
+    InvariantViolation,
     NotAHomomorphism,
     NotAPermutation,
     NotInjective,
@@ -168,26 +169,26 @@ def test_join_meet_set_product(groups):
     assert got_error
 
 
-def test_standard_subgroup_dispatcher(groups):
+def test_standard_constructions(groups):
     s4 = groups["s4"]
     d8 = groups["d8"]
+    s4_full = s4.full_subgroup()
+    d8_full = d8.full_subgroup()
     v4 = pg.core_p(s4, 2)
-    assert pg.standard_subgroup(s4, "core_p", 2) == v4
-    assert pg.standard_subgroup(s4, "centralizer", v4) == v4
-    assert pg.standard_subgroup(s4, "normalizer", v4) == s4.full_subgroup()
-    assert pg.standard_subgroup(s4, "commutator", v4, v4).order == 1
-    assert pg.standard_subgroup(s4, "core_pprime", 3) == v4
-    assert pg.standard_subgroup(s4, "sylow", 3).order == 3
-    assert pg.standard_subgroup(d8, "center").order == 2
-    assert pg.standard_subgroup(d8, "thompson_J").order == 8
-    assert pg.standard_subgroup(d8, "omega1", 2).order == 8
-    z = pg.standard_subgroup(d8, "center")
-    assert pg.standard_subgroup(d8, "join", z, z) == z
-    assert pg.standard_subgroup(d8, "set_product", z, z) == z
-    with pytest.raises(ValueError):
-        pg.standard_subgroup(s4, "nonsense")
+    assert v4.order == 4 and pg.is_normal_in(v4, s4_full)
+    assert pg.centralizer(s4_full, v4) == v4
+    assert pg.normalizer(s4_full, v4) == s4_full
+    assert pg.commutator_subgroup(v4, v4).order == 1
+    assert pg.core_pprime(s4, 3) == v4
+    assert pg.sylow(s4, 3).order == 3
+    assert pg.center(d8_full).order == 2
+    assert pg.thompson_subgroup(d8_full).order == 8
+    assert pg.omega1(d8_full, 2).order == 8
+    z = pg.center(d8_full)
+    assert pg.join(z, z) == z
+    assert pg.set_product(z, z) == z
     with pytest.raises(pg.NotASubgroup):
-        pg.standard_subgroup(s4, "centralizer", pg.center(d8.full_subgroup()))
+        pg.centralizer(s4_full, pg.center(d8_full))
 
 
 # -- upper central series ------------------------------------------------------------
@@ -363,7 +364,19 @@ def test_thompson_subgroup_characteristic(groups):
         full = G.full_subgroup()
         j = pg.thompson_subgroup(full)
         for alpha in pg.automorphisms(full):
-            assert pg._apply_mask(alpha, j.mask) == j.mask
+            assert pg.mask_image(alpha.mapping, j.mask) == j.mask
+
+
+def test_induced_hom(groups):
+    s4 = groups["s4"]
+    v4 = pg.core_p(s4, 2)
+    swap = next(a for a in pg.automorphisms(v4) if not a.is_identity_map())
+    assert pg.induced_hom(swap, {x: x for x in v4.members}, s4) == swap
+    # an element map that identifies x with the identity but not h(x) with it
+    x = next(x for x, y in swap.pairs if x != y)
+    collapse = {z: 0 if z == x else z for z in v4.members}
+    with pytest.raises(InvariantViolation):
+        pg.induced_hom(swap, collapse, s4)
 
 
 # -- property-based checks ---------------------------------------------------------------------

@@ -200,6 +200,28 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert run_cli("group", "info", str(bad)) == 2
 
 
+def _s4_system_doc(**changes):
+    doc = ser.system_to_dict(fz.fusion_from_group(builtin_group("s4"), 2))
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (("fusion", "check"), _s4_system_doc(ambient=None)),
+    (("fusion", "check"), _s4_system_doc(p=4)),
+    (("fusion", "check"), {"group": "s4", "p": 4, "mode": "from-group"}),
+    (("group", "info"), {"name": "x", "degree": 3, "generators": [[1, "a", 0]]}),
+    (("fusion", "check", "--normal", "5"), {"group": "s4", "p": 2, "mode": "from-group"}),
+], ids=["system-without-ambient", "system-p-not-prime", "spec-p-not-prime",
+        "string-in-generator", "subgroup-spec-not-a-list"])
+def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(*argv[:2], str(path), *argv[2:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_verify_single_theorem(capsys):
     assert run_cli("verify", "shipped", "--theorem", "core-over-centre") == 0
     out = capsys.readouterr().out
