@@ -7,14 +7,14 @@ checked by two genuinely different computations.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 from . import permgroup as pg
 from .closure import definitional_normal, is_centric
 from .errors import InvariantViolation
 from .fusion import FusionSystem
-from .permgroup import Group, Subgroup
+from .permgroup import Group, GroupHom, Subgroup, hom_key
 from .quotients import _preimage_subgroup, _quotient_parts, factor_parts
 
 
@@ -63,6 +63,29 @@ def brute_subgroup_count(G: Group) -> int:
             return len(found)
         if k >= G.order:
             return len(found)
+
+
+def brute_automorphisms(Q: Subgroup) -> list[GroupHom]:
+    """Aut(Q) in hom_key order, by trying every tuple of generator images:
+    each tuple is extended over words in the generators and kept when the
+    result is a bijection of Q with f(xy) = f(x)f(y) for all pairs x, y."""
+    G = Q.parent
+    gens = Q.generating_ids()
+    mem = Q.members
+    found = []
+    for images in product(mem, repeat=len(gens)):
+        f = {0: 0}
+        words = [0]
+        for w in words:  # words grows while we walk it
+            for g, t in zip(gens, images):
+                wg = G.mul(w, g)
+                if wg not in f:
+                    f[wg] = G.mul(f[w], t)
+                    words.append(wg)
+        if (len(set(f.values())) == len(mem)
+                and all(f[G.mul(x, y)] == G.mul(f[x], f[y]) for x in mem for y in mem)):
+            found.append(GroupHom(Q, Q, f.items()))
+    return sorted(found, key=hom_key)
 
 
 def gaussian_subspace_total(n: int, q: int) -> int:

@@ -202,12 +202,15 @@ class Group:
 
     def mul(self, a: int, b: int) -> int:
         """Index of elements[a] * elements[b] (a first, then b)."""
-        self._ensure_mul()
-        if self._mul is not None:
-            return self._mul[a][b]
-        pa = self.elements[a].images
-        pb = self.elements[b].images
-        return self._index[tuple(pb[i] for i in pa)]
+        mt = self._mul
+        if mt is None:
+            self._ensure_mul()
+            mt = self._mul
+            if mt is None:  # above _TABLE_LIMIT: compose on demand
+                pa = self.elements[a].images
+                pb = self.elements[b].images
+                return self._index[tuple(pb[i] for i in pa)]
+        return mt[a][b]
 
     def inv(self, a: int) -> int:
         if self._inv is None:
@@ -464,22 +467,60 @@ def _subgroups_of(S: Subgroup) -> list[Subgroup]:
         cyc_rep.setdefault(m, x)
     reps = [cyc_rep[m] for m in sorted(cyc_rep)]
 
+    G._ensure_mul()
+    mt = G._mul
     known: dict[int, tuple[int, ...]] = {1: ()}
     layer = [1]
     while layer:
         nxt = []
         for mask in layer:
             gens = known[mask]
+            covered = mask
+            if mt is not None:
+                h_rows = [mt[h] for h in _bits(mask)]
+                # a proper subgroup of S above H has index at least the least
+                # prime q of [S:H], so it holds at most [S:H]/q cosets of H
+                index = S.order // len(h_rows)
+                most = index // next((q for q in range(2, index + 1) if index % q == 0), 1)
             for x in reps:
-                if (mask >> x) & 1:
+                if (covered >> x) & 1:
                     continue
                 new_gens = gens + (x,)
-                j = _closure_from_gens(G, new_gens)
+                if mt is None:
+                    j = _closure_from_gens(G, new_gens)
+                else:
+                    j, hx = _coset_join(mt, h_rows, mask, new_gens, most, S.mask)
+                    covered |= hx  # <H, h*x> = <H, x>: those joins are known
                 if j not in known:
                     known[j] = new_gens
                     nxt.append(j)
         layer = nxt
     return sorted((Subgroup(G, m) for m in known), key=subgroup_key)
+
+
+def _coset_join(mt, h_rows: list, mask: int, gens: Sequence[int], most: int,
+                whole: int) -> tuple[int, int]:
+    """<H, x> for x = gens[-1], grown from the subgroup H (its mask and table
+    rows; gens generate H with x) as a union of right cosets H*r by Dimino's
+    step.  A join of more than ``most`` cosets is ``whole``.  Also returns the
+    mask of the coset H*x."""
+    x = gens[-1]
+    hx = 0
+    for h_row in h_rows:
+        hx |= 1 << h_row[x]
+    mask |= hx
+    reps = [x]
+    for r in reps:  # reps grows while we walk it
+        if len(reps) >= most:
+            return whole, hx
+        row = mt[r]
+        for g in gens:
+            y = row[g]
+            if not (mask >> y) & 1:
+                reps.append(y)
+                for h_row in h_rows:
+                    mask |= 1 << h_row[y]
+    return mask, hx
 
 
 def normal_subgroups(G: Group) -> list[Subgroup]:
@@ -740,6 +781,11 @@ def quotient_group(G: Group, N: Subgroup) -> tuple[Group, tuple[int, ...]]:
         gen_perms.append(perms[images[gid]])
     Q = Group._from_elements(k, perms.values(), f"{G.name}/{N.order}", generators=gen_perms)
     proj = tuple(Q.index_of(perms[images[g]]) for g in range(G.order))
+    if G._mul is not None:
+        lift = [0] * k
+        for r in reps:
+            lift[proj[r]] = r
+        Q._mul = _table_through(G._mul, lift, proj)
     return Q, proj
 
 
@@ -754,7 +800,16 @@ def _as_group(S: Subgroup) -> tuple[Group, tuple[int, ...]]:
     gens = [parent.elements[i] for i in S.generating_ids()] or [Perm.identity(parent.degree)]
     G = Group(parent.degree, f"{parent.name}|{S.order}",
               tuple(gens), tuple(parent.elements[i] for i in mem))
+    if parent._mul is not None:
+        G._mul = _table_through(parent._mul, mem, {x: i for i, x in enumerate(mem)})
     return G, mem
+
+
+def _table_through(mt, lift: Sequence[int], down) -> tuple[tuple[int, ...], ...]:
+    """The multiplication table of a group read off the table mt of another:
+    element i of the group is down[lift[i]], for a hom down (a dict or table)
+    from the other group.  Re-indexing rows is much cheaper than composing."""
+    return tuple(tuple(down[row[y]] for y in lift) for row in (mt[x] for x in lift))
 
 
 # -- homomorphisms -----------------------------------------------------------
@@ -769,12 +824,14 @@ class GroupHom:
 
     __slots__ = ("domain", "codomain", "pairs", "_map", "_image_mask", "_hash")
 
-    def __init__(self, domain: Subgroup, codomain: Subgroup, pairs: Iterable[tuple[int, int]]):
+    def __init__(self, domain: Subgroup, codomain: Subgroup, pairs: Iterable[tuple[int, int]],
+                 image_mask: Optional[int] = None):
+        """image_mask, when given, must be the mask of the images in pairs."""
         self.domain = domain
         self.codomain = codomain
         self.pairs = tuple(sorted(pairs))
         self._map = None
-        self._image_mask = None
+        self._image_mask = image_mask
         self._hash = None
 
     @classmethod
@@ -815,17 +872,19 @@ class GroupHom:
         """Restrict to Q <= domain; the codomain becomes the image of Q."""
         m = self.mapping
         pairs = tuple((x, m[x]) for x in Q.members)
-        return GroupHom(Q, Subgroup(self.codomain.parent, _image_mask(pairs)), pairs)
+        img = _image_mask(pairs)
+        return GroupHom(Q, Subgroup(self.codomain.parent, img), pairs, img)
 
     def inverse(self) -> "GroupHom":
         img = self.image()
-        return GroupHom(img, self.domain, ((y, x) for x, y in self.pairs))
+        return GroupHom(img, self.domain, ((y, x) for x, y in self.pairs), self.domain.mask)
 
     def then(self, other: "GroupHom") -> "GroupHom":
         """Left-to-right composite; other must be defined on this image."""
         om = other.mapping
         pairs = tuple((x, om[y]) for x, y in self.pairs)
-        return GroupHom(self.domain, Subgroup(other.codomain.parent, _image_mask(pairs)), pairs)
+        img = _image_mask(pairs)
+        return GroupHom(self.domain, Subgroup(other.codomain.parent, img), pairs, img)
 
     def with_codomain(self, R: Subgroup) -> "GroupHom":
         if self.image_mask & ~R.mask:
@@ -868,45 +927,75 @@ def hom_build(domain: Subgroup, codomain: Subgroup,
               gen_images: Sequence[tuple[int, int]]) -> GroupHom:
     """The unique multiplicative extension of generator images, validated."""
     GA = domain.parent
-    GB = codomain.parent
-    mapd = {0: 0}
-    queue = []
+    given = {0: 0}
     for s, t in gen_images:
         if s not in domain:
             raise NotASubgroup("generator source outside the domain")
-        cur = mapd.get(s)
-        if cur is None:
-            mapd[s] = t
-            queue.append(s)
-        elif cur != t:
+        if given.setdefault(s, t) != t:
             raise NotAHomomorphism("conflicting generator images")
-    if not _extend_hom(mapd, GA.mul, GB.mul, queue):
-        raise NotAHomomorphism("generator images do not extend multiplicatively")
-    if mask_of(mapd) != domain.mask:
+    gens = [s for s in given if s != 0]
+    gen_img = [given[s] for s in gens]
+    levels = _cayley_levels(GA, gens)
+    img = [0] * GA.order
+    used = 1
+    for level in levels:
+        used = _extend_level(level, img, gen_img, codomain.parent.mul, used, injective=False)
+        if used is None:
+            raise NotAHomomorphism("generator images do not extend multiplicatively")
+    elts = [0] + [b for tree, _ in levels for b, _, _ in tree]
+    if len(elts) != domain.order:
         raise DoesNotGenerate("the listed sources do not generate the domain")
-    if len(set(mapd.values())) != len(mapd):
+    if used.bit_count() != len(elts):
         raise NotInjective("the extension is not injective")
-    if mask_of(mapd.values()) & ~codomain.mask:
+    if used & ~codomain.mask:
         raise ImageEscapesCodomain("image is not contained in the codomain")
-    return GroupHom(domain, codomain, mapd.items())
+    return GroupHom(domain, codomain, ((x, img[x]) for x in elts), used)
 
 
-def _extend_hom(mapd: dict[int, int], mulA, mulB, new_elts: list[int]) -> bool:
-    """Close a partial map under products; False on any inconsistency."""
-    queue = list(new_elts)
-    while queue:
-        x = queue.pop()
-        for d in list(mapd):
-            for a, b in ((d, x), (x, d)):
-                pa = mulA(a, b)
-                pb = mulB(mapd[a], mapd[b])
-                cur = mapd.get(pa)
-                if cur is None:
-                    mapd[pa] = pb
-                    queue.append(pa)
-                elif cur != pb:
-                    return False
-    return True
+def _cayley_levels(G: Group, gens: Sequence[int]) -> list[tuple[list, list]]:
+    """One level per prefix A_k = <g_0..g_k> of the generator chain: the BFS
+    tree edges (b, a, j), b = a*g_j, that reach the elements new in A_k, and
+    the Cayley edges (a, j, a*g_j) of A_k that no earlier level covers.
+
+    A map defined along the tree edges is a homomorphism on A_k exactly when
+    it respects every Cayley edge of A_k: img(a*g_j) = img(a)*img(g_j).
+    """
+    mul = G.mul
+    mask = 1
+    elts = [0]
+    levels = []
+    for k in range(len(gens)):
+        tree, edges = [], []
+        n_old = len(elts)
+        for i, a in enumerate(elts):  # elts grows while we walk it
+            # A_{k-1} is closed under g_0..g_{k-1}: old elements need only g_k
+            for j in range(k if i < n_old else 0, k + 1):
+                c = mul(a, gens[j])
+                if (mask >> c) & 1:
+                    edges.append((a, j, c))
+                else:
+                    mask |= 1 << c
+                    elts.append(c)
+                    tree.append((c, a, j))
+        levels.append((tree, edges))
+    return levels
+
+
+def _extend_level(level: tuple[list, list], img: list[int], gen_img: Sequence[int], mul,
+                  used: int, injective: bool = True) -> Optional[int]:
+    """Extend img over one level of _cayley_levels, given the images of the
+    generators.  Returns the mask of all images so far, or None when a Cayley
+    edge fails or, if injective, an image repeats."""
+    tree, edges = level
+    for b, a, j in tree:
+        y = img[b] = mul(img[a], gen_img[j])
+        if (used >> y) & 1 and injective:
+            return None
+        used |= 1 << y
+    for a, j, c in edges:
+        if mul(img[a], gen_img[j]) != img[c]:
+            return None
+    return used
 
 
 def conjugation_hom(g: int, Q: Subgroup, R: Subgroup) -> GroupHom:
@@ -926,10 +1015,17 @@ def conjugation_hom(g: int, Q: Subgroup, R: Subgroup) -> GroupHom:
 def induced_hom(h: GroupHom, m, G: Group) -> GroupHom:
     """The hom m(domain) -> m(image) in G that h induces under the element
     map m (a dict or table defined on the domain and image of h)."""
+    pairs = induced_pairs(h, m)
+    img = _image_mask(pairs)
+    return GroupHom(Subgroup(G, mask_of(x for x, _ in pairs)), Subgroup(G, img), pairs, img)
+
+
+def induced_pairs(h: GroupHom, m) -> tuple[tuple[int, int], ...]:
+    """The sorted pairs of the map that h induces under the element map m."""
     out = {m[x]: m[y] for x, y in h.pairs}
     if len(out) < len(h.pairs) and any(out[m[x]] != m[y] for x, y in h.pairs):
         raise InvariantViolation("the induced map is not well defined")
-    return GroupHom(Subgroup(G, mask_of(out)), Subgroup(G, mask_of(out.values())), out.items())
+    return tuple(sorted(out.items()))
 
 
 # -- isomorphism search ------------------------------------------------------
@@ -939,7 +1035,8 @@ def _order_histogram(S: Subgroup) -> tuple[tuple[int, int], ...]:
 
 
 def isomorphisms_between(A: Subgroup, B: Subgroup, find_all: bool = False) -> list[GroupHom]:
-    """Backtracking search for isomorphisms A -> B over generator images."""
+    """Backtracking search for isomorphisms A -> B over generator images,
+    each candidate image checked on the Cayley edges of its level."""
     if A.order != B.order or _order_histogram(A) != _order_histogram(B):
         return []
     GA, GB = A.parent, B.parent
@@ -947,31 +1044,26 @@ def isomorphisms_between(A: Subgroup, B: Subgroup, find_all: bool = False) -> li
     by_order: dict[int, list[int]] = {}
     for y in B.members:
         by_order.setdefault(GB.element_order(y), []).append(y)
+    levels = _cayley_levels(GA, gens)
+    img = [0] * GA.order
+    gen_img = [0] * len(gens)
+    mul = GB.mul
     found: list[GroupHom] = []
 
-    def rec(k: int, mapd: dict[int, int], used: set[int]) -> bool:
+    def rec(k: int, used: int) -> bool:
         if k == len(gens):
-            found.append(GroupHom(A, B, mapd.items()))
+            found.append(GroupHom(A, B, [(x, img[x]) for x in A.members], B.mask))
             return not find_all
-        g = gens[k]
-        for y in by_order.get(GA.element_order(g), ()):
-            if y in used:
+        for y in by_order.get(GA.element_order(gens[k]), ()):
+            if (used >> y) & 1:
                 continue
-            m2 = dict(mapd)
-            m2[g] = y
-            if not _extend_hom(m2, GA.mul, GB.mul, [g]):
-                continue
-            vals = set(m2.values())
-            if len(vals) != len(m2):
-                continue
-            if rec(k + 1, m2, vals):
+            gen_img[k] = y
+            u = _extend_level(levels[k], img, gen_img, mul, used)
+            if u is not None and rec(k + 1, u):
                 return True
         return False
 
-    if not gens:  # trivial group
-        found.append(GroupHom(A, B, [(0, 0)]))
-        return found
-    rec(0, {0: 0}, {0})
+    rec(0, 1)
     return found
 
 

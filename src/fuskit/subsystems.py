@@ -105,17 +105,24 @@ def is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
     """Stability of E under F-conjugation, checked over all morphism pairs."""
     Q = E.carrier
     _require_strongly_closed(F, Q)
-    G = F.parent
+    e_pairs = cached(E, "pairs_by_key", None, _pairs_by_key, E)
     for S in pg.subgroups_of(Q):
         for psi in F.isos_from(S):
             pm = psi.mapping
             for R in pg.subgroups_of(S):
+                dom = pg.mask_image(pm, R.mask)
                 for phi in E.isos_from(R):
                     if phi.image_mask & ~S.mask:
                         continue
-                    if not E.contains_iso(pg.induced_hom(phi, pm, G)):
+                    key = (dom, pg.mask_image(pm, phi.image_mask))
+                    if pg.induced_pairs(phi, pm) not in e_pairs.get(key, ()):
                         return False
     return True
+
+
+def _pairs_by_key(E: PreFusionSystem) -> dict[tuple[int, int], frozenset]:
+    """The pairs of E's isos, by the masks of their domain and image."""
+    return {(q.mask, r.mask): frozenset(h.pairs for h in homs) for (q, r), homs in E.table.items()}
 
 
 def is_frattini(F: FusionSystem, E: PreFusionSystem) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,7 @@ from fuskit.errors import (
     OrderCapExceeded,
     ProductNotASubgroup,
 )
-from fuskit.oracles import brute_subgroup_count, gaussian_subspace_total
+from fuskit.oracles import brute_automorphisms, brute_subgroup_count, gaussian_subspace_total
 
 
 def sympy_order(G):
@@ -293,6 +294,15 @@ def test_hom_build_does_not_generate(groups):
         pg.hom_build(d8.full_subgroup(), d8.full_subgroup(), [(zgen, zgen)])
 
 
+def test_hom_build_neither_generates_nor_extends(groups):
+    # a 4-cycle sent to a 3-cycle: <r> is not S4, and r^4 = 1 has image t^4 = t
+    s4 = groups["s4"]
+    r = s4.index_of(pg.Perm((1, 2, 3, 0)))
+    t = s4.index_of(pg.Perm((1, 2, 0, 3)))
+    with pytest.raises(NotAHomomorphism):
+        pg.hom_build(s4.full_subgroup(), s4.full_subgroup(), [(r, t)])
+
+
 def test_hom_build_escapes_codomain(groups):
     d8 = groups["d8"]
     z = pg.center(d8.full_subgroup())
@@ -356,6 +366,84 @@ def test_isomorphism_is_multiplicative(groups):
     for a in range(G.order):
         for b in range(G.order):
             assert m[G.mul(a, b)] == H.mul(m[a], m[b])
+
+
+def test_automorphisms_match_brute_force(groups):
+    for name, G in groups.items():
+        if name == "e16":  # 20,160 automorphisms; pinned by the Sylow digests below
+            continue
+        for Q in pg.subgroups(G):
+            if Q.order <= 16:
+                assert ([a.pairs for a in pg.automorphisms(Q)]
+                        == [a.pairs for a in brute_automorphisms(Q)]), (name, Q.mask)
+
+
+# sha256 of repr([a.pairs for a in automorphisms(sylow(G, p))]), stamped from
+# the closure-based search that the Cayley-edge search replaced
+SYLOW_AUT_DIGESTS = {
+    ("a4", 2): "8cb45d7536fcd3cb0342a18c078c397c0af964d2e62e21682099ba416507615c",
+    ("a4", 3): "899bc17a98a3ba6862f666e4035aed43ca4ef63ee7f67b1d432db5c0b4904039",
+    ("a6", 2): "b5a0446d3a57dabce3b67596318d1ac2b3a5645f327f4b11c5738dc447673a72",
+    ("c2", 2): "1cfa10e55370445f90dcc93c9acae5e8341842d46ae32aeb104ec8cdbca1a2bc",
+    ("c3", 3): "899bc17a98a3ba6862f666e4035aed43ca4ef63ee7f67b1d432db5c0b4904039",
+    ("c4xc2", 2): "a4cf797ed7a8f8393a6f4135eb4e310ba2c59342fe755838d84877cb112d8428",
+    ("d8", 2): "f28b2f09d739d268fa98634b795a764f30ca74367591b97f228a040e8acd4dc5",
+    ("d8xc2", 2): "4dfd67e03c1ba0bcff969cb7bce67e25aef69200d158444b59e3c36e28930d18",
+    ("e16", 2): "1e11daddce1ca1dcff84ded7bd2488a725a4d20f272793384ae40700c9f202ad",
+    ("q8", 2): "86f35f83ef1556404898c504c359880c97454b463b6b58a9377e6eccfecd2c96",
+    ("qd2", 2): "4feed6e5d9fae95142c6032783ccb502e5d48b8881f18137b56ec94121697d81",
+    ("qd3", 3): "f3a2311a2b4dee0ca58e5a4b3625dcf082fb29f793a90789bf4ee88b3d058010",
+    ("s3", 2): "1cfa10e55370445f90dcc93c9acae5e8341842d46ae32aeb104ec8cdbca1a2bc",
+    ("s3", 3): "4aef7dc57d9c99d0617886e93f30a334970f087b012eaf22881d5998bd82735f",
+    ("s4", 2): "4feed6e5d9fae95142c6032783ccb502e5d48b8881f18137b56ec94121697d81",
+    ("s4", 3): "4aef7dc57d9c99d0617886e93f30a334970f087b012eaf22881d5998bd82735f",
+    ("sl23", 2): "0a427225281ceb3a400728af46089ff57d76094df455fd9156ff0ec6d651a0ae",
+    ("sl23", 3): "899bc17a98a3ba6862f666e4035aed43ca4ef63ee7f67b1d432db5c0b4904039",
+}
+
+
+def test_sylow_automorphism_digests(corpus_entries, groups):
+    got = {}
+    for name, entry in corpus_entries.items():
+        for p in entry.primes:
+            auts = pg.automorphisms(pg.sylow(groups[name], p))
+            got[(name, p)] = hashlib.sha256(repr([a.pairs for a in auts]).encode()).hexdigest()
+    assert got == SYLOW_AUT_DIGESTS
+
+
+def test_automorphism_search_work_bound(corpus_entries, monkeypatch):
+    # counts work, not time: the closure-based extension made 10,055,760 calls
+    e16 = corpus_entries["e16"].load_group()
+    calls = 0
+    mul = pg.Group.mul
+
+    def counting_mul(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(pg.Group, "mul", counting_mul)
+    assert len(pg.automorphisms(pg.sylow(e16, 2))) == 20160
+    assert calls <= 2_000_000
+    assert not hasattr(pg, "_extend_hom")
+
+
+def test_tables_read_through_parent_match_composition(groups):
+    # as_group and quotient_group take their tables from the parent's
+    def composed(H):
+        fresh = pg.Group(H.degree, H.name, H.generators, H.elements)
+        fresh._ensure_mul()
+        return fresh._mul
+
+    for name in ("s4", "qd3"):
+        G = groups[name]
+        G.mul(0, 0)  # the parent's table exists
+        for S in pg.subgroups(G)[1::7]:
+            HG, _ = pg.as_group(S)
+            assert HG._mul == composed(HG)
+        for N in pg.normal_subgroups(G):
+            Q, _ = pg.quotient_group(G, N)
+            assert Q._mul == composed(Q)
 
 
 def test_thompson_subgroup_characteristic(groups):
