@@ -65,6 +65,27 @@ def brute_subgroup_count(G: Group) -> int:
             return len(found)
 
 
+def brute_normal_subgroups(G: Group) -> list[Subgroup]:
+    """Normal subgroups in (order, bitmask) order, as the unions of conjugacy
+    classes that contain 1, have an order dividing |G| and are closed under
+    products.  The classes come from conjugating by every element with G.mul."""
+    unions = [(1, 1)]  # (mask, order), from the class {1}
+    seen = 1
+    for x in range(1, G.order):
+        if (seen >> x) & 1:
+            continue
+        cls = pg.mask_of(G.mul(G.mul(G.inv(g), x), g) for g in range(G.order))
+        seen |= cls
+        n = cls.bit_count()
+        unions += [(m | cls, k + n) for m, k in unions if k + n <= G.order]
+    found = []
+    for mask, k in unions:
+        mem = list(pg._bits(mask))
+        if G.order % k == 0 and all((mask >> G.mul(a, b)) & 1 for a in mem for b in mem):
+            found.append(Subgroup(G, mask))
+    return sorted(found, key=pg.subgroup_key)
+
+
 def brute_automorphisms(Q: Subgroup) -> list[GroupHom]:
     """Aut(Q) in hom_key order, by trying every tuple of generator images:
     each tuple is extended over words in the generators and kept when the

@@ -69,7 +69,7 @@ class Perm:
 
     @classmethod
     def checked(cls, images: Sequence[int], degree: Optional[int] = None) -> "Perm":
-        if not isinstance(images, (list, tuple)) or not all(isinstance(i, int) for i in images):
+        if not isinstance(images, (list, tuple)) or not all(type(i) is int for i in images):
             raise NotAPermutation(f"not a list of point indices: {images!r}")
         imgs = tuple(images)
         if degree is not None and len(imgs) != degree:
@@ -343,20 +343,9 @@ class Subgroup:
     def conjugate(self, g: int) -> "Subgroup":
         return Subgroup(self.parent, mask_image(self.parent.conj_map(g), self.mask))
 
-    def perms(self) -> list[Perm]:
-        return [self.parent.elements[i] for i in self.members]
-
     def generating_ids(self) -> tuple[int, ...]:
-        """A short generating sequence, chosen greedily in element order."""
-        gens: list[int] = []
-        cur = 1
-        for x in self.members:
-            if not (cur >> x) & 1:
-                gens.append(x)
-                cur = _closure_from_gens(self.parent, gens)
-                if cur == self.mask:
-                    break
-        return tuple(gens)
+        """A short generating sequence, chosen greedily in element order.  Cached."""
+        return cached(self.parent, "generating_ids", self.mask, _generating_ids, self)
 
     def is_abelian(self) -> bool:
         G = self.parent
@@ -376,6 +365,18 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.name})"
+
+
+def _generating_ids(S: Subgroup) -> tuple[int, ...]:
+    gens: list[int] = []
+    cur = 1
+    for x in S.members:
+        if not (cur >> x) & 1:
+            gens.append(x)
+            cur = _closure_from_gens(S.parent, gens)
+            if cur == S.mask:
+                break
+    return tuple(gens)
 
 
 def subgroup_key(s: Subgroup) -> tuple[int, int]:
@@ -438,10 +439,6 @@ def _closure_from_gens(G: Group, gens: Sequence[int]) -> int:
                     nxt.append(prod)
         frontier = nxt
     return mask
-
-
-def generated_subgroup(parent: Group, ids: Iterable[int]) -> Subgroup:
-    return Subgroup(parent, _closure_from_gens(parent, list(ids)))
 
 
 # -- subgroup enumeration ---------------------------------------------------
@@ -524,50 +521,26 @@ def _coset_join(mt, h_rows: list, mask: int, gens: Sequence[int], most: int,
 
 
 def normal_subgroups(G: Group) -> list[Subgroup]:
-    """All normal subgroups, as joins of element normal closures."""
-    closures = {normal_closure(G, [x]).mask for x in range(G.order)}
-    known = {1}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for c in closures:
-                j = _closure_mask(G, m | c)
-                if j not in known:
-                    known.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return sorted((Subgroup(G, m) for m in known), key=subgroup_key)
+    """All normal subgroups, ordered by (order, bitmask): the members of the
+    cached subgroup lattice that are normal in G."""
+    full = G.full_subgroup()
+    return [N for N in subgroups_of(full) if is_normal_in(N, full)]
 
 
-def normal_closure(G: Group, ids: Iterable[int]) -> Subgroup:
-    mask = _closure_from_gens(G, list(ids))
-    gen_ids = [G.index_of(p) for p in G.generators]
-    while True:
-        extra = 0
-        for x in _bits(mask):
-            for g in gen_ids:
-                c = G.conj_map(g)[x]
-                if not (mask >> c) & 1:
-                    extra |= 1 << c
-        if not extra:
-            return Subgroup(G, mask)
-        mask = _closure_mask(G, mask | extra)
+def conjugacy_classes(G: Group) -> list[tuple[int, int]]:
+    """The conjugacy classes as (least element, class mask) pairs, cached."""
+    return cached(G, "conjugacy_classes", None, _conjugacy_classes, G)
 
 
-def conjugacy_class_reps(G: Group) -> list[int]:
-    """Least-element representatives of the conjugacy classes, cached."""
-    return cached(G, "class_reps", None, _class_reps, G)
-
-
-def _class_reps(G: Group) -> list[int]:
+def _conjugacy_classes(G: Group) -> list[tuple[int, int]]:
     seen = 0
-    reps = []
+    classes = []
     for x in range(G.order):
         if not (seen >> x) & 1:
-            reps.append(x)
-            seen |= mask_of(G.conj_map(g)[x] for g in range(G.order))
-    return reps
+            cls = mask_of(G.conj_map(g)[x] for g in range(G.order))
+            classes.append((x, cls))
+            seen |= cls
+    return classes
 
 
 # -- the standard subgroup constructions -------------------------------------
@@ -617,25 +590,20 @@ def commutator(G: Group, a: int, b: int) -> int:
 def commutator_subgroup(A: Subgroup, B: Subgroup) -> Subgroup:
     _check_same_parent(A, B)
     G = A.parent
-    return generated_subgroup(G, {commutator(G, a, b) for a in A.members for b in B.members})
+    return G.subgroup_of({commutator(G, a, b) for a in A.members for b in B.members})
 
 
 def omega1(S: Subgroup, p: int) -> Subgroup:
     """Subgroup generated by the elements of S of order dividing p."""
     G = S.parent
-    ids = [x for x in S.members if G.element_order(x) in (1, p)]
-    return generated_subgroup(G, ids)
+    return G.subgroup_of(x for x in S.members if G.element_order(x) in (1, p))
 
 
 def thompson_subgroup(S: Subgroup) -> Subgroup:
     """Join of the abelian subgroups of S of maximal order."""
     abelian = [T for T in subgroups_of(S) if T.is_abelian()]
     top = max(T.order for T in abelian)
-    mask = 0
-    for T in abelian:
-        if T.order == top:
-            mask |= T.mask
-    return generated_subgroup(S.parent, _bits(mask))
+    return S.parent.subgroup_of(x for T in abelian if T.order == top for x in T.members)
 
 
 def sylow(G: Group, p: int) -> Subgroup:
@@ -682,14 +650,14 @@ def core_pprime(G: Group, p: int) -> Subgroup:
 
 def _core_pprime(G: Group, p: int) -> Subgroup:
     acc = 1
-    for x in conjugacy_class_reps(G):
+    for x, cls in conjugacy_classes(G):
         if (acc >> x) & 1:
             continue
         if G.element_order(x) % p == 0:
             continue
-        N = normal_closure(G, [x])
-        if N.order % p != 0:
-            acc = _closure_mask(G, acc | N.mask)
+        N = _closure_mask(G, cls)  # the normal closure of x
+        if N.bit_count() % p != 0:
+            acc = _closure_mask(G, acc | N)
     return Subgroup(G, acc)
 
 
@@ -864,9 +832,6 @@ class GroupHom:
 
     def is_identity_map(self) -> bool:
         return all(x == y for x, y in self.pairs)
-
-    def is_iso_onto_codomain(self) -> bool:
-        return self.image_mask == self.codomain.mask
 
     def restriction(self, Q: Subgroup) -> "GroupHom":
         """Restrict to Q <= domain; the codomain becomes the image of Q."""

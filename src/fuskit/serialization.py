@@ -57,7 +57,7 @@ def group_to_dict(G: Group) -> dict:
 def group_from_dict(d: dict, cap: Optional[int] = None) -> Group:
     _require(isinstance(d, dict), "group document must be an object")
     _require_fields(d, "group document", ("name", "degree", "generators"))
-    _require(isinstance(d["degree"], int) and d["degree"] >= 1,
+    _require(type(d["degree"]) is int and d["degree"] >= 1,
              "field 'degree' must be a positive integer")
     _require(isinstance(d["generators"], list), "field 'generators' must be a list")
     try:

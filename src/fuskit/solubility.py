@@ -116,17 +116,19 @@ def _qdp_free(G: Group, p: int, cap: Optional[int]) -> bool:
     if G.order % m:
         return True
     target = qd_group(p)
+    iso_cap = max(m, pg.DEFAULT_ISO_CAP)
     if m == G.order:
-        candidates = [G.full_subgroup()]
-    else:
-        candidates = [H for H in pg.subgroups(G, cap=cap) if H.order % m == 0]
-    for H in sorted(candidates, key=lambda s: -s.order):
-        HG, _ = pg.as_group(H)
-        for N in pg.normal_subgroups(HG):
-            if HG.order != m * N.order:
+        return pg.isomorphism_search(G, target, cap=iso_cap) is None
+    # a section H/N = Qd(p) takes H and the kernel N from the lattice of G
+    lattice = pg.subgroups(G, cap=cap)
+    for H in sorted((H for H in lattice if H.order % m == 0), key=lambda s: -s.order):
+        for N in lattice:
+            if N.order * m != H.order or not N <= H or not pg.is_normal_in(N, H):
                 continue
-            quotient, _ = pg.quotient_group(HG, N)
-            if pg.isomorphism_search(quotient, target, cap=max(m, pg.DEFAULT_ISO_CAP)):
+            HG, mem = pg.as_group(H)
+            kernel = Subgroup(HG, pg.mask_image({x: i for i, x in enumerate(mem)}, N.mask))
+            quotient, _ = pg.quotient_group(HG, kernel)
+            if pg.isomorphism_search(quotient, target, cap=iso_cap):
                 return False
     return True
 

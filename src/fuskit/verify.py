@@ -378,10 +378,7 @@ def _s_normal_control(ctx: _Ctx) -> Check:
             for R in pg.subgroups_of(Q):
                 if not cl.is_normal_subgroup(E, R):
                     continue
-                mask = 0
-                for c in F.iso_class(R):
-                    mask |= c.mask
-                S = pg.generated_subgroup(F.parent, pg._bits(mask))
+                S = F.parent.subgroup_of(x for c in F.iso_class(R) for x in c.members)
                 ok = cl.is_normal_subgroup(F, S)
                 yield (f"{rec.key}/|Q|={Q.order}/|R|={R.order}", ok,
                        None if ok else {"Q": _sub_payload(Q), "R": _sub_payload(R),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from fuskit import permgroup as pg
+from fuskit import solubility as sol
 from fuskit.errors import (
     ConjugateEscapes,
     DoesNotGenerate,
@@ -19,7 +20,12 @@ from fuskit.errors import (
     OrderCapExceeded,
     ProductNotASubgroup,
 )
-from fuskit.oracles import brute_automorphisms, brute_subgroup_count, gaussian_subspace_total
+from fuskit.oracles import (
+    brute_automorphisms,
+    brute_normal_subgroups,
+    brute_subgroup_count,
+    gaussian_subspace_total,
+)
 
 
 def sympy_order(G):
@@ -96,6 +102,34 @@ def test_normal_subgroups(groups):
               if pg.is_normal_in(S, s4.full_subgroup())}
     assert got == expect
     assert sorted(N.order for N in pg.normal_subgroups(s4)) == [1, 4, 12, 24]
+
+
+def test_normal_subgroups_match_class_union_oracle(groups):
+    for name, G in groups.items():
+        got = [N.mask for N in pg.normal_subgroups(G)]
+        assert got == [N.mask for N in brute_normal_subgroups(G)], name
+
+
+def test_normal_structure_work_bound(groups, monkeypatch):
+    # counts work, not time: the normal-closure joins made 814 and 849 closures
+    a6 = groups["a6"]
+    fresh = pg.Group(a6.degree, a6.name, a6.generators, a6.elements)
+    pg.subgroups(fresh)
+    calls = 0
+    closure = pg._closure_from_gens
+
+    def counting_closure(G, gens):
+        nonlocal calls
+        calls += 1
+        return closure(G, gens)
+
+    monkeypatch.setattr(pg, "_closure_from_gens", counting_closure)
+    assert len(pg.normal_subgroups(fresh)) == 2
+    assert calls <= 50
+    calls = 0
+    assert not sol.is_qdp_free_group(fresh, 2)
+    assert calls <= 50
+    assert not hasattr(pg, "normal_closure")
 
 
 # -- standard subgroups -----------------------------------------------------------

@@ -211,9 +211,12 @@ def _s4_system_doc(**changes):
     (("fusion", "check"), _s4_system_doc(p=4)),
     (("fusion", "check"), {"group": "s4", "p": 4, "mode": "from-group"}),
     (("group", "info"), {"name": "x", "degree": 3, "generators": [[1, "a", 0]]}),
+    (("group", "info"), {"name": "b", "degree": 2, "generators": [[True, False]]}),
+    (("group", "info"), {"name": "b", "degree": True, "generators": [[0]]}),
     (("fusion", "check", "--normal", "5"), {"group": "s4", "p": 2, "mode": "from-group"}),
 ], ids=["system-without-ambient", "system-p-not-prime", "spec-p-not-prime",
-        "string-in-generator", "subgroup-spec-not-a-list"])
+        "string-in-generator", "bool-in-generator", "bool-degree",
+        "subgroup-spec-not-a-list"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, doc):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))

@@ -5,7 +5,7 @@ from fuskit import fusion as fz
 from fuskit import permgroup as pg
 from fuskit import solubility as sol
 from fuskit.errors import NotSaturated, OrderCapExceeded, SylowMismatch
-from fuskit.oracles import oracle_tower
+from fuskit.oracles import brute_normal_subgroups, oracle_tower
 
 
 # -- towers -----------------------------------------------------------------------
@@ -123,6 +123,18 @@ def test_qdp_free(groups):
     assert sol.is_qdp_free_group(groups["sl23"], 2)      # order 24 but not S4
     assert not sol.is_qdp_free_group(groups["qd3"], 3)
     assert not sol.is_qdp_free_group(groups["a6"], 2)    # S4 sits inside A6
+
+
+def test_cores_and_qdp_freeness_across_corpus(corpus_entries, groups):
+    not_free = {("a6", 2), ("qd2", 2), ("qd3", 3), ("s4", 2)}
+    for name, entry in corpus_entries.items():
+        G = groups[name]
+        normal = brute_normal_subgroups(G)
+        for p in (q for q in range(2, G.order + 1) if G.order % q == 0 and pg.is_prime(q)):
+            largest = max((N for N in normal if N.order % p), key=lambda N: N.order)
+            assert pg.core_pprime(G, p) == largest, (name, p)
+        for p in entry.primes:
+            assert sol.is_qdp_free_group(G, p) == ((name, p) not in not_free), (name, p)
 
 
 # -- Thompson factorization -------------------------------------------------------------
