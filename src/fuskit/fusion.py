@@ -12,7 +12,6 @@ system share its ambient group, so their morphism sets are literally subsets.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -165,7 +164,11 @@ def fusion_from_group(G: Group, p: int, cap: Optional[int] = None) -> FusionSyst
 
 
 def validate_hom(h: GroupHom):
-    """Check that h is a well-formed injective homomorphism into its codomain."""
+    """Check that h is a well-formed injective homomorphism into its codomain.
+
+    Multiplicativity is checked on the Cayley edges (x, g), g in the domain's
+    generating ids: f(x*g) = f(x)*f(g) for those gives f(x*y) = f(x)*f(y) for
+    every y, by induction on the length of y as a word in the generators."""
     GA = h.domain.parent
     GB = h.codomain.parent
     m = h.mapping
@@ -173,10 +176,13 @@ def validate_hom(h: GroupHom):
         raise NotAHomomorphism("map is not total on the domain")
     if m.get(0) != 0:
         raise NotAHomomorphism("identity must map to identity")
-    mem = h.domain.members
-    for x in mem:
-        for y in mem:
-            if m[GA.mul(x, y)] != GB.mul(m[x], m[y]):
+    gens = [(g, m[g]) for g in h.domain.generating_ids()]
+    for x, fx in m.items():
+        for g, fg in gens:
+            fxg = m.get(GA.mul(x, g))
+            if fxg is None:
+                raise NotASubgroup("the domain is not a subgroup")
+            if fxg != GB.mul(fx, fg):
                 raise NotAHomomorphism("map is not multiplicative")
     if len(set(m.values())) != len(m):
         raise NotInjective("map is not injective")
@@ -188,48 +194,47 @@ def generated_on(carrier: Subgroup, p: int, seeds: Sequence[GroupHom],
                  base: Optional[dict[TablePair, set[GroupHom]]] = None,
                  provenance: str = "generated") -> FusionSystem:
     """Smallest fusion system on the carrier containing its conjugation maps,
-    the seed isomorphisms, and anything forced by composition, inverses and
-    restriction.  Computed as a worklist fixpoint."""
-    G = carrier.parent
-    table: dict[TablePair, set[GroupHom]] = {}
-    by_domain: dict[int, list[GroupHom]] = {}
-    by_image: dict[int, list[GroupHom]] = {}
-    queue: deque[GroupHom] = deque()
+    the seed isomorphisms (as isos onto their images) and the base maps.
 
-    def add(h: GroupHom):
-        key = (h.domain, h.image())
-        homs = table.setdefault(key, set())
-        if h not in homs:
-            homs.add(h)
-            by_domain.setdefault(h.domain.mask, []).append(h)
-            by_image.setdefault(h.image_mask, []).append(h)
-            queue.append(h)
+    That system is the set of composites of restrictions of the given maps and
+    of their inverses (Aschbacher, Kessar and Oliver, Part I, I.1).  A
+    restriction of a composite is the composite of the restrictions, and the
+    inverse of a composite is the reversed composite of the inverses; so the
+    generators are the given maps closed under restriction and inverse, and
+    the system is every word in them.  Conjugation by x is a positive word in
+    conjugations by the carrier's generating ids, so only those are used.  The
+    words are found by a search from the identity of every subgroup, which
+    extends each new iso by every generator defined on its image."""
+    gens: dict[int, set[GroupHom]] = {}
+    for (Q, _), homs in _conjugation_table(carrier, carrier.generating_ids()).items():
+        gens.setdefault(Q.mask, set()).update(homs)
 
-    start = _conjugation_table(carrier, carrier.members)
-    if base:
-        for key, homs in base.items():
-            start.setdefault(key, set()).update(homs)
-    for key in sorted(start, key=lambda k: (subgroup_key(k[0]), subgroup_key(k[1]))):
-        for h in sorted(start[key], key=hom_key):
-            add(h)
+    def insert(h: GroupHom):  # with its inverse, restricted to every subgroup
+        for Q in pg.subgroups_of(h.domain):
+            r = h.restriction(Q)
+            gens.setdefault(Q.mask, set()).add(r)
+            gens.setdefault(r.image_mask, set()).add(r.inverse())
+
+    for homs in (base or {}).values():
+        for h in homs:
+            insert(h)
     for seed in sorted(seeds, key=hom_key):
         if not (seed.domain <= carrier) or seed.image_mask & ~carrier.mask:
             raise NotASubgroup("seed morphism does not lie inside the carrier")
         validate_hom(seed)
-        add(seed.restriction(seed.domain))  # the induced iso onto the image
+        insert(seed)
 
-    while queue:
-        h = queue.popleft()
-        add(h.inverse())
-        for Q2 in pg.subgroups_of(h.domain):
-            if Q2.mask != h.domain.mask:
-                add(h.restriction(Q2))
-        img = h.image_mask
-        for g in list(by_domain.get(img, ())):
-            add(h.then(g))
-        dom = h.domain.mask
-        for g in list(by_image.get(dom, ())):
-            add(g.then(h))
+    found = [GroupHom.identity(Q) for Q in pg.subgroups_of(carrier)]
+    seen = {h.pairs for h in found}  # a hom's pairs fix its domain and its map
+    for h in found:  # found grows while we walk it
+        for g in gens.get(h.image_mask, ()):
+            w = h.then(g)
+            if w.pairs not in seen:
+                seen.add(w.pairs)
+                found.append(w)
+    table: dict[TablePair, set[GroupHom]] = {}
+    for h in found:
+        table.setdefault((h.domain, h.image()), set()).add(h)
     return FusionSystem(carrier, p, table, provenance=provenance)
 
 
@@ -354,6 +359,8 @@ def is_saturated(F: FusionSystem) -> bool:
 def _saturated(F: FusionSystem) -> bool:
     P = F.carrier
     aut_f = F.aut(P)
+    if not aut_f:  # not even the identity of P: the Sylow axiom fails
+        return False
     inn = {tuple(P.parent.conj_map(g)[x] for x in P.members) for g in P.members}
     n = len(aut_f)
     p_part = 1

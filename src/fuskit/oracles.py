@@ -109,6 +109,31 @@ def brute_automorphisms(Q: Subgroup) -> list[GroupHom]:
     return sorted(found, key=hom_key)
 
 
+def brute_generated_on(carrier: Subgroup, seeds, base=None) -> dict:
+    """The iso table of the fusion system generated on the carrier, by the
+    definition: the conjugation maps by every element of the carrier, the
+    seeds (as isos onto their images) and the base maps, closed under inverse,
+    restriction to every subgroup and composition until nothing new appears."""
+    homs = {pg.conjugation_hom(x, Q, Q.conjugate(x))
+            for x in carrier.members for Q in pg.subgroups_of(carrier)}
+    homs |= {s.restriction(s.domain) for s in seeds}
+    homs |= {h for hs in (base or {}).values() for h in hs}
+    while True:
+        by_domain: dict[int, list[GroupHom]] = {}
+        for h in homs:
+            by_domain.setdefault(h.domain.mask, []).append(h)
+        new = {h.inverse() for h in homs}
+        new |= {h.restriction(Q) for h in homs for Q in pg.subgroups_of(h.domain)}
+        new |= {h.then(g) for h in homs for g in by_domain.get(h.image_mask, ())}
+        if new <= homs:
+            break
+        homs |= new
+    table: dict = {}
+    for h in homs:
+        table.setdefault((h.domain, h.image()), set()).add(h)
+    return {key: frozenset(v) for key, v in table.items()}
+
+
 def gaussian_subspace_total(n: int, q: int) -> int:
     """Total number of subspaces of F_q^n (sum of Gaussian binomials)."""
     def gauss(n, k):

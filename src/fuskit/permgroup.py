@@ -875,8 +875,8 @@ class GroupHom:
 
 def _image_mask(pairs) -> int:
     """The bitmask of the images in (source, image) pairs.  Homs are composed
-    and restricted in the fixpoint's inner loop, where a loop written out here
-    is markedly faster than mask_of over a generator."""
+    in the inner loop of fusion.generated_on's word search, where a loop
+    written out here is markedly faster than mask_of over a generator."""
     mask = 0
     for _, y in pairs:
         mask |= 1 << y

@@ -170,6 +170,7 @@ def system_from_dict(d: dict, cap: Optional[int] = None) -> PreFusionSystem:
     p = _prime_field(d)
     G = group_from_dict(d["ambient"], cap=cap)
     carrier = Subgroup(G, _member_mask(G, d["carrier"]))
+    _require(G.subgroup_of(carrier.members).mask == carrier.mask, "the carrier is not a subgroup")
     _require(isinstance(d["isos"], list), "field 'isos' must be a list")
     table: dict = {}
     for iso in d["isos"]:

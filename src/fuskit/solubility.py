@@ -138,19 +138,22 @@ def thompson_factorization_holds(F: FusionSystem) -> bool:
     the socle of the centre together generate the whole system."""
     if not is_saturated(F):
         raise NotSaturated("Thompson factorization is about saturated systems")
+    gen = generated_on(F.carrier, F.p, [], base=thompson_base(F), provenance="generated")
+    return same_system(gen, F)
+
+
+def thompson_base(F: FusionSystem) -> dict:
+    """The iso table of N_F(J(P)) and C_F(Omega_1(Z(P))) together."""
     P = F.carrier
-    j_sub = pg.thompson_subgroup(P)
-    omega = pg.omega1(pg.center(P), F.p)
-    nj = normalizer_system(F, j_sub)
-    comega = centralizer_system(F, omega)
+    nj = normalizer_system(F, pg.thompson_subgroup(P))
+    comega = centralizer_system(F, pg.omega1(pg.center(P), F.p))
     if nj.carrier != P or comega.carrier != P:
         raise InvariantViolation("a normalizer or centralizer system is not on the carrier")
     base: dict = {}
     for sys in (nj, comega):
         for key, homs in sys.table.items():
             base.setdefault(key, set()).update(homs)
-    gen = generated_on(P, F.p, [], base=base, provenance="generated")
-    return same_system(gen, F)
+    return base
 
 
 def group_is_p_soluble(G: Group, p: int) -> bool:

@@ -250,3 +250,74 @@ def test_generated_systems_pass_axiom_checker(groups, data):
     F = fz.fusion_generated(G, 2, [seed])
     ok, witness = prefusion_is_fusion(F)
     assert ok, witness
+
+
+# -- generated_on against the definitional closure ---------------------------------
+
+from fuskit import closure as cl
+from fuskit import quotients as qt
+from fuskit.oracles import brute_generated_on
+from fuskit.serialization import _seed_from_dict
+from fuskit.solubility import thompson_base
+
+
+def _alperin_base(F):
+    base = {}
+    for S, auts in cl.alperin_generators(F):
+        base.setdefault((S, S), set()).update(auts)
+    return base
+
+
+def test_generated_on_matches_brute_closure_on_corpus(corpus_entries, groups, e16_seeded):
+    e16 = groups["e16"]
+    seeds = [_seed_from_dict(e16, s)
+             for s in corpus_entries["e16"].generated_systems[0]["seed_morphisms"]]
+    assert e16_seeded.table == brute_generated_on(e16.full_subgroup(), seeds)
+    for name, p in (("a6", 2), ("qd3", 3)):
+        F = fz.fusion_from_group(groups[name], p)
+        for base in (_alperin_base(F), thompson_base(F)):
+            assert (fz.generated_on(F.carrier, p, [], base=base).table
+                    == brute_generated_on(F.carrier, [], base)), name
+    Q = cl.o_p(F)
+    assert 1 < Q.order < F.carrier.order
+    bar = qt.bar_system(F, Q)
+    assert (qt.generated_bar(F, Q).table
+            == brute_generated_on(bar.carrier, [], {k: set(v) for k, v in bar.table.items()}))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_generated_on_matches_brute_closure_on_drawn_seeds(groups, data):
+    G = groups[data.draw(st.sampled_from(["q8", "c4xc2", "d8xc2"]))]
+    proper = [S for S in pg.subgroups(G) if 1 < S.order < G.order]
+    seeds = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        Q = data.draw(st.sampled_from(proper))
+        R = data.draw(st.sampled_from([R for R in proper if R.order == Q.order]))
+        isos = pg.isomorphisms_between(Q, R, find_all=True)
+        assume(isos)
+        seeds.append(data.draw(st.sampled_from(isos)))
+    F = fz.fusion_generated(G, 2, seeds)
+    assert F.table == brute_generated_on(G.full_subgroup(), seeds)
+
+
+def test_generated_on_work_bound(groups, monkeypatch):
+    # the words search composes each iso with the generators on its image
+    # only; closing every composable pair took up to 140 composites per iso
+    G = groups["d8xc2"]
+    x, y, z = (G.index_of(g) for g in G.generators)
+    x2, xy = G.mul(x, x), G.mul(x, y)
+    E1, E2 = G.subgroup_of([x2, y, z]), G.subgroup_of([x2, xy, z])
+    seeds = [pg.hom_build(E1, E2, [(x2, z), (y, xy), (z, x2)]),
+             pg.hom_build(E1, E1, [(x2, y), (y, x2), (z, z)])]
+    calls = [0]
+    then = pg.GroupHom.then
+
+    def counted(self, other):
+        calls[0] += 1
+        return then(self, other)
+
+    monkeypatch.setattr(pg.GroupHom, "then", counted)
+    F = fz.fusion_generated(G, 2, seeds)
+    assert F.iso_count() >= 200
+    assert calls[0] <= 8 * F.iso_count()

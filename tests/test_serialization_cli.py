@@ -200,29 +200,43 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert run_cli("group", "info", str(bad)) == 2
 
 
-def _s4_system_doc(**changes):
-    doc = ser.system_to_dict(fz.fusion_from_group(builtin_group("s4"), 2))
+def _system_doc(group_name, prime, **changes):
+    doc = ser.system_to_dict(fz.fusion_from_group(builtin_group(group_name), prime))
     doc.update(changes)
     return {k: v for k, v in doc.items() if v is not None}
 
 
 @pytest.mark.parametrize("argv, doc", [
-    (("fusion", "check"), _s4_system_doc(ambient=None)),
-    (("fusion", "check"), _s4_system_doc(p=4)),
+    (("fusion", "check"), _system_doc("s4", 2, ambient=None)),
+    (("fusion", "check"), _system_doc("s4", 2, p=4)),
     (("fusion", "check"), {"group": "s4", "p": 4, "mode": "from-group"}),
     (("group", "info"), {"name": "x", "degree": 3, "generators": [[1, "a", 0]]}),
     (("group", "info"), {"name": "b", "degree": 2, "generators": [[True, False]]}),
     (("group", "info"), {"name": "b", "degree": True, "generators": [[0]]}),
     (("fusion", "check", "--normal", "5"), {"group": "s4", "p": 2, "mode": "from-group"}),
+    (("fusion", "check"), _system_doc("c3", 3, carrier=[0, 1])),
+    (("fusion", "check"), _system_doc("c3", 3, isos=[
+        {"domain": [0, 1], "codomain": [0, 1], "map": [[0, 0], [1, 1]]}])),
 ], ids=["system-without-ambient", "system-p-not-prime", "spec-p-not-prime",
         "string-in-generator", "bool-in-generator", "bool-degree",
-        "subgroup-spec-not-a-list"])
+        "subgroup-spec-not-a-list", "carrier-not-subgroup", "domain-not-subgroup"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, doc):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
     assert run_cli(*argv[:2], str(path), *argv[2:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_check_without_automorphisms_of_the_carrier(tmp_path):
+    # no iso at all, not even the identity of P: the Sylow axiom fails
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(_system_doc("c3", 3, isos=[])))
+    for extra in ([], ["--saturated"]):
+        proc = subprocess.run([sys.executable, "-m", "fuskit.cli", "fusion", "check", str(path), *extra],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["saturated"] is False
 
 
 def test_cli_verify_single_theorem(capsys):
