@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import oracles
 from .corpus import corpus_systems, load_corpus, shipped_corpus_dir
-from .fusion import is_saturated
 from .serialization import canonical_json, load_json
 
 SUBGROUP_COUNT_LIMIT = 100
@@ -53,7 +52,7 @@ def stamp_entry(entry, records) -> dict:
 
         F = rec.system
         bput("sylow_order", F.carrier.order)
-        saturated = is_saturated(F)
+        saturated = oracles.oracle_saturated(F)
         bput("saturated", saturated)
         if saturated:
             bput("op_order", oracles.oracle_o_p(F).order)

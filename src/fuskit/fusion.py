@@ -12,7 +12,9 @@ system share its ambient group, so their morphism sets are literally subsets.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import permgroup as pg
@@ -32,11 +34,34 @@ TablePair = tuple[Subgroup, Subgroup]
 IsoTable = dict[TablePair, frozenset[GroupHom]]
 
 
+class _Memo(dict):
+    """The named memo tables of a system (a dict subclass, so it can be held weakly)."""
+
+
+# (kind, p, carrier, table items) -> the memo of the live systems with that content
+_MEMOS: "weakref.WeakValueDictionary[tuple, _Memo]" = weakref.WeakValueDictionary()
+
+
 class PreFusionSystem:
     """Subgroups of a carrier plus arbitrary sets of isomorphisms between them.
 
     No closure properties are assumed; composition stays partial and is never
-    completed implicitly.
+    completed implicitly.  The table must not be mutated after construction.
+
+    Equal systems share one memo.  Every memo table a system owns (``norm``,
+    ``cent``, ``by_domain``, ``class``, ``fully_normalized``,
+    ``strongly_closed``, ``saturated``, ``aut_real``, ``centric``,
+    ``radical``, ``fnrc``, ``normal_subgroup``, ``o_p``, ``z_f``,
+    ``quotient_parts``, ``factor_system``, ``bar_system``, ``generated_bar``,
+    ``k_normalizer``, ``pairs_by_key``) holds a function of ``(kind, p,
+    carrier, table)`` alone: none reads ``provenance`` or depends on which
+    object asks.  So on its first memo lookup a system finds its memo by that
+    content key in a weak registry: it adopts the memo of any live twin, or
+    registers a fresh one.  The registry holds memos weakly, so it keeps no
+    system alive, and a memo lives as long as one of its systems does.
+    Groups compare by content, so twins may sit on distinct equal ambient
+    groups; a memoized subgroup then lives in the first twin's group, which
+    compares equal to the others'.
     """
 
     kind = "prefusion"
@@ -53,7 +78,15 @@ class PreFusionSystem:
             if homs:
                 norm[(q, r)] = homs
         self.table = {k: norm[k] for k in sorted(norm, key=lambda k: (subgroup_key(k[0]), subgroup_key(k[1])))}
-        self._caches: dict = {}
+
+    @cached_property
+    def _caches(self) -> _Memo:
+        # resolved lazily: most derived systems are only compared, never queried
+        key = (self.kind, self.p, self.carrier, tuple(self.table.items()))
+        memo = _MEMOS.get(key)
+        if memo is None:
+            memo = _MEMOS[key] = _Memo()
+        return memo
 
     # -- carrier helpers -------------------------------------------------
 

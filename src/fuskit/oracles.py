@@ -29,6 +29,73 @@ def oracle_o_p(F: FusionSystem) -> Subgroup:
     return best
 
 
+def oracle_saturated(F: FusionSystem) -> bool:
+    """Saturation in the Roberts-Shpectorov form (Aschbacher, Kessar and
+    Oliver, Part I, I.2.5): every F-class of subgroups of the carrier S has a
+    member Q that is
+
+    - fully automized: Aut_S(Q) lies in Aut_F(Q) with the order of its Sylow
+      p-subgroups, and
+    - receptive: every iso phi: R -> Q of F extends to an iso of F out of
+      N_phi = {g in N_S(R) : phi c_g phi^-1 in Aut_S(Q)}.
+
+    Everything is read off the iso table in loops of its own, with c_g the map
+    x -> g x g^-1 through G.mul: no fusion.n_phi, extension scan or memo."""
+    G = F.parent
+    S = F.carrier
+    out_of: dict[int, list[GroupHom]] = {}  # domain mask -> the isos out of it
+    onto: dict[int, list[GroupHom]] = {}    # image mask -> the isos onto it
+    for homs in F.table.values():
+        for h in homs:
+            out_of.setdefault(h.domain.mask, []).append(h)
+            onto.setdefault(h.image_mask, []).append(h)
+
+    def conj(g: int, Q: Subgroup) -> dict[int, int]:
+        gi = G.inv(g)
+        return {x: G.mul(G.mul(g, x), gi) for x in Q.members}
+
+    def aut_s(Q: Subgroup) -> set[tuple[int, ...]]:
+        cs = (conj(g, Q) for g in S.members)
+        return {tuple(c.values()) for c in cs if pg.mask_of(c.values()) == Q.mask}
+
+    def fully_automized(Q: Subgroup) -> bool:
+        auts = {tuple(h.mapping[x] for x in Q.members)
+                for h in out_of.get(Q.mask, ()) if h.image_mask == Q.mask}
+        inner = aut_s(Q)
+        p_prime = len(auts)
+        while p_prime and p_prime % F.p == 0:
+            p_prime //= F.p
+        return inner <= auts and len(inner) * p_prime == len(auts)
+
+    def receptive(Q: Subgroup) -> bool:
+        inner = aut_s(Q)
+        for phi in onto.get(Q.mask, ()):
+            R = phi.domain
+            fm = phi.mapping
+            back = {y: x for x, y in phi.pairs}
+            n_mask = 0
+            for g in S.members:
+                cg = conj(g, R)
+                if (pg.mask_of(cg.values()) == R.mask
+                        and tuple(fm[cg[back[y]]] for y in Q.members) in inner):
+                    n_mask |= 1 << g
+            if n_mask != R.mask and not any(all(psi.mapping[x] == fm[x] for x in R.members)
+                                            for psi in out_of.get(n_mask, ())):
+                return False
+        return True
+
+    seen: set[int] = set()
+    for Q in pg.subgroups_of(S):
+        if Q.mask in seen:
+            continue
+        cls = {Q.mask} | {h.image_mask for h in out_of.get(Q.mask, ())}
+        seen |= cls
+        if not any(fully_automized(R) and receptive(R)
+                   for R in (Subgroup(G, m) for m in sorted(cls))):
+            return False
+    return True
+
+
 def oracle_constrained(F: FusionSystem) -> bool:
     """Directly: does some definitionally-normal subgroup contain its centralizer
     in every conjugate (i.e. is centric)?"""

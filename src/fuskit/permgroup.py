@@ -48,7 +48,10 @@ def cached(owner, name: str, key, build, *args):
 
     Every memo table in the package goes through here: groups, fusion
     systems and the verification context each own a ``_caches`` dict of
-    named tables.
+    named tables.  A fusion system's ``_caches`` may be shared with its
+    twins, the live systems with the same kind, prime, carrier and table
+    (see ``fusion.PreFusionSystem``), so a table built here for a system
+    must depend on that content alone.
     """
     try:
         return owner._caches[name][key]

@@ -285,9 +285,9 @@ def test_generated_on_matches_brute_closure_on_corpus(corpus_entries, groups, e1
             == brute_generated_on(bar.carrier, [], {k: set(v) for k, v in bar.table.items()}))
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.data())
-def test_generated_on_matches_brute_closure_on_drawn_seeds(groups, data):
+def _draw_seeds(groups, data):
+    """One or two seed isos between equal-order proper subgroups of a drawn
+    Q8, C4xC2 or D8xC2; the systems they generate are mostly unsaturated."""
     G = groups[data.draw(st.sampled_from(["q8", "c4xc2", "d8xc2"]))]
     proper = [S for S in pg.subgroups(G) if 1 < S.order < G.order]
     seeds = []
@@ -297,8 +297,28 @@ def test_generated_on_matches_brute_closure_on_drawn_seeds(groups, data):
         isos = pg.isomorphisms_between(Q, R, find_all=True)
         assume(isos)
         seeds.append(data.draw(st.sampled_from(isos)))
+    return G, seeds
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_generated_on_matches_brute_closure_on_drawn_seeds(groups, data):
+    G, seeds = _draw_seeds(groups, data)
     F = fz.fusion_generated(G, 2, seeds)
     assert F.table == brute_generated_on(G.full_subgroup(), seeds)
+
+
+def _counting(monkeypatch, owner, name):
+    """Count the calls of owner.name for the rest of the test."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def test_generated_on_work_bound(groups, monkeypatch):
@@ -310,14 +330,81 @@ def test_generated_on_work_bound(groups, monkeypatch):
     E1, E2 = G.subgroup_of([x2, y, z]), G.subgroup_of([x2, xy, z])
     seeds = [pg.hom_build(E1, E2, [(x2, z), (y, xy), (z, x2)]),
              pg.hom_build(E1, E1, [(x2, y), (y, x2), (z, z)])]
-    calls = [0]
-    then = pg.GroupHom.then
-
-    def counted(self, other):
-        calls[0] += 1
-        return then(self, other)
-
-    monkeypatch.setattr(pg.GroupHom, "then", counted)
+    calls = _counting(monkeypatch, pg.GroupHom, "then")
     F = fz.fusion_generated(G, 2, seeds)
     assert F.iso_count() >= 200
     assert calls[0] <= 8 * F.iso_count()
+
+
+# -- saturation by a second route ----------------------------------------------------
+
+from fuskit.corpus import corpus_systems
+from fuskit.oracles import oracle_saturated
+
+
+def test_saturation_oracle_agrees_on_corpus(corpus_entries):
+    records = corpus_systems(list(corpus_entries.values()))
+    verdicts = [oracle_saturated(rec.system) for rec in records]
+    assert verdicts == [fz.is_saturated(rec.system) for rec in records]
+    assert False in verdicts  # e16@p2:seeded
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_saturation_oracle_agrees_on_drawn_seeds(groups, data):
+    G, seeds = _draw_seeds(groups, data)
+    F = fz.fusion_generated(G, 2, seeds)
+    assert oracle_saturated(F) == fz.is_saturated(F)
+
+
+# -- equal systems share one memo ---------------------------------------------------
+
+def test_twin_reads_the_memo(e16_seeded, monkeypatch):
+    from fuskit.serialization import system_from_dict, system_to_dict
+    assert not fz.is_saturated(e16_seeded)
+    runs = _counting(monkeypatch, fz, "_saturated")
+    twin = system_from_dict(system_to_dict(e16_seeded))
+    assert twin is not e16_seeded and twin.parent is not e16_seeded.parent
+    assert not fz.is_saturated(twin)
+    assert runs[0] == 0
+    assert twin._caches is e16_seeded._caches
+
+
+def test_memo_is_keyed_by_kind_prime_and_carrier(s4_system, v4):
+    table = s4_system.table
+    assert fz.FusionSystem(s4_system.carrier, 2, table)._caches is s4_system._caches
+    others = [fz.PreFusionSystem(s4_system.carrier, 2, table),
+              fz.FusionSystem(s4_system.carrier, 3, table),
+              fz.FusionSystem(v4, 2, table)]
+    memos = [s4_system._caches] + [E._caches for E in others]
+    assert len({id(m) for m in memos}) == 4
+
+
+def test_registry_lets_systems_go(groups):
+    import gc
+    P = pg.sylow(groups["s4"], 2)
+    F = fz.FusionSystem(P, 7, {})  # no other live system has this content
+    assert F._caches == {}  # the first lookup registers F's memo
+    key = ("fusion", 7, P, ())
+    assert key in fz._MEMOS
+    del F
+    gc.collect()
+    assert key not in fz._MEMOS
+
+
+def test_verify_work_bound(monkeypatch):
+    # one verify builds equal systems again and again through different
+    # routes; sharing one memo per content saturates each table once (224
+    # runs, 2,335 n_phi calls and 222 O_p runs, against 1,017, 20,832 and
+    # 1,006 with one memo per object)
+    from fuskit import closure
+    from fuskit.corpus import shipped_corpus_dir
+    from fuskit.verify import run_verification
+    saturated = _counting(monkeypatch, fz, "_saturated")
+    n_phi = _counting(monkeypatch, fz, "n_phi")
+    o_p = _counting(monkeypatch, closure, "_o_p")
+    report = run_verification(shipped_corpus_dir())
+    assert report.ok
+    assert saturated[0] <= 300
+    assert n_phi[0] <= 4000
+    assert o_p[0] <= 300
