@@ -24,43 +24,37 @@ def _leaf(value) -> dict:
     return {"value": value, "provenance": "derived-oracle"}
 
 
+def _put(block: dict, key: str, value):
+    """Stamp block[key], unless it holds a hand-entered reference fact."""
+    old = block.get(key)
+    if isinstance(old, dict) and old.get("provenance") not in (None, "derived-oracle"):
+        return
+    block[key] = _leaf(value)
+
+
 def stamp_entry(entry, records) -> dict:
     doc = load_json(entry.path)
     expected = dict(doc.get("expected", {}))
-
-    def put(key, value):
-        old = expected.get(key)
-        if isinstance(old, dict) and old.get("provenance") not in (None, "derived-oracle"):
-            return
-        expected[key] = _leaf(value)
-
     group = entry.load_group()
-    put("order", group.order)
+    _put(expected, "order", group.order)
     if group.order <= SUBGROUP_COUNT_LIMIT:
-        put("subgroup_count", oracles.brute_subgroup_count(group))
+        _put(expected, "subgroup_count", oracles.brute_subgroup_count(group))
     for rec in records:
         if rec.entry.name != entry.name:
             continue
         block_key = f"p{rec.p}" if rec.label == "conj" else f"p{rec.p}:{rec.label}"
         block = dict(expected.get(block_key, {}))
-
-        def bput(key, value, block=block):
-            old = block.get(key)
-            if isinstance(old, dict) and old.get("provenance") not in (None, "derived-oracle"):
-                return
-            block[key] = _leaf(value)
-
         F = rec.system
-        bput("sylow_order", F.carrier.order)
+        _put(block, "sylow_order", F.carrier.order)
         saturated = oracles.oracle_saturated(F)
-        bput("saturated", saturated)
+        _put(block, "saturated", saturated)
         if saturated:
-            bput("op_order", oracles.oracle_o_p(F).order)
+            _put(block, "op_order", oracles.oracle_o_p(F).order)
             tower, soluble, length = oracles.oracle_tower(F)
-            bput("tower_orders", [s.order for s in tower])
-            bput("p_soluble", soluble)
-            bput("p_length", length)
-            bput("constrained", oracles.oracle_constrained(F))
+            _put(block, "tower_orders", [s.order for s in tower])
+            _put(block, "p_soluble", soluble)
+            _put(block, "p_length", length)
+            _put(block, "constrained", oracles.oracle_constrained(F))
         expected[block_key] = block
     doc["expected"] = expected
     return doc

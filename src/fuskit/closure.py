@@ -25,6 +25,7 @@ from .errors import (
 from .fusion import (
     FusionSystem,
     aut_realization,
+    check_in_carrier,
     extensions,
     is_fully_normalized,
     is_saturated,
@@ -32,7 +33,7 @@ from .fusion import (
     is_weakly_closed,
     same_system,
 )
-from .permgroup import GroupHom, Subgroup, cached, hom_key
+from .permgroup import GroupHom, Subgroup, cached, hom_key, memo
 
 
 @dataclass(frozen=True)
@@ -46,32 +47,21 @@ class SubgroupClassification:
     normal_in_F: bool
 
 
+@memo("centric")
 def is_centric(F: FusionSystem, Q: Subgroup) -> bool:
     """Every F-conjugate of Q contains its carrier-centralizer."""
-    return cached(F, "centric", Q.mask, _centric, F, Q)
-
-
-def _centric(F: FusionSystem, Q: Subgroup) -> bool:
     return all(F.centralizer_in_carrier(R) <= R for R in F.iso_class(Q))
 
 
+@memo("radical")
 def is_radical(F: FusionSystem, Q: Subgroup) -> bool:
     """O_p(Aut_F(Q)) equals the inner automorphisms of Q."""
-    return cached(F, "radical", Q.mask, _radical, F, Q)
-
-
-def _radical(F: FusionSystem, Q: Subgroup) -> bool:
     real = aut_realization(F, Q)
     return pg.core_p(real.group, F.p).mask == real.inn.mask
 
 
-def _check_in_carrier(F: FusionSystem, Q: Subgroup):
-    if Q.parent != F.parent or not Q <= F.carrier:
-        raise pg.NotASubgroup("the subgroup does not lie in the carrier")
-
-
 def classify(F: FusionSystem, Q: Subgroup) -> SubgroupClassification:
-    _check_in_carrier(F, Q)
+    check_in_carrier(F, Q)
     return SubgroupClassification(
         subgroup=Q,
         fully_normalized=is_fully_normalized(F, Q),
@@ -83,12 +73,9 @@ def classify(F: FusionSystem, Q: Subgroup) -> SubgroupClassification:
     )
 
 
+@memo("fnrc")
 def fnrc_subgroups(F: FusionSystem) -> list[Subgroup]:
     """The fully normalized, centric, radical subgroups (canonical order)."""
-    return cached(F, "fnrc", None, _fnrc, F)
-
-
-def _fnrc(F: FusionSystem) -> list[Subgroup]:
     return [S for S in F.subgroups()
             if is_fully_normalized(F, S) and is_centric(F, S) and is_radical(F, S)]
 
@@ -101,7 +88,7 @@ def is_normal_subgroup(F: FusionSystem, Q: Subgroup, strict: bool = False) -> bo
     non-saturated system the criterion is not available, so we fall back to
     the definitional check and warn, or raise in strict mode.
     """
-    _check_in_carrier(F, Q)
+    check_in_carrier(F, Q)
     if not is_saturated(F):
         if strict:
             raise NotSaturated("normality criterion requires a saturated system")
@@ -129,6 +116,7 @@ def definitional_normal(F: FusionSystem, Q: Subgroup) -> bool:
     return True
 
 
+@memo("o_p")
 def o_p(F: FusionSystem) -> Subgroup:
     """The largest subgroup normal in F.
 
@@ -139,24 +127,17 @@ def o_p(F: FusionSystem) -> Subgroup:
     """
     if not is_saturated(F):
         raise NotSaturated("O_p is defined for saturated systems")
-    return cached(F, "o_p", None, _o_p, F)
-
-
-def _o_p(F: FusionSystem) -> Subgroup:
     meet_mask = F.carrier.mask
     for T in fnrc_subgroups(F):
         meet_mask &= T.mask
     return _closed_join(F, F.subgroups(), meet_mask, is_strongly_closed)
 
 
+@memo("z_f")
 def center_of_fusion(F: FusionSystem) -> Subgroup:
     """The largest central subgroup Z with C_F(Z) = F."""
     if not is_saturated(F):
         raise NotSaturated("the centre is defined for saturated systems")
-    return cached(F, "z_f", None, _center_of_fusion, F)
-
-
-def _center_of_fusion(F: FusionSystem) -> Subgroup:
     zp = pg.center(F.carrier)
     return _closed_join(F, pg.subgroups_of(zp), zp.mask, _centralizes_system)
 
@@ -189,7 +170,7 @@ def strongly_closed_central_series(F: FusionSystem, Q: Subgroup, mode: str = "st
     """
     if mode not in ("strong", "weak"):
         raise ValueError("mode must be 'strong' or 'weak'")
-    _check_in_carrier(F, Q)
+    check_in_carrier(F, Q)
     if not is_saturated(F):
         raise NotSaturated("closed central series require a saturated system")
     closed = is_strongly_closed if mode == "strong" else is_weakly_closed

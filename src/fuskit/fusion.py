@@ -28,7 +28,7 @@ from .errors import (
     NotInjective,
     OrderCapExceeded,
 )
-from .permgroup import Group, GroupHom, Subgroup, cached, hom_key, subgroup_key
+from .permgroup import Group, GroupHom, Subgroup, cached, hom_key, memo, subgroup_key
 
 TablePair = tuple[Subgroup, Subgroup]
 IsoTable = dict[TablePair, frozenset[GroupHom]]
@@ -112,8 +112,13 @@ class PreFusionSystem:
     def aut(self, Q: Subgroup) -> frozenset[GroupHom]:
         return self.isos(Q, Q)
 
+    @memo("by_domain")
     def isos_from(self, Q: Subgroup) -> tuple[GroupHom, ...]:
-        return cached(self, "by_domain", Q.mask, _isos_from, self, Q)
+        acc = []
+        for (a, _), homs in self.table.items():
+            if a.mask == Q.mask:
+                acc.extend(homs)
+        return tuple(sorted(acc, key=hom_key))
 
     def all_isos(self) -> list[GroupHom]:
         out = []
@@ -127,24 +132,13 @@ class PreFusionSystem:
     def iso_count(self) -> int:
         return sum(len(v) for v in self.table.values())
 
+    @memo("class")
     def iso_class(self, Q: Subgroup) -> frozenset[Subgroup]:
-        return cached(self, "class", Q.mask, _iso_class, self, Q)
+        return frozenset([Q] + [b for (a, b) in self.table if a.mask == Q.mask])
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(p={self.p}, |P|={self.carrier.order}, "
                 f"isos={self.iso_count()}, {self.provenance})")
-
-
-def _isos_from(F: PreFusionSystem, Q: Subgroup) -> tuple[GroupHom, ...]:
-    acc = []
-    for (a, _), homs in F.table.items():
-        if a.mask == Q.mask:
-            acc.extend(homs)
-    return tuple(sorted(acc, key=hom_key))
-
-
-def _iso_class(F: PreFusionSystem, Q: Subgroup) -> frozenset[Subgroup]:
-    return frozenset([Q] + [b for (a, b) in F.table if a.mask == Q.mask])
 
 
 class FusionSystem(PreFusionSystem):
@@ -328,12 +322,9 @@ def transport(F: PreFusionSystem, theta: GroupHom) -> FusionSystem:
 
 # -- closure predicates --------------------------------------------------------
 
+@memo("fully_normalized")
 def is_fully_normalized(F: PreFusionSystem, Q: Subgroup) -> bool:
     """True iff |N_P(Q)| is maximal over the F-isomorphism class of Q."""
-    return cached(F, "fully_normalized", Q.mask, _fully_normalized, F, Q)
-
-
-def _fully_normalized(F: PreFusionSystem, Q: Subgroup) -> bool:
     mine = F.normalizer_in_carrier(Q).order
     return all(F.normalizer_in_carrier(R).order <= mine for R in F.iso_class(Q))
 
@@ -342,12 +333,9 @@ def is_weakly_closed(F: PreFusionSystem, Q: Subgroup) -> bool:
     return F.iso_class(Q) == frozenset((Q,))
 
 
+@memo("strongly_closed")
 def is_strongly_closed(F: PreFusionSystem, Q: Subgroup) -> bool:
     """No F-morphism carries a subgroup of Q outside Q."""
-    return cached(F, "strongly_closed", Q.mask, _strongly_closed, F, Q)
-
-
-def _strongly_closed(F: PreFusionSystem, Q: Subgroup) -> bool:
     return all(h.image_mask & ~Q.mask == 0
                for R in pg.subgroups_of(Q) for h in F.isos_from(R))
 
@@ -379,6 +367,7 @@ def n_phi(F: PreFusionSystem, phi: GroupHom) -> Subgroup:
     return Subgroup(G, mask)
 
 
+@memo("saturated")
 def is_saturated(F: FusionSystem) -> bool:
     """Both saturation axioms, checked exhaustively.
 
@@ -386,10 +375,6 @@ def is_saturated(F: FusionSystem) -> bool:
         Aut_F(P), and
     (2) every iso with fully normalized image extends to its N_phi.
     """
-    return cached(F, "saturated", None, _saturated, F)
-
-
-def _saturated(F: FusionSystem) -> bool:
     P = F.carrier
     aut_f = F.aut(P)
     if not aut_f:  # not even the identity of P: the Sylow axiom fails
@@ -454,9 +439,13 @@ class AutRealization:
         return frozenset(self.homs[i] for i in sub.members)
 
 
-def aut_realization(F: PreFusionSystem, Q: Subgroup) -> AutRealization:
+def check_in_carrier(F: PreFusionSystem, Q: Subgroup):
     if Q.parent != F.parent or not Q <= F.carrier:
         raise NotASubgroup("the subgroup does not lie in the carrier")
+
+
+def aut_realization(F: PreFusionSystem, Q: Subgroup) -> AutRealization:
+    check_in_carrier(F, Q)  # reads Q.parent, which the memo key omits
     return cached(F, "aut_real", Q.mask, _aut_realization, F, Q)
 
 

@@ -12,6 +12,7 @@ and ``x^g = g^-1 x g``.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -43,22 +44,63 @@ def order_cap(explicit: Optional[int] = None) -> int:
     return int(env) if env else DEFAULT_ORDER_CAP
 
 
+# builds per memo table name: one on every miss of ``cached``, hits are not counted
+BUILDS: Counter = Counter()
+
+
 def cached(owner, name: str, key, build, *args):
     """The memo entry ``owner._caches[name][key]``, computed once as ``build(*args)``.
 
-    Every memo table in the package goes through here: groups, fusion
-    systems and the verification context each own a ``_caches`` dict of
-    named tables.  A fusion system's ``_caches`` may be shared with its
-    twins, the live systems with the same kind, prime, carrier and table
-    (see ``fusion.PreFusionSystem``), so a table built here for a system
-    must depend on that content alone.
+    Groups, fusion systems and the verification context each own a
+    ``_caches`` dict of named tables.  A fusion system's ``_caches`` may be
+    shared with its twins, the live systems with the same kind, prime,
+    carrier and table (see ``fusion.PreFusionSystem``), so a table built
+    here for a system must depend on that content alone.  Most tables are
+    declared with ``memo``.  A site calls ``cached`` itself when a check it
+    runs on every call reads more than the owner and the key (the parent of a
+    subgroup the key holds as a mask, an order cap, a warning), when the key
+    is not the one ``memo`` builds (an inferred prime, a list of homs, a
+    corpus record), or when the build is a function defined elsewhere
+    (``norm``, ``cent``).
     """
     try:
         return owner._caches[name][key]
     except KeyError:
         pass
+    BUILDS[name] += 1
     got = owner._caches.setdefault(name, {})[key] = build(*args)
     return got
+
+
+def memo(name: str):
+    """Memoize a function in the table ``name`` of its owner's ``_caches``.
+
+    The owner is the first argument, or its parent group when that is a
+    Subgroup.  The key is the tuple of the other arguments with each Subgroup
+    replaced by its mask, after the first argument's mask when that is a
+    Subgroup.  The body runs only on a miss, so it may check only what
+    follows from the owner's content and the key; a build that raises stores
+    nothing.  Positional arguments only.
+    """
+    def deco(fn):
+        def wrapper(first, *rest):
+            if first.__class__ is Subgroup:
+                owner, key = first.parent, (first.mask,)
+            else:
+                owner, key = first, ()
+            for a in rest:
+                key += (a.mask if a.__class__ is Subgroup else a,)
+            try:  # inline: the hottest tables see 100,000 lookups per verify
+                return owner._caches[name][key]
+            except KeyError:
+                return cached(owner, name, key, fn, first, *rest)
+
+        # no functools.wraps: a __wrapped__ attribute marks a tracer's wrapper
+        wrapper.__name__ = fn.__name__
+        wrapper.__qualname__ = fn.__qualname__
+        wrapper.__doc__ = fn.__doc__
+        return wrapper
+    return deco
 
 
 class Perm:
@@ -346,9 +388,18 @@ class Subgroup:
     def conjugate(self, g: int) -> "Subgroup":
         return Subgroup(self.parent, mask_image(self.parent.conj_map(g), self.mask))
 
+    @memo("generating_ids")
     def generating_ids(self) -> tuple[int, ...]:
         """A short generating sequence, chosen greedily in element order.  Cached."""
-        return cached(self.parent, "generating_ids", self.mask, _generating_ids, self)
+        gens: list[int] = []
+        cur = 1
+        for x in self.members:
+            if not (cur >> x) & 1:
+                gens.append(x)
+                cur = _closure_from_gens(self.parent, gens)
+                if cur == self.mask:
+                    break
+        return tuple(gens)
 
     def is_abelian(self) -> bool:
         G = self.parent
@@ -368,18 +419,6 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.name})"
-
-
-def _generating_ids(S: Subgroup) -> tuple[int, ...]:
-    gens: list[int] = []
-    cur = 1
-    for x in S.members:
-        if not (cur >> x) & 1:
-            gens.append(x)
-            cur = _closure_from_gens(S.parent, gens)
-            if cur == S.mask:
-                break
-    return tuple(gens)
 
 
 def subgroup_key(s: Subgroup) -> tuple[int, int]:
@@ -453,12 +492,9 @@ def subgroups(G: Group, cap: Optional[int] = None) -> list[Subgroup]:
     return subgroups_of(G.full_subgroup())
 
 
+@memo("subgroups_of")
 def subgroups_of(S: Subgroup) -> list[Subgroup]:
     """All subgroups of the subgroup S, ordered by (order, bitmask).  Cached."""
-    return cached(S.parent, "subgroups_of", S.mask, _subgroups_of, S)
-
-
-def _subgroups_of(S: Subgroup) -> list[Subgroup]:
     G = S.parent
     # one representative per cyclic subgroup: <x'> = <x> gives the same joins
     cyc_rep: dict[int, int] = {}
@@ -530,12 +566,9 @@ def normal_subgroups(G: Group) -> list[Subgroup]:
     return [N for N in subgroups_of(full) if is_normal_in(N, full)]
 
 
+@memo("conjugacy_classes")
 def conjugacy_classes(G: Group) -> list[tuple[int, int]]:
     """The conjugacy classes as (least element, class mask) pairs, cached."""
-    return cached(G, "conjugacy_classes", None, _conjugacy_classes, G)
-
-
-def _conjugacy_classes(G: Group) -> list[tuple[int, int]]:
     seen = 0
     classes = []
     for x in range(G.order):
@@ -630,12 +663,9 @@ def sylow(G: Group, p: int) -> Subgroup:
     return Subgroup(G, cur_mask)
 
 
+@memo("core_p")
 def core_p(G: Group, p: int) -> Subgroup:
     """O_p(G): the intersection of all conjugates of a Sylow p-subgroup."""
-    return cached(G, "core_p", p, _core_p, G, p)
-
-
-def _core_p(G: Group, p: int) -> Subgroup:
     P = sylow(G, p)
     mask = P.mask
     for g in range(G.order):
@@ -645,13 +675,10 @@ def _core_p(G: Group, p: int) -> Subgroup:
     return Subgroup(G, mask)
 
 
+@memo("core_pprime")
 def core_pprime(G: Group, p: int) -> Subgroup:
     """O_p'(G): join of the normal closures that are p'-subgroups."""
     _check_prime(p)
-    return cached(G, "core_pprime", p, _core_pprime, G, p)
-
-
-def _core_pprime(G: Group, p: int) -> Subgroup:
     acc = 1
     for x, cls in conjugacy_classes(G):
         if (acc >> x) & 1:
@@ -760,12 +787,9 @@ def quotient_group(G: Group, N: Subgroup) -> tuple[Group, tuple[int, ...]]:
     return Q, proj
 
 
+@memo("as_group")
 def as_group(S: Subgroup) -> tuple[Group, tuple[int, ...]]:
     """Reify a subgroup as a standalone Group; returns (group, new->parent ids)."""
-    return cached(S.parent, "as_group", S.mask, _as_group, S)
-
-
-def _as_group(S: Subgroup) -> tuple[Group, tuple[int, ...]]:
     parent = S.parent
     mem = S.members  # ascending parent ids are already in canonical perm order
     gens = [parent.elements[i] for i in S.generating_ids()] or [Perm.identity(parent.degree)]
@@ -1045,12 +1069,9 @@ def isomorphism_search(G: Group, H: Group, cap: int = DEFAULT_ISO_CAP) -> Option
     return res[0] if res else None
 
 
+@memo("automorphisms")
 def automorphisms(Q: Subgroup) -> list[GroupHom]:
     """All automorphisms of Q (cached on the parent group)."""
-    return cached(Q.parent, "automorphisms", Q.mask, _automorphisms, Q)
-
-
-def _automorphisms(Q: Subgroup) -> list[GroupHom]:
     return sorted(isomorphisms_between(Q, Q, find_all=True), key=hom_key)
 
 

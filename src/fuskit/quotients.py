@@ -33,7 +33,7 @@ from .fusion import (
     transport,
     validate_hom,
 )
-from .permgroup import Group, GroupHom, Subgroup, cached
+from .permgroup import Group, GroupHom, Subgroup, memo
 
 
 # -- quotient plumbing --------------------------------------------------------
@@ -44,13 +44,10 @@ class _QuotientParts:
     proj: dict[int, int]            # carrier member id (ambient) -> quotient id
 
 
+@memo("quotient_parts")
 def _quotient_parts(F: PreFusionSystem, Q: Subgroup) -> _QuotientParts:
     if not Q <= F.carrier:
         raise NotNormalInP("Q must lie inside the carrier")
-    return cached(F, "quotient_parts", Q.mask, _build_quotient_parts, F, Q)
-
-
-def _build_quotient_parts(F: PreFusionSystem, Q: Subgroup) -> _QuotientParts:
     CG, new_to_par = pg.as_group(F.carrier)
     par_to_new = {p: i for i, p in enumerate(new_to_par)}
     N = Subgroup(CG, pg.mask_image(par_to_new, Q.mask))
@@ -72,11 +69,12 @@ def _preimage_subgroup(F: PreFusionSystem, parts: _QuotientParts, S: Subgroup) -
 
 def factor_parts(F: PreFusionSystem, Q: Subgroup) -> tuple[FusionSystem, dict[int, int]]:
     """The factor system F/Q plus the carrier projection map."""
+    return _factor_system(F, Q), _quotient_parts(F, Q).proj
+
+
+@memo("factor_system")
+def _factor_system(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
     parts = _quotient_parts(F, Q)
-    return cached(F, "factor_system", Q.mask, _factor_system, F, Q, parts), parts.proj
-
-
-def _factor_system(F: PreFusionSystem, Q: Subgroup, parts: _QuotientParts) -> FusionSystem:
     fixing_q = (phi for (r, s), homs in F.table.items() if Q <= r and Q <= s
                 for phi in homs if pg.mask_image(phi.mapping, Q.mask) == Q.mask)
     return FusionSystem(parts.group.full_subgroup(), F.p,
@@ -88,14 +86,11 @@ def factor_system(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
     return factor_parts(F, Q)[0]
 
 
+@memo("bar_system")
 def bar_system(F: PreFusionSystem, Q: Subgroup) -> PreFusionSystem:
     """The prefusion system on P/Q induced by ALL morphisms of F."""
     if not is_strongly_closed(F, Q):
         raise NotStronglyClosed("the bar construction needs a strongly closed kernel")
-    return cached(F, "bar_system", Q.mask, _bar_system, F, Q)
-
-
-def _bar_system(F: PreFusionSystem, Q: Subgroup) -> PreFusionSystem:
     parts = _quotient_parts(F, Q)
     # phi: R' -> S' induces QR'/Q -> QS'/Q, well defined as Q is strongly closed
     table = image_table((phi for homs in F.table.values() for phi in homs),
@@ -103,12 +98,9 @@ def _bar_system(F: PreFusionSystem, Q: Subgroup) -> PreFusionSystem:
     return PreFusionSystem(parts.group.full_subgroup(), F.p, table, provenance="bar")
 
 
+@memo("generated_bar")
 def generated_bar(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
     """The fusion closure of the bar system."""
-    return cached(F, "generated_bar", Q.mask, _generated_bar, F, Q)
-
-
-def _generated_bar(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
     bar = bar_system(F, Q)
     return generated_on(bar.carrier, F.p, [], base={k: set(v) for k, v in bar.table.items()},
                         provenance="generated-bar")
@@ -237,32 +229,20 @@ def closure_transfer(F: FusionSystem, Q: Subgroup, strong: bool = True) -> Closu
     subs = F.subgroups()
     qsubs = quot.subgroups()
 
-    weak_over = [R for R in subs if Q <= R and is_weakly_closed(F, R)]
-    weak_quot = [S for S in qsubs if is_weakly_closed(quot, S)]
-    images = [_image_subgroup(parts, R) for R in weak_over]
-    weak_bij = (len(set(s.mask for s in images)) == len(images)
-                and {s.mask for s in images} == {s.mask for s in weak_quot})
-    weak_img = all(
-        is_weakly_closed(quot, _image_subgroup(parts, R))
-        for R in subs if is_weakly_closed(F, R))
+    def transfer(closed):  # over Q, closed on F/Q, bijection ok, images ok
+        over = [R for R in subs if Q <= R and closed(F, R)]
+        on_quot = [S for S in qsubs if closed(quot, S)]
+        images = {_image_subgroup(parts, R).mask for R in over}
+        bijection = len(images) == len(over) and images == {S.mask for S in on_quot}
+        return over, on_quot, bijection, all(
+            closed(quot, _image_subgroup(parts, R)) for R in subs if closed(F, R))
 
-    report = ClosureTransferReport(weak_over, weak_quot, weak_bij, weak_img)
+    weak = transfer(is_weakly_closed)
     if not strong:
-        return report
+        return ClosureTransferReport(*weak)
     if not is_saturated(F):
         raise NotSaturated("strong-closure transfer requires a saturated system")
-    strong_over = [R for R in subs if Q <= R and is_strongly_closed(F, R)]
-    strong_quot = [S for S in qsubs if is_strongly_closed(quot, S)]
-    images = [_image_subgroup(parts, R) for R in strong_over]
-    report.strongly_closed_over = strong_over
-    report.strongly_closed_quotient = strong_quot
-    report.strong_bijection_ok = (
-        len(set(s.mask for s in images)) == len(images)
-        and {s.mask for s in images} == {s.mask for s in strong_quot})
-    report.strong_images_ok = all(
-        is_strongly_closed(quot, _image_subgroup(parts, R))
-        for R in subs if is_strongly_closed(F, R))
-    return report
+    return ClosureTransferReport(*weak, *transfer(is_strongly_closed))
 
 
 # -- isomorphism theorems ---------------------------------------------------------

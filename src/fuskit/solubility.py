@@ -11,7 +11,7 @@ from . import permgroup as pg
 from .closure import o_p
 from .errors import InvariantViolation, NotSaturated, OrderCapExceeded, SylowMismatch
 from .fusion import FusionSystem, fusion_from_group, generated_on, is_saturated, same_system, transport
-from .permgroup import Group, Subgroup, cached
+from .permgroup import Group, Subgroup, cached, memo
 from .quotients import _preimage_subgroup, _quotient_parts, factor_parts
 from .subsystems import centralizer_system, normalizer_system
 
@@ -156,13 +156,10 @@ def thompson_base(F: FusionSystem) -> dict:
     return base
 
 
+@memo("p_soluble")
 def group_is_p_soluble(G: Group, p: int) -> bool:
     """Alternating p'-core / p-core tower on the group side."""
     pg._check_prime(p)
-    return cached(G, "p_soluble", p, _p_soluble, G, p)
-
-
-def _p_soluble(G: Group, p: int) -> bool:
     while G.order > 1:
         n = pg.core_pprime(G, p)
         if n.order == 1:

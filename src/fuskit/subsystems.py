@@ -22,7 +22,7 @@ from .fusion import (
     same_system,
     transport,
 )
-from .permgroup import GroupHom, Subgroup, cached
+from .permgroup import GroupHom, Subgroup, cached, memo
 
 
 def is_subsystem_of(E: PreFusionSystem, F: PreFusionSystem) -> bool:
@@ -105,7 +105,7 @@ def is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
     """Stability of E under F-conjugation, checked over all morphism pairs."""
     Q = E.carrier
     _require_strongly_closed(F, Q)
-    e_pairs = cached(E, "pairs_by_key", None, _pairs_by_key, E)
+    e_pairs = _pairs_by_key(E)
     for S in pg.subgroups_of(Q):
         for psi in F.isos_from(S):
             pm = psi.mapping
@@ -120,6 +120,7 @@ def is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
     return True
 
 
+@memo("pairs_by_key")
 def _pairs_by_key(E: PreFusionSystem) -> dict[tuple[int, int], frozenset]:
     """The pairs of E's isos, by the masks of their domain and image."""
     return {(q.mask, r.mask): frozenset(h.pairs for h in homs) for (q, r), homs in E.table.items()}

@@ -35,7 +35,7 @@ from .fusion import (
     restricted_to,
     same_system,
 )
-from .permgroup import GroupHom, Subgroup, cached
+from .permgroup import GroupHom, Subgroup, cached, memo
 from .serialization import canonical_json
 
 
@@ -120,8 +120,9 @@ class _Ctx:
     _caches: dict = field(default_factory=dict)
 
     @property
+    @memo("saturated_records")
     def saturated(self) -> list[SystemRecord]:
-        return cached(self, "saturated", None, _saturated_records, self)
+        return [r for r in self.records if is_saturated(r.system)]
 
     def named_subgroup(self, rec: SystemRecord, name: str) -> Subgroup:
         gens = rec.entry.named_subgroups[name]
@@ -139,10 +140,6 @@ class _Ctx:
 
     def model(self, rec: SystemRecord):
         return cached(self, "models", (rec.entry.name, rec.p), rec.entry.load_model, rec.p)
-
-
-def _saturated_records(ctx: _Ctx) -> list[SystemRecord]:
-    return [r for r in ctx.records if is_saturated(r.system)]
 
 
 def _knorm_instances(F: FusionSystem) -> list:
@@ -286,10 +283,9 @@ def _s_product(ctx: _Ctx) -> Check:
         closed = [Q for Q in F.subgroups() if is_strongly_closed(F, Q)]
         for A, B in combinations_with_replacement(closed, 2):
             try:
-                prod = pg.set_product(A, B)
-                ok = is_strongly_closed(F, prod)
-            except FuskitError as exc:
-                ok, prod = False, None
+                ok = is_strongly_closed(F, pg.set_product(A, B))
+            except FuskitError:
+                ok = False
             yield (f"{rec.key}/{A.order}x{B.order}", ok,
                    None if ok else {"A": _sub_payload(A), "B": _sub_payload(B)})
 
@@ -431,7 +427,7 @@ def _s_knorm_normal(ctx: _Ctx) -> Check:
         for Q, homs, nq, nk in ctx.knorm_instances(rec):
             try:
                 ok = ss.is_normal_subsystem(nq, nk)
-            except FuskitError as exc:
+            except FuskitError:
                 ok = False
             yield (f"{rec.key}/|Q|={Q.order}/|K|={len(homs)}", ok,
                    None if ok else {"Q": _sub_payload(Q), "K_order": len(homs)})
@@ -709,7 +705,7 @@ def _s_alperin_dec(ctx: _Ctx) -> Check:
                         raise FuskitError("intermediate image escapes its family subgroup")
                     cur = cur.then(alpha.restriction(cur.image()))
                 ok = cur.pairs == phi.pairs
-            except FuskitError as exc:
+            except FuskitError:
                 ok = False
             yield (f"{rec.key}/|Q|={phi.domain.order}", ok,
                    None if ok else {"phi": _hom_payload(phi)})

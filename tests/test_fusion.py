@@ -359,15 +359,22 @@ def test_saturation_oracle_agrees_on_drawn_seeds(groups, data):
 
 # -- equal systems share one memo ---------------------------------------------------
 
-def test_twin_reads_the_memo(e16_seeded, monkeypatch):
+def test_twin_reads_the_memo(e16_seeded):
     from fuskit.serialization import system_from_dict, system_to_dict
     assert not fz.is_saturated(e16_seeded)
-    runs = _counting(monkeypatch, fz, "_saturated")
+    builds = pg.BUILDS["saturated"]
     twin = system_from_dict(system_to_dict(e16_seeded))
     assert twin is not e16_seeded and twin.parent is not e16_seeded.parent
     assert not fz.is_saturated(twin)
-    assert runs[0] == 0
+    assert pg.BUILDS["saturated"] == builds
     assert twin._caches is e16_seeded._caches
+
+
+def test_checks_outside_the_key_run_on_a_memo_hit(s4_system, v4, groups):
+    from fuskit.errors import NotASubgroup
+    assert fz.aut_realization(s4_system, v4).group.order == 6
+    with pytest.raises(NotASubgroup):  # the key holds v4's mask, not its group
+        fz.aut_realization(s4_system, pg.Subgroup(groups["a6"], v4.mask))
 
 
 def test_memo_is_keyed_by_kind_prime_and_carrier(s4_system, v4):
@@ -392,19 +399,46 @@ def test_registry_lets_systems_go(groups):
     assert key not in fz._MEMOS
 
 
-def test_verify_work_bound(monkeypatch):
+@pytest.fixture(scope="module")
+def verify_run():
+    """One full verify: its report, the builds per memo table, the n_phi
+    calls, and the corpus records, kept alive so their memos stay registered."""
+    from collections import Counter
+    from fuskit import verify
+    from fuskit.corpus import shipped_corpus_dir
+    records = []
+    real = verify.corpus_systems
+
+    def capture(*args, **kwargs):
+        records.extend(real(*args, **kwargs))
+        return records
+
+    before = Counter(pg.BUILDS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "corpus_systems", capture)
+        n_phi = _counting(mp, fz, "n_phi")
+        report = verify.run_verification(shipped_corpus_dir())
+    return report, pg.BUILDS - before, n_phi[0], records
+
+
+def test_verify_work_bound(verify_run):
     # one verify builds equal systems again and again through different
     # routes; sharing one memo per content saturates each table once (224
-    # runs, 2,335 n_phi calls and 222 O_p runs, against 1,017, 20,832 and
-    # 1,006 with one memo per object)
-    from fuskit import closure
-    from fuskit.corpus import shipped_corpus_dir
-    from fuskit.verify import run_verification
-    saturated = _counting(monkeypatch, fz, "_saturated")
-    n_phi = _counting(monkeypatch, fz, "n_phi")
-    o_p = _counting(monkeypatch, closure, "_o_p")
-    report = run_verification(shipped_corpus_dir())
+    # builds, 2,335 n_phi calls and 222 O_p builds, against 1,017, 20,832
+    # and 1,006 with one memo per object)
+    report, builds, n_phi, _ = verify_run
     assert report.ok
-    assert saturated[0] <= 300
-    assert n_phi[0] <= 4000
-    assert o_p[0] <= 300
+    assert builds["saturated"] <= 300
+    assert n_phi <= 4000
+    assert builds["o_p"] <= 300
+
+
+def test_every_system_memo_table_is_audited(verify_run):
+    # a table on a system memo must be a function of the system's content;
+    # the PreFusionSystem docstring lists the tables audited for that
+    import re
+    doc = fz.PreFusionSystem.__doc__
+    audited = set(re.findall(r"``(\w+)``", doc[doc.index("owns ("):doc.index(") holds")]))
+    assert verify_run[3] and len(fz._MEMOS) > 100
+    tables = {name for memo in fz._MEMOS.values() for name in memo}
+    assert tables <= audited, tables - audited

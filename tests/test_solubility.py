@@ -125,6 +125,13 @@ def test_qdp_free(groups):
     assert not sol.is_qdp_free_group(groups["a6"], 2)    # S4 sits inside A6
 
 
+def test_qdp_free_cap_is_checked_on_a_memo_hit(groups):
+    G = groups["a6"]
+    assert not sol.is_qdp_free_group(G, 2)
+    with pytest.raises(OrderCapExceeded):  # the cap is not part of the key
+        sol.is_qdp_free_group(G, 2, cap=G.order - 1)
+
+
 def test_cores_and_qdp_freeness_across_corpus(corpus_entries, groups):
     not_free = {("a6", 2), ("qd2", 2), ("qd3", 3), ("s4", 2)}
     for name, entry in corpus_entries.items():
