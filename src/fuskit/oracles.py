@@ -15,7 +15,6 @@ from .closure import definitional_normal, is_centric
 from .errors import InvariantViolation
 from .fusion import FusionSystem
 from .permgroup import Group, GroupHom, Subgroup, hom_key
-from .quotients import _preimage_subgroup, _quotient_parts, factor_parts
 
 
 def oracle_o_p(F: FusionSystem) -> Subgroup:
@@ -103,18 +102,50 @@ def oracle_constrained(F: FusionSystem) -> bool:
 
 
 def oracle_tower(F: FusionSystem) -> tuple[list[Subgroup], bool, int | None]:
-    """The core tower built on the definitional core at every level."""
+    """The core tower built on the definitional core at every level, over
+    quotients built by _oracle_quotient rather than the quotients module."""
     tower = [F.parent.trivial_subgroup()]
     while tower[-1].mask != F.carrier.mask:
         cur = tower[-1]
-        quot, _ = factor_parts(F, cur)
+        quot, proj = _oracle_quotient(F, cur)
         core = oracle_o_p(quot)
-        pre = _preimage_subgroup(F, _quotient_parts(F, cur), core)
+        pre = Subgroup(F.parent, pg.mask_of(x for x in F.carrier.members if proj[x] in core))
         if pre.mask == cur.mask:
             break
         tower.append(pre)
     soluble = tower[-1].mask == F.carrier.mask
     return tower, soluble, (len(tower) - 1 if soluble else None)
+
+
+def _oracle_quotient(F: FusionSystem, T: Subgroup) -> tuple[FusionSystem, dict[int, int]]:
+    """F/T for T normal in the carrier P, plus the projection of P's members.
+
+    The right cosets Tx, found through G.mul and numbered by their least
+    member, are the points; x in P acts by Tr -> Trx.  An iso of F between
+    overgroups of T that maps T onto itself induces Tx -> T phi(x)."""
+    G = F.parent
+    coset: dict[int, int] = {}
+    reps: list[int] = []
+    for x in F.carrier.members:
+        if x not in coset:
+            for t in T.members:
+                coset[G.mul(t, x)] = len(reps)
+            reps.append(x)
+    action = {x: tuple(coset[G.mul(r, x)] for r in reps) for x in F.carrier.members}
+    Q = pg.group_from_generators(len(reps), list(action.values()), f"oracle {G.name}/{T.order}")
+    proj = {x: Q.index_of(pg.Perm(img)) for x, img in action.items()}
+    table: dict = {}
+    for (r, s), homs in F.table.items():
+        if T.mask & ~r.mask or T.mask & ~s.mask:
+            continue
+        for phi in homs:
+            m = phi.mapping
+            if any(not (T.mask >> m[t]) & 1 for t in T.members):
+                continue
+            pairs = {proj[x]: proj[m[x]] for x in r.members}
+            key = (Subgroup(Q, pg.mask_of(pairs)), Subgroup(Q, pg.mask_of(pairs.values())))
+            table.setdefault(key, set()).add(GroupHom(key[0], key[1], pairs.items()))
+    return FusionSystem(Q.full_subgroup(), F.p, table, provenance="oracle-quotient"), proj
 
 
 def brute_subgroup_count(G: Group) -> int:

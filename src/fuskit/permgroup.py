@@ -12,6 +12,7 @@ and ``x^g = g^-1 x g``.
 from __future__ import annotations
 
 import os
+import weakref
 from collections import Counter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -52,16 +53,17 @@ def cached(owner, name: str, key, build, *args):
     """The memo entry ``owner._caches[name][key]``, computed once as ``build(*args)``.
 
     Groups, fusion systems and the verification context each own a
-    ``_caches`` dict of named tables.  A fusion system's ``_caches`` may be
-    shared with its twins, the live systems with the same kind, prime,
-    carrier and table (see ``fusion.PreFusionSystem``), so a table built
-    here for a system must depend on that content alone.  Most tables are
-    declared with ``memo``.  A site calls ``cached`` itself when a check it
-    runs on every call reads more than the owner and the key (the parent of a
-    subgroup the key holds as a mask, an order cap, a warning), when the key
-    is not the one ``memo`` builds (an inferred prime, a list of homs, a
-    corpus record), or when the build is a function defined elsewhere
-    (``norm``, ``cent``).
+    ``_caches`` dict of named tables.  A group's ``_caches`` is shared with
+    the live groups of its identity (see ``Group``), and a fusion system's
+    with its twins, the live systems with the same kind, prime, carrier and
+    table (see ``fusion.PreFusionSystem``), so a table built here must depend
+    on that identity or content alone.  Most tables are declared with
+    ``memo``.  A site calls ``cached`` itself when a check it runs on every
+    call reads more than the owner and the key (the parent of a subgroup the
+    key holds as a mask, an order cap, a warning), when the key is not the
+    one ``memo`` builds (an inferred prime, a list of homs, a corpus record,
+    another system's memo), or when the build is a function defined
+    elsewhere (``norm``, ``cent``).
     """
     try:
         return owner._caches[name][key]
@@ -180,8 +182,43 @@ class Perm:
         return "Perm(" + "".join("(" + " ".join(map(str, c)) + ")" for c in cyc) + ")"
 
 
+class _Shared(dict):
+    """The memo tables of one group identity, with the element tables its
+    Group objects share as attributes (a dict subclass, so it can be held
+    weakly)."""
+
+    __slots__ = ("elements", "index", "hash", "conj", "mul", "inv", "orders", "__weakref__")
+
+    def __init__(self, elements: tuple[Perm, ...], images: tuple[tuple[int, ...], ...],
+                 degree: int):
+        super().__init__()
+        self.elements = elements
+        self.index = {img: i for i, img in enumerate(images)}
+        self.hash = hash((degree, images))
+        self.conj = {}
+        self.mul = self.inv = self.orders = None
+
+
+# (degree, name, generator images, element images) -> the tables of the live
+# groups with that identity
+_GROUPS: "weakref.WeakValueDictionary[tuple, _Shared]" = weakref.WeakValueDictionary()
+
+
 class Group:
-    """A fully enumerated permutation group; element index 0 is the identity."""
+    """A fully enumerated permutation group; element index 0 is the identity.
+
+    A group's content is never changed after construction (its tables are
+    only filled in), and its name and generators are part of its identity,
+    with its degree and elements.  Groups of one
+    identity are interned: constructing one while another is live gives an
+    object that shares the other's element index, conjugation maps,
+    multiplication, inverse and order tables, and memo tables (``_caches``).
+    The registry holds those weakly, so it keeps no group alive.  The name and
+    generators belong to the key so that a memoized subgroup's parent, which
+    is the group that first asked, cannot be told apart from a later asker.
+    Equality and hashing stay by content (degree and elements), so renamed
+    twins still share the memos of equal fusion systems.
+    """
 
     __slots__ = (
         "degree",
@@ -198,19 +235,34 @@ class Group:
     )
 
     def __init__(self, degree: int, name: str, generators: tuple[Perm, ...], elements: tuple[Perm, ...]):
+        images = tuple(p.images for p in elements)
+        key = (degree, name, tuple(g.images for g in generators), images)
+        shared = _GROUPS.get(key)
+        if shared is None:
+            if not elements[0].is_identity():
+                raise InvariantViolation("canonical order must put the identity first")
+            shared = _GROUPS[key] = _Shared(elements, images, degree)
         self.degree = degree
         self.name = name
         self.generators = generators
-        self.elements = elements
-        self._index = {p.images: i for i, p in enumerate(elements)}
-        self._mul = None
-        self._inv = None
-        self._orders = None
-        self._conj = {}
-        self._hash = None
-        self._caches = {}
-        if not elements[0].is_identity():
-            raise InvariantViolation("canonical order must put the identity first")
+        self.elements = shared.elements
+        self._index = shared.index
+        self._conj = shared.conj
+        self._hash = shared.hash
+        self._mul = shared.mul
+        self._inv = shared.inv
+        self._orders = shared.orders
+        self._caches = shared
+
+    def _shared_table(self, name: str, build):
+        """The shared table ``name`` (mul, inv or orders), built on first use."""
+        shared = self._caches
+        table = getattr(shared, name)
+        if table is None:
+            table = build()
+            setattr(shared, name, table)
+        setattr(self, "_" + name, table)
+        return table
 
     # -- construction --------------------------------------------------
 
@@ -238,12 +290,15 @@ class Group:
 
     def _ensure_mul(self):
         if self._mul is None and self.order <= _TABLE_LIMIT:
-            idx = self._index
-            rows = []
-            for a in self.elements:
-                ai = a.images
-                rows.append(tuple(idx[tuple(b.images[i] for i in ai)] for b in self.elements))
-            self._mul = tuple(rows)
+            self._shared_table("mul", self._composed_table)
+
+    def _composed_table(self) -> tuple[tuple[int, ...], ...]:
+        idx = self._index
+        rows = []
+        for a in self.elements:
+            ai = a.images
+            rows.append(tuple(idx[tuple(b.images[i] for i in ai)] for b in self.elements))
+        return tuple(rows)
 
     def mul(self, a: int, b: int) -> int:
         """Index of elements[a] * elements[b] (a first, then b)."""
@@ -258,9 +313,11 @@ class Group:
         return mt[a][b]
 
     def inv(self, a: int) -> int:
-        if self._inv is None:
-            self._inv = tuple(self._index[p.inverse().images] for p in self.elements)
-        return self._inv[a]
+        inv = self._inv
+        if inv is None:
+            inv = self._shared_table(
+                "inv", lambda: tuple(self._index[p.inverse().images] for p in self.elements))
+        return inv[a]
 
     def conj(self, x: int, g: int) -> int:
         """g^-1 x g."""
@@ -276,16 +333,20 @@ class Group:
         return cm
 
     def element_order(self, a: int) -> int:
-        if self._orders is None:
-            orders = []
-            for x in range(self.order):
-                n, y = 1, x
-                while y != 0:
-                    y = self.mul(y, x)
-                    n += 1
-                orders.append(n)
-            self._orders = tuple(orders)
-        return self._orders[a]
+        orders = self._orders
+        if orders is None:
+            orders = self._shared_table("orders", self._order_table)
+        return orders[a]
+
+    def _order_table(self) -> tuple[int, ...]:
+        orders = []
+        for x in range(self.order):
+            n, y = 1, x
+            while y != 0:
+                y = self.mul(y, x)
+                n += 1
+            orders.append(n)
+        return tuple(orders)
 
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, (1 << self.order) - 1)
@@ -304,17 +365,15 @@ class Group:
         return True
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, Group):
             return NotImplemented
-        if hash(self) != hash(other) or self.degree != other.degree:
+        if self._caches is other._caches:  # one identity
+            return True
+        if self._hash != other._hash or self.degree != other.degree:
             return False
         return [p.images for p in self.elements] == [p.images for p in other.elements]
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.degree, tuple(p.images for p in self.elements)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -642,8 +701,9 @@ def thompson_subgroup(S: Subgroup) -> Subgroup:
     return S.parent.subgroup_of(x for T in abelian if T.order == top for x in T.members)
 
 
+@memo("sylow")
 def sylow(G: Group, p: int) -> Subgroup:
-    """One Sylow p-subgroup, grown greedily in canonical element order."""
+    """One Sylow p-subgroup, grown greedily in canonical element order.  Cached."""
     _check_prime(p)
     cur_gens: list[int] = []
     cur_mask = 1
@@ -779,11 +839,12 @@ def quotient_group(G: Group, N: Subgroup) -> tuple[Group, tuple[int, ...]]:
         gen_perms.append(perms[images[gid]])
     Q = Group._from_elements(k, perms.values(), f"{G.name}/{N.order}", generators=gen_perms)
     proj = tuple(Q.index_of(perms[images[g]]) for g in range(G.order))
-    if G._mul is not None:
+    mt = G._caches.mul
+    if mt is not None:
         lift = [0] * k
         for r in reps:
             lift[proj[r]] = r
-        Q._mul = _table_through(G._mul, lift, proj)
+        Q._shared_table("mul", lambda: _table_through(mt, lift, proj))
     return Q, proj
 
 
@@ -795,8 +856,9 @@ def as_group(S: Subgroup) -> tuple[Group, tuple[int, ...]]:
     gens = [parent.elements[i] for i in S.generating_ids()] or [Perm.identity(parent.degree)]
     G = Group(parent.degree, f"{parent.name}|{S.order}",
               tuple(gens), tuple(parent.elements[i] for i in mem))
-    if parent._mul is not None:
-        G._mul = _table_through(parent._mul, mem, {x: i for i, x in enumerate(mem)})
+    mt = parent._caches.mul
+    if mt is not None:
+        G._shared_table("mul", lambda: _table_through(mt, mem, {x: i for i, x in enumerate(mem)}))
     return G, mem
 
 

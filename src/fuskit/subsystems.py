@@ -102,7 +102,16 @@ def _require_strongly_closed(F: FusionSystem, Q: Subgroup):
 
 
 def is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
-    """Stability of E under F-conjugation, checked over all morphism pairs."""
+    """Stability of E under F-conjugation, checked over all morphism pairs.
+
+    Cached in E's memo, keyed by the id of F's memo: the entry also holds F's
+    memo, so the id cannot pass to another object while the entry lives.  The
+    table sits with E, which is mostly the shorter-lived of the two."""
+    f_memo = F._caches
+    return cached(E, "invariant", id(f_memo), lambda: (f_memo, _is_invariant(F, E)))[1]
+
+
+def _is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
     Q = E.carrier
     _require_strongly_closed(F, Q)
     e_pairs = _pairs_by_key(E)

@@ -431,6 +431,10 @@ def test_verify_work_bound(verify_run):
     assert builds["saturated"] <= 300
     assert n_phi <= 4000
     assert builds["o_p"] <= 300
+    # interned groups share their lattices and Sylow subgroups: 62 and 1,031
+    # builds, against 1,622 lattices with one memo per group object
+    assert builds["sylow"] <= 100
+    assert builds["subgroups_of"] <= 1_300
 
 
 def test_every_system_memo_table_is_audited(verify_run):

@@ -60,6 +60,25 @@ def test_order_cap():
         pg.group_from_generators(6, [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]], "A6", cap=100)
 
 
+def test_equal_identities_share_their_tables(groups):
+    s4 = groups["s4"]
+    s4.mul(0, 0)
+    again = pg.group_from_generators(s4.degree, s4.generators, s4.name)
+    assert again._caches is s4._caches and again == s4
+    assert again._mul is s4._mul and again._index is s4._index
+    assert pg.sylow(again, 2) is pg.sylow(s4, 2)
+
+
+def test_registry_lets_groups_go():
+    import gc
+    G = pg.group_from_generators(3, [[1, 2, 0]], "C3-transient")
+    key = (3, "C3-transient", ((1, 2, 0),), tuple(p.images for p in G.elements))
+    assert key in pg._GROUPS
+    del G
+    gc.collect()
+    assert key not in pg._GROUPS
+
+
 def test_identity_first_and_inverse_law(groups):
     for G in groups.values():
         assert G.elements[0].is_identity()
@@ -113,7 +132,9 @@ def test_normal_subgroups_match_class_union_oracle(groups):
 def test_normal_structure_work_bound(groups, monkeypatch):
     # counts work, not time: the normal-closure joins made 814 and 849 closures
     a6 = groups["a6"]
-    fresh = pg.Group(a6.degree, a6.name, a6.generators, a6.elements)
+    # its own name makes it a new identity: interning would hand back the warm A6
+    fresh = pg.Group(a6.degree, "A6-cold", a6.generators, a6.elements)
+    assert fresh._caches is not a6._caches
     pg.subgroups(fresh)
     calls = 0
     closure = pg._closure_from_gens
@@ -463,11 +484,13 @@ def test_automorphism_search_work_bound(corpus_entries, monkeypatch):
 
 
 def test_tables_read_through_parent_match_composition(groups):
-    # as_group and quotient_group take their tables from the parent's
+    # as_group and quotient_group take their tables from the parent's; the
+    # reference composes the permutations here, without a Group, which would
+    # be interned and hand back the very table under test
     def composed(H):
-        fresh = pg.Group(H.degree, H.name, H.generators, H.elements)
-        fresh._ensure_mul()
-        return fresh._mul
+        idx = {p.images: i for i, p in enumerate(H.elements)}
+        return tuple(tuple(idx[tuple(b.images[i] for i in a.images)] for b in H.elements)
+                     for a in H.elements)
 
     for name in ("s4", "qd3"):
         G = groups[name]

@@ -32,6 +32,34 @@ def test_system_round_trip(s4_system, e16_seeded):
         assert ser.dump_system(again) == ser.canonical_json(doc)
 
 
+def test_group_round_trip_is_interned(groups):
+    for G in groups.values():
+        again = ser.group_from_dict(ser.group_to_dict(G))
+        assert again is G or again._caches is G._caches
+
+
+def test_system_round_trip_reuses_the_group_memos():
+    # the roundtrip's ambient group is interned with the original, so its
+    # lattice is not built again
+    from collections import Counter
+    G = pg.group_from_generators(4, [[1, 2, 3, 0], [3, 2, 1, 0]], "D8-roundtrip")
+    F = fz.fusion_generated(G, 2)
+    before = Counter(pg.BUILDS)
+    back = ser.system_from_dict(ser.system_to_dict(F))
+    assert back.parent._caches is G._caches
+    assert back.subgroups() == F.subgroups()
+    assert (pg.BUILDS - before)["subgroups_of"] == 0
+
+
+def test_renamed_twin_keeps_its_name(groups):
+    s4 = groups["s4"]
+    ser.system_to_dict(fz.fusion_from_group(s4, 2))  # warm s4's memos first
+    twin = pg.Group(s4.degree, "S4-twin", s4.generators, s4.elements)
+    assert twin == s4 and twin._caches is not s4._caches
+    assert ser.system_to_dict(fz.fusion_from_group(twin, 2))["ambient"]["name"] == "S4-twin"
+    assert pg.sylow(twin, 2).parent.name == "S4-twin"
+
+
 def test_bar_system_round_trip(e16_seeded):
     from fuskit import quotients as qt
     G = e16_seeded.parent

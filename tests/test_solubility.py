@@ -19,6 +19,19 @@ def test_tower_s4(s4_system, v4):
     assert [s.order for s in oracle[0]] == [1, 4, 8]
 
 
+def test_oracle_tower_builds_its_own_quotients(s4_system, monkeypatch):
+    from fuskit import quotients as qt
+
+    def production(*args):
+        raise AssertionError("the oracle must not build quotients through the checked path")
+
+    for mod, name in ((qt, "_quotient_parts"), (qt, "factor_parts"), (qt, "_factor_system"),
+                      (pg, "quotient_group"), (pg, "as_group")):
+        monkeypatch.setattr(mod, name, production)
+    tower, soluble, length = oracle_tower(s4_system)
+    assert [s.order for s in tower] == [1, 4, 8] and soluble and length == 2
+
+
 def test_tower_inner(d8_system):
     rep = sol.o_p_tower(d8_system)
     assert [s.order for s in rep.tower] == [1, 8]
