@@ -1093,15 +1093,27 @@ def isomorphisms_between(A: Subgroup, B: Subgroup, find_all: bool = False) -> li
     each candidate image checked on the Cayley edges of its level."""
     if A.order != B.order or _order_histogram(A) != _order_histogram(B):
         return []
+    return _isos_extending(A, B, _cayley_levels(A.parent, A.generating_ids()), (), find_all)
+
+
+def _isos_extending(A: Subgroup, B: Subgroup, levels: list, prefix: Sequence[int],
+                    find_all: bool) -> list[GroupHom]:
+    """The isomorphisms A -> B that send the first generators of
+    A.generating_ids() to prefix, the rest found by backtracking; levels are
+    _cayley_levels of those generators.  Only the first one unless find_all."""
     GA, GB = A.parent, B.parent
     gens = A.generating_ids()
     by_order: dict[int, list[int]] = {}
     for y in B.members:
         by_order.setdefault(GB.element_order(y), []).append(y)
-    levels = _cayley_levels(GA, gens)
     img = [0] * GA.order
-    gen_img = [0] * len(gens)
+    gen_img = list(prefix) + [0] * (len(gens) - len(prefix))
     mul = GB.mul
+    used = 1
+    for k in range(len(prefix)):
+        used = _extend_level(levels[k], img, gen_img, mul, used)
+        if used is None:
+            return []
     found: list[GroupHom] = []
 
     def rec(k: int, used: int) -> bool:
@@ -1117,7 +1129,7 @@ def isomorphisms_between(A: Subgroup, B: Subgroup, find_all: bool = False) -> li
                 return True
         return False
 
-    rec(0, 1)
+    rec(len(prefix), used)
     return found
 
 
@@ -1137,12 +1149,45 @@ def automorphisms(Q: Subgroup) -> list[GroupHom]:
     return sorted(isomorphisms_between(Q, Q, find_all=True), key=hom_key)
 
 
+@memo("aut_generators")
+def automorphism_generators(Q: Subgroup) -> list[GroupHom]:
+    """A generating set of Aut(Q), found without listing Aut(Q).  Cached.
+
+    With g_0..g_k the generating ids of Q and A_i the automorphisms that fix
+    g_0..g_{i-1}, the set is the union of transversals T_i of A_{i+1} in A_i
+    (a stabilizer chain; Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005).  The cosets of A_{i+1} in A_i are the images of g_i
+    under A_i, and such an image y has the order of g_i and lies outside
+    <g_0..g_{i-1}>, which A_i fixes pointwise; so T_i holds the first
+    automorphism the search finds for each such y != g_i that has one.
+    A_i = T_i A_{i+1} with A_{k+1} trivial, so the T_i generate Aut(Q).
+    """
+    G = Q.parent
+    gens = Q.generating_ids()
+    levels = _cayley_levels(G, gens)
+    out: list[GroupHom] = []
+    for i, g in enumerate(gens):
+        fixed = _closure_from_gens(G, gens[:i])
+        order = G.element_order(g)
+        for y in Q.members:
+            if y != g and not (fixed >> y) & 1 and G.element_order(y) == order:
+                out += _isos_extending(Q, Q, levels, gens[:i] + (y,), False)
+    return out
+
+
 def characteristic_subgroups(Q: Subgroup) -> list[Subgroup]:
-    """Subgroups of Q stable under every automorphism of Q."""
-    auts = automorphisms(Q)
+    """Subgroups of Q stable under every automorphism of Q.
+
+    S is kept when a(x) is in S for every a in automorphism_generators(Q) and
+    every x in S.generating_ids().  That suffices: a(S) = <a(x)> has the order
+    of S, so a(S) <= S gives a(S) = S, and the automorphisms that fix S form
+    a subgroup of Aut(Q), which holds Aut(Q) once it holds its generators.
+    """
+    auts = [a.mapping for a in automorphism_generators(Q)]
     out = []
     for S in subgroups_of(Q):
-        if all(mask_image(a.mapping, S.mask) == S.mask for a in auts):
+        gens = S.generating_ids()
+        if all((S.mask >> m[x]) & 1 for m in auts for x in gens):
             out.append(S)
     return out
 

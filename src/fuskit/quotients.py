@@ -15,8 +15,7 @@ from typing import Optional
 from . import permgroup as pg
 from .errors import (
     ImageNotAFusionSystem,
-    NotAHomomorphism,
-    NotInjective,
+    NotAnIsomorphism,
     NotNormalInP,
     NotSaturated,
     NotStronglyClosed,
@@ -31,7 +30,6 @@ from .fusion import (
     is_weakly_closed,
     same_system,
     transport,
-    validate_hom,
 )
 from .permgroup import Group, GroupHom, Subgroup, memo
 
@@ -257,12 +255,11 @@ def _canonical_transport_equal(A: PreFusionSystem, B: PreFusionSystem, xs,
         return False
     if set(pairs) != set(A.carrier.members) or len(set(pairs.values())) != B.carrier.order:
         return False
-    theta = GroupHom(A.carrier, B.carrier, pairs.items())
     try:
-        validate_hom(theta)
-    except (NotAHomomorphism, NotInjective):
+        moved = transport(A, GroupHom(A.carrier, B.carrier, pairs.items()))
+    except NotAnIsomorphism:
         return False
-    return same_system(transport(A, theta), B)
+    return same_system(moved, B)
 
 
 def verify_second_iso(F: FusionSystem, Q: Subgroup, E: FusionSystem) -> bool:

@@ -435,6 +435,11 @@ def test_verify_work_bound(verify_run):
     # builds, against 1,622 lattices with one memo per group object
     assert builds["sylow"] <= 100
     assert builds["subgroups_of"] <= 1_300
+    # characteristic subgroups are tested against a generating set of Aut(Q):
+    # no verify suite lists all of Aut(Q) (128 lists before), and the
+    # generating sets are built 128 times
+    assert builds["automorphisms"] == 0
+    assert builds["aut_generators"] <= 200
 
 
 def test_every_system_memo_table_is_audited(verify_run):

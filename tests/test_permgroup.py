@@ -466,9 +466,13 @@ def test_sylow_automorphism_digests(corpus_entries, groups):
     assert got == SYLOW_AUT_DIGESTS
 
 
-def test_automorphism_search_work_bound(corpus_entries, monkeypatch):
+def test_automorphism_search_work_bound(groups, monkeypatch):
     # counts work, not time: the closure-based extension made 10,055,760 calls
-    e16 = corpus_entries["e16"].load_group()
+    e16 = groups["e16"]
+    # its own name makes it a new identity: interning would hand back the E16
+    # whose automorphisms an earlier test listed, and the count would be 0
+    cold = pg.Group(e16.degree, "E16-cold", e16.generators, e16.elements)
+    assert cold._caches is not e16._caches
     calls = 0
     mul = pg.Group.mul
 
@@ -478,9 +482,42 @@ def test_automorphism_search_work_bound(corpus_entries, monkeypatch):
         return mul(self, a, b)
 
     monkeypatch.setattr(pg.Group, "mul", counting_mul)
-    assert len(pg.automorphisms(pg.sylow(e16, 2))) == 20160
-    assert calls <= 2_000_000
+    full = pg.sylow(cold, 2)
+    # a generating set of Aut(E16) takes 2,944 products, the list of it 848,074
+    calls = 0
+    assert len(pg.automorphism_generators(full)) <= 60
+    assert 0 < calls <= 10_000
+    calls = 0
+    assert len(pg.automorphisms(full)) == 20160
+    assert 0 < calls <= 2_000_000
     assert not hasattr(pg, "_extend_hom")
+
+
+def test_automorphism_generators_generate_aut(groups):
+    # <gens> = Aut(Q) exactly when every generator is an automorphism and
+    # <gens>, acting on the members of Q, has order |Aut(Q)| (Schreier-Sims
+    # via sympy).  The brute oracle tries |Q|^k generator images, so Aut(Q)
+    # is the full search's list above order 16 and on e16, where the brute
+    # oracle on the whole group would take 16^4 candidates of 16 elements
+    for name, G in groups.items():
+        for Q in pg.subgroups(G):
+            gens = pg.automorphism_generators(Q)
+            small = Q.order <= 16 and name != "e16"
+            aut = {a.pairs for a in (brute_automorphisms(Q) if small else pg.automorphisms(Q))}
+            assert all(a.pairs in aut for a in gens), (name, Q.mask)
+            pos = {x: i for i, x in enumerate(Q.members)}
+            perms = [Permutation([pos[a(x)] for x in Q.members]) for a in gens]
+            order = PermutationGroup(perms).order() if perms else 1
+            assert order == len(aut), (name, Q.mask)
+
+
+def test_characteristic_subgroups_match_the_filter_over_all_of_aut(groups):
+    for name, G in groups.items():
+        for Q in pg.subgroups(G):
+            auts = pg.automorphisms(Q)
+            expected = [S for S in pg.subgroups_of(Q)
+                        if all(pg.mask_image(a.mapping, S.mask) == S.mask for a in auts)]
+            assert pg.characteristic_subgroups(Q) == expected, (name, Q.mask)
 
 
 def test_tables_read_through_parent_match_composition(groups):
