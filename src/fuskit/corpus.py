@@ -9,7 +9,7 @@ from typing import Optional
 
 from .errors import ParseError
 from .fusion import FusionSystem, fusion_from_group, fusion_generated
-from .permgroup import Group
+from .permgroup import Group, is_prime
 from .serialization import _seed_from_dict, load_group, load_json
 
 
@@ -51,20 +51,52 @@ def builtin_group(name: str) -> Group:
     return load_group(path)
 
 
+def _is_prime(p) -> bool:
+    return type(p) is int and is_prime(p)
+
+
+def _is_prime_key(k: str) -> bool:
+    return k.isascii() and k.isdigit() and is_prime(int(k))
+
+
 def entry_from_dict(d: dict, path: Path) -> CorpusEntry:
-    if not isinstance(d, dict) or "name" not in d or "group" not in d:
-        raise ParseError(f"{path}: corpus entry needs 'name' and 'group'")
+    def need(ok: bool, what: str):
+        if not ok:
+            raise ParseError(f"{path}: {what}")
+
+    need(isinstance(d, dict) and "name" in d and isinstance(d.get("group"), str),
+         "corpus entry needs 'name' and a 'group' path")
+    primes = d.get("primes", [])
+    need(isinstance(primes, list) and all(_is_prime(p) for p in primes),
+         "'primes' must be a list of primes")
+    models = d.get("models", {})
+    need(isinstance(models, dict)
+         and all(_is_prime_key(p) and isinstance(rel, str) for p, rel in models.items()),
+         "'models' must map primes to group files")
+    generated = d.get("generated_systems", [])
+    need(isinstance(generated, list)
+         and all(isinstance(g, dict) and _is_prime(g.get("p"))
+                 and isinstance(g.get("seed_morphisms", []), list) for g in generated),
+         "every generated system must be an object with a prime 'p'"
+         " and, if given, a list 'seed_morphisms'")
+    need(isinstance(d.get("named_subgroups", {}), dict), "'named_subgroups' must be an object")
+    expected = d.get("expected", {})
+    need(isinstance(expected, dict) and all(isinstance(v, dict) for v in expected.values()),
+         "'expected' must map names to objects")
+    for name, block in expected.items():
+        if "value" not in block:
+            need(all(isinstance(leaf, dict) and "value" in leaf for leaf in block.values()),
+                 f"every value in expected block {name!r} must be an object with a 'value'")
     base = path.parent
-    models = {int(p): base / rel for p, rel in d.get("models", {}).items()}
     return CorpusEntry(
         name=str(d["name"]),
         path=path,
         group_path=base / d["group"],
-        primes=[int(p) for p in d.get("primes", [])],
-        models=models,
-        generated_systems=list(d.get("generated_systems", [])),
+        primes=list(primes),
+        models={int(p): base / rel for p, rel in models.items()},
+        generated_systems=list(generated),
         named_subgroups=dict(d.get("named_subgroups", {})),
-        expected=dict(d.get("expected", {})),
+        expected=dict(expected),
     )
 
 
@@ -106,7 +138,7 @@ def corpus_systems(entries: list[CorpusEntry], cap: Optional[int] = None) -> lis
         for p in entry.primes:
             records.append(SystemRecord(entry, p, "conj", G, fusion_from_group(G, p, cap=cap)))
         for gen in entry.generated_systems:
-            p = int(gen["p"])
+            p = gen["p"]
             seeds = [_seed_from_dict(G, s) for s in gen.get("seed_morphisms", [])]
             label = str(gen.get("label", "generated"))
             records.append(SystemRecord(entry, p, label, G, fusion_generated(G, p, seeds)))

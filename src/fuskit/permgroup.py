@@ -53,17 +53,17 @@ def cached(owner, name: str, key, build, *args):
     """The memo entry ``owner._caches[name][key]``, computed once as ``build(*args)``.
 
     Groups, fusion systems and the verification context each own a
-    ``_caches`` dict of named tables.  A group's ``_caches`` is shared with
-    the live groups of its identity (see ``Group``), and a fusion system's
-    with its twins, the live systems with the same kind, prime, carrier and
-    table (see ``fusion.PreFusionSystem``), so a table built here must depend
-    on that identity or content alone.  Most tables are declared with
-    ``memo``.  A site calls ``cached`` itself when a check it runs on every
-    call reads more than the owner and the key (the parent of a subgroup the
-    key holds as a mask, an order cap, a warning), when the key is not the
-    one ``memo`` builds (an inferred prime, a list of homs, a corpus record,
-    another system's memo), or when the build is a function defined
-    elsewhere (``norm``, ``cent``).
+    ``_caches`` dict of named tables.  A group's is its own, since a live
+    identity is one object (see ``Group``); a fusion system's is shared with
+    its twins, the live systems with the same kind, prime, carrier and table
+    (see ``fusion.PreFusionSystem``).  So a table built here must depend on
+    the group's identity or the system's content alone.  Most tables are
+    declared with ``memo``.  A site calls ``cached`` itself when a check it
+    runs on every call reads more than the owner and the key (the parent of a
+    subgroup the key holds as a mask, an order cap, a warning), when the key
+    is not the one ``memo`` builds (an inferred prime, a list of homs, a
+    corpus record, another system's memo), or when the build is a function
+    defined elsewhere (``norm``, ``cent``).
     """
     try:
         return owner._caches[name][key]
@@ -182,26 +182,8 @@ class Perm:
         return "Perm(" + "".join("(" + " ".join(map(str, c)) + ")" for c in cyc) + ")"
 
 
-class _Shared(dict):
-    """The memo tables of one group identity, with the element tables its
-    Group objects share as attributes (a dict subclass, so it can be held
-    weakly)."""
-
-    __slots__ = ("elements", "index", "hash", "conj", "mul", "inv", "orders", "__weakref__")
-
-    def __init__(self, elements: tuple[Perm, ...], images: tuple[tuple[int, ...], ...],
-                 degree: int):
-        super().__init__()
-        self.elements = elements
-        self.index = {img: i for i, img in enumerate(images)}
-        self.hash = hash((degree, images))
-        self.conj = {}
-        self.mul = self.inv = self.orders = None
-
-
-# (degree, name, generator images, element images) -> the tables of the live
-# groups with that identity
-_GROUPS: "weakref.WeakValueDictionary[tuple, _Shared]" = weakref.WeakValueDictionary()
+# (degree, name, generator images, element images) -> the live group
+_GROUPS: "weakref.WeakValueDictionary[tuple, Group]" = weakref.WeakValueDictionary()
 
 
 class Group:
@@ -209,15 +191,14 @@ class Group:
 
     A group's content is never changed after construction (its tables are
     only filled in), and its name and generators are part of its identity,
-    with its degree and elements.  Groups of one
-    identity are interned: constructing one while another is live gives an
-    object that shares the other's element index, conjugation maps,
-    multiplication, inverse and order tables, and memo tables (``_caches``).
-    The registry holds those weakly, so it keeps no group alive.  The name and
+    with its degree and elements.  Groups are interned: constructing a group
+    whose identity is live returns that live object, with its multiplication,
+    inverse and order tables, conjugation maps and memo tables (``_caches``).
+    The registry holds groups weakly, so it keeps none alive.  The name and
     generators belong to the key so that a memoized subgroup's parent, which
     is the group that first asked, cannot be told apart from a later asker.
     Equality and hashing stay by content (degree and elements), so renamed
-    twins still share the memos of equal fusion systems.
+    twins, distinct objects, still share the memos of equal fusion systems.
     """
 
     __slots__ = (
@@ -232,37 +213,32 @@ class Group:
         "_conj",
         "_hash",
         "_caches",
+        "__weakref__",
     )
 
-    def __init__(self, degree: int, name: str, generators: tuple[Perm, ...], elements: tuple[Perm, ...]):
+    def __new__(cls, degree: int, name: str, generators: tuple[Perm, ...], elements: tuple[Perm, ...]):
         images = tuple(p.images for p in elements)
         key = (degree, name, tuple(g.images for g in generators), images)
-        shared = _GROUPS.get(key)
-        if shared is None:
-            if not elements[0].is_identity():
-                raise InvariantViolation("canonical order must put the identity first")
-            shared = _GROUPS[key] = _Shared(elements, images, degree)
+        self = _GROUPS.get(key)
+        if self is not None:
+            return self
+        if not elements[0].is_identity():
+            raise InvariantViolation("canonical order must put the identity first")
+        self = super().__new__(cls)
         self.degree = degree
         self.name = name
         self.generators = generators
-        self.elements = shared.elements
-        self._index = shared.index
-        self._conj = shared.conj
-        self._hash = shared.hash
-        self._mul = shared.mul
-        self._inv = shared.inv
-        self._orders = shared.orders
-        self._caches = shared
+        self.elements = elements
+        self._index = {img: i for i, img in enumerate(images)}
+        self._hash = hash((degree, images))
+        self._mul = self._inv = self._orders = None
+        self._conj = {}
+        self._caches = {}
+        _GROUPS[key] = self
+        return self
 
-    def _shared_table(self, name: str, build):
-        """The shared table ``name`` (mul, inv or orders), built on first use."""
-        shared = self._caches
-        table = getattr(shared, name)
-        if table is None:
-            table = build()
-            setattr(shared, name, table)
-        setattr(self, "_" + name, table)
-        return table
+    def __reduce__(self):  # copy and pickle go through __new__, so they intern too
+        return Group, (self.degree, self.name, self.generators, self.elements)
 
     # -- construction --------------------------------------------------
 
@@ -290,7 +266,7 @@ class Group:
 
     def _ensure_mul(self):
         if self._mul is None and self.order <= _TABLE_LIMIT:
-            self._shared_table("mul", self._composed_table)
+            self._mul = self._composed_table()
 
     def _composed_table(self) -> tuple[tuple[int, ...], ...]:
         idx = self._index
@@ -315,8 +291,7 @@ class Group:
     def inv(self, a: int) -> int:
         inv = self._inv
         if inv is None:
-            inv = self._shared_table(
-                "inv", lambda: tuple(self._index[p.inverse().images] for p in self.elements))
+            inv = self._inv = tuple(self._index[p.inverse().images] for p in self.elements)
         return inv[a]
 
     def conj(self, x: int, g: int) -> int:
@@ -335,7 +310,7 @@ class Group:
     def element_order(self, a: int) -> int:
         orders = self._orders
         if orders is None:
-            orders = self._shared_table("orders", self._order_table)
+            orders = self._orders = self._order_table()
         return orders[a]
 
     def _order_table(self) -> tuple[int, ...]:
@@ -367,7 +342,7 @@ class Group:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Group):
             return NotImplemented
-        if self._caches is other._caches:  # one identity
+        if self is other:
             return True
         if self._hash != other._hash or self.degree != other.degree:
             return False
@@ -839,12 +814,12 @@ def quotient_group(G: Group, N: Subgroup) -> tuple[Group, tuple[int, ...]]:
         gen_perms.append(perms[images[gid]])
     Q = Group._from_elements(k, perms.values(), f"{G.name}/{N.order}", generators=gen_perms)
     proj = tuple(Q.index_of(perms[images[g]]) for g in range(G.order))
-    mt = G._caches.mul
-    if mt is not None:
+    mt = G._mul
+    if mt is not None and Q._mul is None:
         lift = [0] * k
         for r in reps:
             lift[proj[r]] = r
-        Q._shared_table("mul", lambda: _table_through(mt, lift, proj))
+        Q._mul = _table_through(mt, lift, proj)
     return Q, proj
 
 
@@ -856,9 +831,9 @@ def as_group(S: Subgroup) -> tuple[Group, tuple[int, ...]]:
     gens = [parent.elements[i] for i in S.generating_ids()] or [Perm.identity(parent.degree)]
     G = Group(parent.degree, f"{parent.name}|{S.order}",
               tuple(gens), tuple(parent.elements[i] for i in mem))
-    mt = parent._caches.mul
-    if mt is not None:
-        G._shared_table("mul", lambda: _table_through(mt, mem, {x: i for i, x in enumerate(mem)}))
+    mt = parent._mul
+    if mt is not None and G._mul is None:
+        G._mul = _table_through(mt, mem, {x: i for i, x in enumerate(mem)})
     return G, mem
 
 

@@ -178,6 +178,8 @@ def system_from_dict(d: dict, cap: Optional[int] = None) -> PreFusionSystem:
         _require_fields(iso, "stored morphism", ("domain", "codomain", "map"))
         dom = Subgroup(G, _member_mask(G, iso["domain"]))
         cod = Subgroup(G, _member_mask(G, iso["codomain"]))
+        if not (dom <= carrier and cod <= carrier):
+            raise ValidationError("stored morphism does not lie inside the carrier")
         pairs = iso["map"]
         _require(isinstance(pairs, list) and all(isinstance(pr, list) and len(pr) == 2
                                                  for pr in pairs),

@@ -64,9 +64,23 @@ def test_equal_identities_share_their_tables(groups):
     s4 = groups["s4"]
     s4.mul(0, 0)
     again = pg.group_from_generators(s4.degree, s4.generators, s4.name)
-    assert again._caches is s4._caches and again == s4
-    assert again._mul is s4._mul and again._index is s4._index
+    assert again is s4
     assert pg.sylow(again, 2) is pg.sylow(s4, 2)
+
+
+def test_every_constructor_returns_the_live_group(groups):
+    import copy
+    import pickle
+    G = groups["s4"]
+    assert pg.Group(G.degree, G.name, G.generators, G.elements) is G
+    assert pg.Group._from_elements(G.degree, reversed(G.elements), G.name, G.generators) is G
+    key = (G.degree, G.name, tuple(g.images for g in G.generators),
+           tuple(p.images for p in G.elements))
+    assert pg._GROUPS[key] is G
+    assert copy.copy(G) is G and pickle.loads(pickle.dumps(G)) is G
+    renamed = pg.Group(G.degree, "S4-renamed", G.generators, G.elements)
+    assert renamed is not G and renamed == G and hash(renamed) == hash(G)
+    assert renamed._caches is not G._caches
 
 
 def test_registry_lets_groups_go():

@@ -35,7 +35,7 @@ def test_system_round_trip(s4_system, e16_seeded):
 def test_group_round_trip_is_interned(groups):
     for G in groups.values():
         again = ser.group_from_dict(ser.group_to_dict(G))
-        assert again is G or again._caches is G._caches
+        assert again is G
 
 
 def test_system_round_trip_reuses_the_group_memos():
@@ -46,7 +46,7 @@ def test_system_round_trip_reuses_the_group_memos():
     F = fz.fusion_generated(G, 2)
     before = Counter(pg.BUILDS)
     back = ser.system_from_dict(ser.system_to_dict(F))
-    assert back.parent._caches is G._caches
+    assert back.parent is G
     assert back.subgroups() == F.subgroups()
     assert (pg.BUILDS - before)["subgroups_of"] == 0
 
@@ -245,15 +245,51 @@ def _system_doc(group_name, prime, **changes):
     (("fusion", "check"), _system_doc("c3", 3, carrier=[0, 1])),
     (("fusion", "check"), _system_doc("c3", 3, isos=[
         {"domain": [0, 1], "codomain": [0, 1], "map": [[0, 0], [1, 1]]}])),
+    (("fusion", "check"), _system_doc("s4", 2, carrier=list(pg.core_p(builtin_group("s4"), 2).members))),
 ], ids=["system-without-ambient", "system-p-not-prime", "spec-p-not-prime",
         "string-in-generator", "bool-in-generator", "bool-degree",
-        "subgroup-spec-not-a-list", "carrier-not-subgroup", "domain-not-subgroup"])
+        "subgroup-spec-not-a-list", "carrier-not-subgroup", "domain-not-subgroup",
+        "iso-outside-carrier"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, doc):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
     assert run_cli(*argv[:2], str(path), *argv[2:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_stored_iso_outside_the_carrier_is_rejected():
+    # cut the s4@2 carrier to V4: the stored isos on the order-8 Sylow leave it
+    v4 = pg.core_p(builtin_group("s4"), 2)
+    doc = _system_doc("s4", 2, carrier=list(v4.members))
+    with pytest.raises(ValidationError, match="carrier"):
+        ser.system_from_dict(doc)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("primes", ["x"]), ("primes", [4]), ("primes", [True]), ("primes", 3),
+    ("models", {"x": "groups/c3.json"}),
+    ("generated_systems", [5]), ("generated_systems", [{"label": "g"}]),
+    ("expected", {"p3": 5}), ("expected", {"p3": {"saturated": True}}),
+    ("expected", {"order": 5}),
+    ("group", 5), ("models", {"3": 5}), ("named_subgroups", 5),
+    ("generated_systems", [{"p": 3, "seed_morphisms": 5}]),
+], ids=["primes-string", "primes-composite", "primes-bool", "primes-not-a-list",
+        "model-key-not-prime", "generated-not-an-object", "generated-without-p",
+        "expected-block-not-an-object", "expected-leaf-not-an-object", "expected-order-not-an-object",
+        "group-not-a-path", "model-not-a-path", "named-subgroups-not-an-object",
+        "seeds-not-a-list"])
+def test_verify_malformed_corpus_entry_exit_code(tmp_path, capsys, field, value):
+    import shutil
+    corpus = tmp_path / "corpus"
+    (corpus / "groups").mkdir(parents=True)
+    shutil.copy(CORPUS / "groups" / "c3.json", corpus / "groups")
+    doc = json.loads((CORPUS / "c3.json").read_text())
+    doc[field] = value
+    (corpus / "c3.json").write_text(json.dumps(doc))
+    assert run_cli("verify", str(corpus)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "c3.json" in err
 
 
 def test_cli_check_without_automorphisms_of_the_carrier(tmp_path):
