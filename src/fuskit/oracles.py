@@ -148,19 +148,19 @@ def _oracle_quotient(F: FusionSystem, T: Subgroup) -> tuple[FusionSystem, dict[i
     return FusionSystem(Q.full_subgroup(), F.p, table, provenance="oracle-quotient"), proj
 
 
-def brute_subgroup_count(G: Group) -> int:
-    """Subgroups as closures of k-element subsets, k grown to stabilization."""
+def brute_subgroups(S: Subgroup) -> list[int]:
+    """The masks of the subgroups of S, ordered by (order, mask): the closures
+    of k-element subsets of S's members, k grown until no new mask appears."""
     found = {1}
     k = 0
-    while True:
+    while k < S.order:
         k += 1
         before = len(found)
-        for combo in combinations(range(G.order), k):
-            found.add(pg._closure_from_gens(G, combo))
+        for combo in combinations(S.members, k):
+            found.add(pg._closure_from_gens(S.parent, combo))
         if len(found) == before and k > 1:
-            return len(found)
-        if k >= G.order:
-            return len(found)
+            break
+    return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
 def brute_normal_subgroups(G: Group) -> list[Subgroup]:

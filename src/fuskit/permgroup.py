@@ -528,7 +528,18 @@ def subgroups(G: Group, cap: Optional[int] = None) -> list[Subgroup]:
 
 @memo("subgroups_of")
 def subgroups_of(S: Subgroup) -> list[Subgroup]:
-    """All subgroups of the subgroup S, ordered by (order, bitmask).  Cached."""
+    """All subgroups of the subgroup S, ordered by (order, bitmask).  Cached.
+
+    Cyclic extension over S-conjugacy classes: only one representative H of
+    each class is joined with the cyclic representatives r (one element per
+    cyclic subgroup of S), and a new join brings in its whole S-orbit, closed
+    under conjugation by the generators of S.  Every class is reached: let
+    K = <K', x> with K' = H^g for a representative H and g in S.  Then
+    K = <H, x^(g^-1)>^g, and <x^(g^-1)> = <r> for a cyclic representative r,
+    so <H, r> = <H, x^(g^-1)> is joined and K is in its orbit.  Every
+    subgroup is a chain of cyclic extensions of 1, so induction along the
+    chain reaches them all.
+    """
     G = S.parent
     # one representative per cyclic subgroup: <x'> = <x> gives the same joins
     cyc_rep: dict[int, int] = {}
@@ -539,12 +550,14 @@ def subgroups_of(S: Subgroup) -> list[Subgroup]:
 
     G._ensure_mul()
     mt = G._mul
-    known: dict[int, tuple[int, ...]] = {1: ()}
-    layer = [1]
+    gens_s = S.generating_ids()
+    # conjugation by a generator central in S fixes every subgroup of S
+    conj = [G.conj_map(g) for g in gens_s if any(G.mul(g, h) != G.mul(h, g) for h in gens_s)]
+    known = {1}
+    layer: list[tuple[int, tuple[int, ...]]] = [(1, ())]
     while layer:
         nxt = []
-        for mask in layer:
-            gens = known[mask]
+        for mask, gens in layer:
             covered = mask
             if mt is not None:
                 h_rows = [mt[h] for h in _bits(mask)]
@@ -562,8 +575,18 @@ def subgroups_of(S: Subgroup) -> list[Subgroup]:
                     j, hx = _coset_join(mt, h_rows, mask, new_gens, most, S.mask)
                     covered |= hx  # <H, h*x> = <H, x>: those joins are known
                 if j not in known:
-                    known[j] = new_gens
-                    nxt.append(j)
+                    known.add(j)
+                    orbit = [(j, new_gens)]
+                    for k, k_gens in orbit:  # orbit grows while we walk it
+                        for cm in conj:
+                            c_gens = tuple(cm[y] for y in k_gens)
+                            if all((k >> y) & 1 for y in c_gens):
+                                continue  # k^g is generated inside k, so it is k
+                            c = mask_image(cm, k)
+                            if c not in known:
+                                known.add(c)
+                                orbit.append((c, c_gens))
+                    nxt.append((j, new_gens))
         layer = nxt
     return sorted((Subgroup(G, m) for m in known), key=subgroup_key)
 

@@ -21,8 +21,6 @@ from .fusion import (
 )
 from .permgroup import Group, GroupHom, Subgroup
 
-GroupResolver = Callable[[str], Group]
-
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -84,7 +82,7 @@ def load_group(path: Union[str, Path], cap: Optional[int] = None) -> Group:
 
 # -- fusion specs ---------------------------------------------------------------
 
-def _resolve_group(ref, base_dir: Optional[Path], resolver: Optional[GroupResolver],
+def _resolve_group(ref, base_dir: Optional[Path], resolver: Optional[Callable[[str], Group]],
                    cap: Optional[int]) -> Group:
     if isinstance(ref, dict):
         return group_from_dict(ref, cap=cap)
@@ -113,7 +111,7 @@ def _seed_from_dict(G: Group, d: dict) -> GroupHom:
 
 
 def fusion_spec_from_dict(d: dict, base_dir: Optional[Path] = None,
-                          resolver: Optional[GroupResolver] = None,
+                          resolver: Optional[Callable[[str], Group]] = None,
                           cap: Optional[int] = None) -> FusionSystem:
     """Build a system from a spec document: conjugation fusion of an ambient
     group, or a generated system from seed morphisms on a p-group."""
@@ -132,7 +130,7 @@ def fusion_spec_from_dict(d: dict, base_dir: Optional[Path] = None,
     raise ParseError(f"unknown fusion mode {mode!r}")
 
 
-def load_fusion_spec(path: Union[str, Path], resolver: Optional[GroupResolver] = None,
+def load_fusion_spec(path: Union[str, Path], resolver: Optional[Callable[[str], Group]] = None,
                      cap: Optional[int] = None) -> FusionSystem:
     path = Path(path)
     return fusion_spec_from_dict(load_json(path), base_dir=path.parent,
@@ -214,7 +212,7 @@ def dump_system(F: PreFusionSystem) -> str:
     return canonical_json(system_to_dict(F))
 
 
-def load_system_or_spec(path: Union[str, Path], resolver: Optional[GroupResolver] = None,
+def load_system_or_spec(path: Union[str, Path], resolver: Optional[Callable[[str], Group]] = None,
                         cap: Optional[int] = None) -> PreFusionSystem:
     """Load a serialized computed system, a build spec, or the wrapped output
     of the quotient subcommand."""

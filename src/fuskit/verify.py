@@ -21,7 +21,7 @@ from . import quotients as qt
 from . import solubility as sol
 from . import subsystems as ss
 from .corpus import CorpusEntry, SystemRecord, corpus_systems, load_corpus
-from .errors import FuskitError
+from .errors import FuskitError, ParseError
 from .fusion import (
     FusionSystem,
     fusion_from_group,
@@ -124,14 +124,23 @@ class _Ctx:
     def saturated(self) -> list[SystemRecord]:
         return [r for r in self.records if is_saturated(r.system)]
 
-    def named_subgroup(self, rec: SystemRecord, name: str) -> Subgroup:
-        gens = rec.entry.named_subgroups[name]
-        ids = [rec.group.index_of(pg.Perm.checked(g, rec.group.degree)) for g in gens]
-        return rec.group.subgroup_of(ids)
+    def named_ids(self, rec: SystemRecord, name: str, need: int = 1) -> list[int]:
+        """The element ids of the generators ``named_subgroups[name]`` of the
+        record's entry, which must list at least ``need`` of them."""
+        gens = rec.entry.named_subgroups.get(name)
+        if gens is None:
+            raise ParseError(f"{rec.entry.path}: 'named_subgroups' has no {name!r}")
+        if not isinstance(gens, list) or len(gens) < need:
+            raise ParseError(f"{rec.entry.path}: named subgroup {name!r} needs a list "
+                             f"of at least {need} generators")
+        return [rec.group.index_of(pg.Perm.checked(g, rec.group.degree)) for g in gens]
 
-    def named_element(self, rec: SystemRecord, name: str) -> int:
-        gens = rec.entry.named_subgroups[name]
-        return rec.group.index_of(pg.Perm.checked(gens[0], rec.group.degree))
+    def named_subgroup(self, rec: SystemRecord, name: str) -> Subgroup:
+        return rec.group.subgroup_of(self.named_ids(rec, name))
+
+    def named_element(self, rec: SystemRecord, name: str, i: int = 0) -> int:
+        """The i-th generator of the named subgroup."""
+        return self.named_ids(rec, name, i + 1)[i]
 
     def knorm_instances(self, rec: SystemRecord):
         """(Q, K-homs, N_F(Q), N_F^K(Q)) for fully normalized Q and K normal
@@ -245,7 +254,7 @@ def _s_example_intersection(ctx: _Ctx) -> Check:
             None if len(auts) == 2 else {"aut_order": len(auts)}
 
         x = ctx.named_element(rec, "Q")          # generator x of the dihedral factor
-        y = G.index_of(pg.Perm.checked(rec.entry.named_subgroups["Q"][1], G.degree))
+        y = ctx.named_element(rec, "Q", 1)
         x2 = G.mul(x, x)
         x2y = G.mul(x2, y)
         swap = GroupHom(S, S, [(0, 0), (x2, x2), (y, x2y), (x2y, y)])

@@ -23,7 +23,7 @@ from fuskit.errors import (
 from fuskit.oracles import (
     brute_automorphisms,
     brute_normal_subgroups,
-    brute_subgroup_count,
+    brute_subgroups,
     gaussian_subspace_total,
 )
 
@@ -103,10 +103,52 @@ def test_identity_first_and_inverse_law(groups):
 # -- subgroup enumeration ------------------------------------------------------
 
 def test_subgroup_counts(groups):
-    assert len(pg.subgroups(groups["d8"])) == 10 == brute_subgroup_count(groups["d8"])
+    assert len(pg.subgroups(groups["d8"])) == 10 == len(brute_subgroups(groups["d8"].full_subgroup()))
     assert len(pg.subgroups(groups["c3"])) == 2
     assert len(pg.subgroups(groups["c2"])) == 2
     assert len(pg.subgroups(groups["e16"])) == 67 == gaussian_subspace_total(4, 2)
+
+
+def test_subgroups_match_the_brute_oracle(groups):
+    # proper subgroups too: their lattice closes orbits under S, not under G
+    carriers = [G.full_subgroup() for G in groups.values() if G.order <= 24]
+    carriers += [pg.sylow(groups["a6"], 2), pg.sylow(groups["qd3"], 3)]
+    for S in carriers:
+        assert [H.mask for H in pg.subgroups_of(S)] == brute_subgroups(S)
+
+
+@pytest.mark.parametrize("name, count, most", [("a6", 501, 2_000), ("qd3", 182, 1_000)])
+def test_lattice_join_work_bound(groups, monkeypatch, name, count, most):
+    # counts work, not time: joining every subgroup made 30,147 and 7,158 joins
+    G = groups[name]
+    # its own name makes it a new identity: interning would hand back the warm group
+    fresh = pg.Group(G.degree, f"{name}-joins", G.generators, G.elements)
+    assert fresh._caches is not G._caches
+    calls = 0
+    join = pg._coset_join
+
+    def counting_join(*args):
+        nonlocal calls
+        calls += 1
+        return join(*args)
+
+    monkeypatch.setattr(pg, "_coset_join", counting_join)
+    assert len(pg.subgroups(fresh)) == count
+    assert 0 < calls <= most
+
+
+def _from_cycles(degree, *gens):
+    return pg.group_from_generators(
+        degree, [Permutation(cycles, size=degree).array_form for cycles in gens])
+
+
+def test_wide_carrier_lattices():
+    s3_wr_c3 = _from_cycles(9, [[0, 1, 2]], [[0, 1]], [[0, 3, 6], [1, 4, 7], [2, 5, 8]])
+    c2_wr_c2_wr_c2 = _from_cycles(8, [[0, 1]], [[0, 2], [1, 3]], [[0, 4], [1, 5], [2, 6], [3, 7]])
+    assert (s3_wr_c3.order, c2_wr_c2_wr_c2.order) == (648, 128)
+    assert len(pg.subgroups(s3_wr_c3)) == 1_208
+    assert len(pg.subgroups(c2_wr_c2_wr_c2)) == 576
+    assert sol.is_qdp_free_group(s3_wr_c3, 3)
 
 
 def test_subgroup_invariants(groups):

@@ -292,6 +292,28 @@ def test_verify_malformed_corpus_entry_exit_code(tmp_path, capsys, field, value)
     assert err.startswith("error: ") and err.count("\n") == 1 and "c3.json" in err
 
 
+@pytest.mark.parametrize("entry, theorem, named", [
+    ("e16", "example-sixteen-quotient", None),
+    ("e16", "example-sixteen-quotient", {"A": [[1, 0, 2, 3, 4, 5, 6, 7]]}),
+    ("d8xc2", "example-intersection-unsaturated", {"R": [[1, 2, 3, 0, 5, 4]]}),
+    ("d8xc2", "example-intersection-unsaturated",
+     {"Q": [[1, 2, 3, 0, 4, 5]], "R": [[1, 2, 3, 0, 5, 4]]}),
+], ids=["e16-without-names", "e16-without-B", "d8xc2-without-Q", "d8xc2-Q-too-short"])
+def test_verify_missing_named_subgroup_exit_code(tmp_path, capsys, entry, theorem, named):
+    import shutil
+    corpus = tmp_path / "corpus"
+    (corpus / "groups").mkdir(parents=True)
+    shutil.copy(CORPUS / "groups" / f"{entry}.json", corpus / "groups")
+    doc = json.loads((CORPUS / f"{entry}.json").read_text())
+    doc.pop("named_subgroups")
+    if named is not None:
+        doc["named_subgroups"] = named
+    (corpus / f"{entry}.json").write_text(json.dumps(doc))
+    assert run_cli("verify", str(corpus), "--theorem", theorem) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"{entry}.json" in err
+
+
 def test_cli_check_without_automorphisms_of_the_carrier(tmp_path):
     # no iso at all, not even the identity of P: the Sylow axiom fails
     path = tmp_path / "empty.json"
