@@ -15,6 +15,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import permgroup as pg
@@ -194,25 +195,18 @@ def fusion_from_group(G: Group, p: int, cap: Optional[int] = None) -> FusionSyst
 def validate_hom(h: GroupHom):
     """Check that h is a well-formed injective homomorphism into its codomain.
 
-    Multiplicativity is checked on the Cayley edges (x, g), g in the domain's
-    generating ids: f(x*g) = f(x)*f(g) for those gives f(x*y) = f(x)*f(y) for
-    every y, by induction on the length of y as a word in the generators."""
-    GA = h.domain.parent
-    GB = h.codomain.parent
+    Multiplicativity is checked on the Cayley edges of the domain
+    (``permgroup.maps_cayley_edges``)."""
     m = h.mapping
-    if set(m) != set(h.domain.members):
+    members = h.domain.members
+    if set(m) != set(members):
         raise NotAHomomorphism("map is not total on the domain")
     if m.get(0) != 0:
         raise NotAHomomorphism("identity must map to identity")
-    gens = [(g, m[g]) for g in h.domain.generating_ids()]
-    for x, fx in m.items():
-        for g, fg in gens:
-            fxg = m.get(GA.mul(x, g))
-            if fxg is None:
-                raise NotASubgroup("the domain is not a subgroup")
-            if fxg != GB.mul(fx, fg):
-                raise NotAHomomorphism("map is not multiplicative")
-    if len(set(m.values())) != len(m):
+    imgs = [m[x] for x in members]
+    if not pg.maps_cayley_edges(pg.cayley_columns(h.domain), imgs, h.codomain.parent):
+        raise NotAHomomorphism("map is not multiplicative")
+    if len(set(imgs)) != len(imgs):
         raise NotInjective("map is not injective")
     if h.image_mask & ~h.codomain.mask:
         raise NotAHomomorphism("image escapes the codomain")
@@ -230,18 +224,36 @@ def generated_on(carrier: Subgroup, p: int, seeds: Sequence[GroupHom],
     inverse of a composite is the reversed composite of the inverses; so the
     generators are the given maps closed under restriction and inverse, and
     the system is every word in them.  Conjugation by x is a positive word in
-    conjugations by the carrier's generating ids, so only those are used.  The
-    words are found by a search from the identity of every subgroup, which
-    extends each new iso by every generator defined on its image."""
-    gens: dict[int, set[GroupHom]] = {}
-    for (Q, _), homs in _conjugation_table(carrier, carrier.generating_ids()).items():
-        gens.setdefault(Q.mask, set()).update(homs)
+    conjugations by the carrier's generating ids, so only those are used.
+
+    A generator is a plain {x: y} dict over its domain, filed under the
+    domain's mask with the mask of its image, and kept once per image tuple.
+    A word Q -> R is the tuple of its images aligned with Q.members; a
+    generator on R extends it by one lookup per member, and the extension's
+    image is the generator's.  The search starts from the identity of every
+    subgroup and extends each new word by every generator on its image.  The
+    homs are built only for the words found.  The trivial subgroup has only
+    its identity, so no generator is filed for it."""
+    G = carrier.parent
+    subs = pg.subgroups_of(carrier)
+    gens: dict[int, dict[tuple[int, ...], tuple[dict[int, int], int]]] = {}
+
+    def add(q: int, m: dict[int, int], r: int):  # m lists q's members in order
+        gens.setdefault(q, {})[tuple(m.values())] = (m, r)
+
+    for g in carrier.generating_ids():
+        cm = G.conj_map(g)
+        for Q in subs[1:]:
+            m = {x: cm[x] for x in Q.members}
+            add(Q.mask, m, pg.mask_of(m.values()))
 
     def insert(h: GroupHom):  # with its inverse, restricted to every subgroup
-        for Q in pg.subgroups_of(h.domain):
-            r = h.restriction(Q)
-            gens.setdefault(Q.mask, set()).add(r)
-            gens.setdefault(r.image_mask, set()).add(r.inverse())
+        hm = h.mapping
+        for Q in pg.subgroups_of(h.domain)[1:]:
+            m = {x: hm[x] for x in Q.members}
+            r = pg.mask_of(m.values())
+            add(Q.mask, m, r)
+            add(r, dict(sorted(zip(m.values(), m))), Q.mask)
 
     for homs in (base or {}).values():
         for h in homs:
@@ -252,17 +264,22 @@ def generated_on(carrier: Subgroup, p: int, seeds: Sequence[GroupHom],
         validate_hom(seed)
         insert(seed)
 
-    found = [GroupHom.identity(Q) for Q in pg.subgroups_of(carrier)]
-    seen = {h.pairs for h in found}  # a hom's pairs fix its domain and its map
-    for h in found:  # found grows while we walk it
-        for g in gens.get(h.image_mask, ()):
-            w = h.then(g)
-            if w.pairs not in seen:
-                seen.add(w.pairs)
-                found.append(w)
+    steps = {q: list(d.values()) for q, d in gens.items()}
+    words = [(Q.mask, Q.members, Q.mask) for Q in subs]
+    seen = {(q, imgs) for q, imgs, _ in words}
+    for q, imgs, r in words:  # words grows while we walk it
+        if r in steps:
+            get = itemgetter(*imgs)
+            for m, s in steps[r]:
+                w = get(m)
+                if (q, w) not in seen:
+                    seen.add((q, w))
+                    words.append((q, w, s))
+    sub = {Q.mask: Q for Q in subs}
     table: dict[TablePair, set[GroupHom]] = {}
-    for h in found:
-        table.setdefault((h.domain, h.image()), set()).add(h)
+    for q, imgs, r in words:
+        Q, R = sub[q], sub[r]
+        table.setdefault((Q, R), set()).add(GroupHom(Q, R, zip(Q.members, imgs), r))
     return FusionSystem(carrier, p, table, provenance=provenance)
 
 

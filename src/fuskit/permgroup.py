@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import weakref
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -551,8 +552,11 @@ def subgroups_of(S: Subgroup) -> list[Subgroup]:
     G._ensure_mul()
     mt = G._mul
     gens_s = S.generating_ids()
-    # conjugation by a generator central in S fixes every subgroup of S
-    conj = [G.conj_map(g) for g in gens_s if any(G.mul(g, h) != G.mul(h, g) for h in gens_s)]
+    # conjugation by a generator central in S fixes every subgroup of S; the
+    # orbit step reads it on S's members only, so without a table (where a
+    # map over all of G costs a product per element) only they are conjugated
+    conj = [G.conj_map(g) if mt is not None else {x: G.conj(x, g) for x in S.members}
+            for g in gens_s if any(G.mul(g, h) != G.mul(h, g) for h in gens_s)]
     known = {1}
     layer: list[tuple[int, tuple[int, ...]]] = [(1, ())]
     while layer:
@@ -961,9 +965,9 @@ class GroupHom:
 
 
 def _image_mask(pairs) -> int:
-    """The bitmask of the images in (source, image) pairs.  Homs are composed
-    in the inner loop of fusion.generated_on's word search, where a loop
-    written out here is markedly faster than mask_of over a generator."""
+    """The bitmask of the images in (source, image) pairs.  Every restricted,
+    composed or induced hom needs one, and a loop written out here is markedly
+    faster than mask_of over a generator."""
     mask = 0
     for _, y in pairs:
         mask |= 1 << y
@@ -1002,6 +1006,40 @@ def hom_build(domain: Subgroup, codomain: Subgroup,
     if used & ~codomain.mask:
         raise ImageEscapesCodomain("image is not contained in the codomain")
     return GroupHom(domain, codomain, ((x, img[x]) for x in elts), used)
+
+
+def cayley_columns(S: Subgroup) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The Cayley edges (x, x*g) of S for its generating ids g, as positions
+    in S.members: one (position of g, positions of x*g for x in members) per
+    g.  Raises NotASubgroup when S's mask is not a subgroup: a set holding 1
+    and closed under right multiplication by the generating ids, which are
+    picked so that they generate every member, is the group they generate."""
+    if not S.mask & 1:
+        raise NotASubgroup("the domain is not a subgroup")
+    mul = S.parent.mul
+    pos = {x: i for i, x in enumerate(S.members)}
+    try:
+        return tuple((pos[g], tuple([pos[mul(x, g)] for x in S.members]))
+                     for g in S.generating_ids())
+    except KeyError:
+        raise NotASubgroup("the domain is not a subgroup") from None
+
+
+def maps_cayley_edges(cols, imgs: Sequence[int], H: Group) -> bool:
+    """Whether the map members[i] -> imgs[i] of a subgroup S into H sends
+    S's Cayley edges (``cayley_columns(S)``) to Cayley edges: f(x*g) =
+    f(x)*f(g) for every member x and generating id g.  With f(1) = 1 that
+    makes f multiplicative: f(x*y) = f(x)*f(y) follows by induction on the
+    length of y as a word in the generating ids."""
+    H._ensure_mul()
+    mt = H._mul
+    rows = None if mt is None else list(map(mt.__getitem__, imgs))
+    for at, col in cols:
+        fg = imgs[at]
+        got = [H.mul(y, fg) for y in imgs] if mt is None else list(map(itemgetter(fg), rows))
+        if got != list(map(imgs.__getitem__, col)):
+            return False
+    return True
 
 
 def _cayley_levels(G: Group, gens: Sequence[int]) -> list[tuple[list, list]]:

@@ -7,6 +7,7 @@ byte-identical, and parse(serialize(x)) round-trips exactly.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -17,7 +18,6 @@ from .fusion import (
     PreFusionSystem,
     fusion_from_group,
     fusion_generated,
-    validate_hom,
 )
 from .permgroup import Group, GroupHom, Subgroup
 
@@ -140,14 +140,14 @@ def load_fusion_spec(path: Union[str, Path], resolver: Optional[Callable[[str], 
 # -- computed systems -------------------------------------------------------------
 
 def system_to_dict(F: PreFusionSystem) -> dict:
+    """The document of a computed system; the stored isos of one (domain,
+    codomain) pair share their two member lists."""
     isos = []
     for (q, r), homs in F.table.items():
-        for h in sorted(homs, key=pg.hom_key):
-            isos.append({
-                "domain": list(q.members),
-                "codomain": list(r.members),
-                "map": [list(pair) for pair in h.pairs],
-            })
+        # every hom under one key has domain q and image r: pairs alone sort them
+        dom, cod = list(q.members), list(r.members)
+        isos.extend({"domain": dom, "codomain": cod, "map": list(map(list, pairs))}
+                    for pairs in sorted(h.pairs for h in homs))
     return {
         "format": "fusion-system",
         "version": 1,
@@ -160,7 +160,22 @@ def system_to_dict(F: PreFusionSystem) -> dict:
     }
 
 
+_INT, _TWO = {int}, {2}
+
+
 def system_from_dict(d: dict, cap: Optional[int] = None) -> PreFusionSystem:
+    """Parse a computed system, checking every stored iso.
+
+    Each distinct domain or codomain list is parsed once per document: its
+    entries must be element ids of the ambient group (ints, not bools), it
+    must lie in the carrier, and it must be a subgroup (its Cayley columns,
+    ``permgroup.cayley_columns``, must exist).  Each stored iso must be a
+    list of [source, image] pairs of element ids whose sorted sources are the
+    domain's members, which maps 0 to 0, whose sorted images are the
+    codomain's members (so it is injective and onto its codomain), and
+    which is multiplicative on the domain's Cayley edges
+    (``permgroup.maps_cayley_edges``).  A failed check raises ParseError or
+    ValidationError."""
     _require(isinstance(d, dict) and d.get("format") == "fusion-system",
              "not a fusion-system document")
     _require(d.get("version") == 1, "unsupported fusion-system version")
@@ -170,32 +185,59 @@ def system_from_dict(d: dict, cap: Optional[int] = None) -> PreFusionSystem:
     carrier = Subgroup(G, _member_mask(G, d["carrier"]))
     _require(G.subgroup_of(carrier.members).mask == carrier.mask, "the carrier is not a subgroup")
     _require(isinstance(d["isos"], list), "field 'isos' must be a list")
+    # a member list -> (its subgroup, its members, its Cayley columns)
+    parsed: dict[tuple[int, ...], tuple[Subgroup, list[int], tuple]] = {}
+
+    def subgroup(ids) -> tuple[Subgroup, list[int], tuple]:
+        # True == 1 and hash(True) == hash(1): only a list of ints may hit
+        if isinstance(ids, list) and {*map(type, ids)} == _INT:
+            got = parsed.get(tuple(ids))
+            if got is not None:
+                return got
+        S = Subgroup(G, _member_mask(G, ids))
+        if not S <= carrier:
+            raise ValidationError("stored morphism does not lie inside the carrier")
+        try:
+            got = parsed[tuple(ids)] = (S, list(S.members), pg.cayley_columns(S))
+        except FuskitError as exc:
+            raise ValidationError(f"invalid stored morphism: {exc}") from exc
+        return got
+
+    def invalid(msg: str):
+        raise ValidationError(f"invalid stored morphism: {msg}")
+
     table: dict = {}
     for iso in d["isos"]:
         _require(isinstance(iso, dict), "a stored morphism must be an object")
         _require_fields(iso, "stored morphism", ("domain", "codomain", "map"))
-        dom = Subgroup(G, _member_mask(G, iso["domain"]))
-        cod = Subgroup(G, _member_mask(G, iso["codomain"]))
-        if not (dom <= carrier and cod <= carrier):
-            raise ValidationError("stored morphism does not lie inside the carrier")
+        dom, dom_members, cols = subgroup(iso["domain"])
+        cod, cod_members, _ = subgroup(iso["codomain"])
         pairs = iso["map"]
-        _require(isinstance(pairs, list) and all(isinstance(pr, list) and len(pr) == 2
-                                                 for pr in pairs),
+        _require(isinstance(pairs, list) and all(map(isinstance, pairs, repeat(list)))
+                 and {*map(len, pairs)} <= _TWO,
                  "field 'map' must be a list of [source, image] pairs")
-        _element_ids(G, [i for pr in pairs for i in pr])
-        h = GroupHom(dom, cod, map(tuple, pairs))
-        try:
-            validate_hom(h)
-        except FuskitError as exc:
-            raise ValidationError(f"invalid stored morphism: {exc}") from exc
-        if h.image_mask != cod.mask:
+        srcs, imgs = zip(*pairs) if pairs else ((), ())
+        if {*map(type, srcs), *map(type, imgs)} != _INT:
+            _element_ids(G, srcs + imgs)
+        if list(srcs) != dom_members:
+            if sorted(srcs) != dom_members:
+                invalid("map is not total on the domain")
+            srcs, imgs = zip(*sorted(pairs))
+        if imgs[0] != 0:
+            invalid("identity must map to identity")
+        if sorted(imgs) != cod_members:
+            _element_ids(G, imgs)
+            if len(set(imgs)) != len(imgs):
+                invalid("map is not injective")
             raise ValidationError("stored morphism is not onto its codomain")
-        table.setdefault((dom, cod), set()).add(h)
+        if not pg.maps_cayley_edges(cols, imgs, G):
+            invalid("map is not multiplicative")
+        table.setdefault((dom, cod), set()).add(GroupHom(dom, cod, zip(srcs, imgs), cod.mask))
     cls = FusionSystem if d.get("kind", "fusion") == "fusion" else PreFusionSystem
     return cls(carrier, p, table, provenance=str(d.get("provenance", "parsed")))
 
 
-def _element_ids(G: Group, ids: list) -> list:
+def _element_ids(G: Group, ids):
     n = G.order
     for i in ids:
         if type(i) is not int or not 0 <= i < n:

@@ -313,27 +313,32 @@ def _counting(monkeypatch, owner, name):
     calls = [0]
     real = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
 
 
-def test_generated_on_work_bound(groups, monkeypatch):
-    # the words search composes each iso with the generators on its image
-    # only; closing every composable pair took up to 140 composites per iso
+def test_generated_on_work_bound(corpus_entries, groups, monkeypatch):
+    # the word search runs on image tuples and builds a GroupHom only for
+    # each iso it finds; building one per composite made about four per iso
     G = groups["d8xc2"]
     x, y, z = (G.index_of(g) for g in G.generators)
     x2, xy = G.mul(x, x), G.mul(x, y)
     E1, E2 = G.subgroup_of([x2, y, z]), G.subgroup_of([x2, xy, z])
-    seeds = [pg.hom_build(E1, E2, [(x2, z), (y, xy), (z, x2)]),
-             pg.hom_build(E1, E1, [(x2, y), (y, x2), (z, z)])]
-    calls = _counting(monkeypatch, pg.GroupHom, "then")
-    F = fz.fusion_generated(G, 2, seeds)
-    assert F.iso_count() >= 200
-    assert calls[0] <= 8 * F.iso_count()
+    e16 = groups["e16"]
+    specs = [(G, [pg.hom_build(E1, E2, [(x2, z), (y, xy), (z, x2)]),
+                  pg.hom_build(E1, E1, [(x2, y), (y, x2), (z, z)])]),
+             (e16, [_seed_from_dict(e16, s)
+                    for s in corpus_entries["e16"].generated_systems[0]["seed_morphisms"]])]
+    calls = _counting(monkeypatch, pg.GroupHom, "__init__")
+    for H, seeds in specs:
+        before = calls[0]
+        F = fz.fusion_generated(H, 2, seeds)
+        assert F.iso_count() >= 70
+        assert 0 < calls[0] - before <= F.iso_count()
 
 
 # -- saturation by a second route ----------------------------------------------------

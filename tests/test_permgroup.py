@@ -151,6 +151,20 @@ def test_wide_carrier_lattices():
     assert sol.is_qdp_free_group(s3_wr_c3, 3)
 
 
+def test_lattice_above_the_table_limit_conjugates_members_only():
+    # without a table a conj_map over all of S7 costs 5,040 products per
+    # generator, though the orbit step reads only the images of S4's members
+    s7 = _from_cycles(7, [[0, 1, 2, 3, 4, 5, 6]], [[0, 1]])
+    assert s7.order == 5_040 > pg._TABLE_LIMIT
+    s4 = s7.subgroup_of(s7.index_of(pg.Perm(Permutation(c, size=7).array_form))
+                        for c in ([[0, 1, 2, 3]], [[0, 1]]))
+    assert s4.order == 24
+    conj_maps = set(s7._conj)
+    masks = [H.mask for H in pg.subgroups_of(s4)]
+    assert len(masks) == 30 and masks == brute_subgroups(s4)
+    assert set(s7._conj) == conj_maps
+
+
 def test_subgroup_invariants(groups):
     G = groups["s4"]
     subs = pg.subgroups(G)

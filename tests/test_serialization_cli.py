@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -264,6 +265,86 @@ def test_stored_iso_outside_the_carrier_is_rejected():
     doc = _system_doc("s4", 2, carrier=list(v4.members))
     with pytest.raises(ValidationError, match="carrier"):
         ser.system_from_dict(doc)
+
+
+def _d8_doc_with(bad_iso):
+    """The d8@2 system document, read back from JSON so that no two lists are
+    one object, with the stored iso bad_iso(d) = (domain, codomain, map)
+    appended.  d holds r of order 4, r2 = r^2, r3 = r^3, and the member lists
+    c4 of <r>, v4 of a Klein subgroup and P of the whole carrier."""
+    F = fz.fusion_from_group(builtin_group("d8"), 2)
+    G = F.parent
+    fours = [S for S in pg.subgroups_of(F.carrier) if S.order == 4]
+    r = next(x for S in fours for x in S.members if G.element_order(x) == 4)
+    r2 = G.mul(r, r)
+    d = SimpleNamespace(r=r, r2=r2, r3=G.mul(r2, r), P=list(F.carrier.members),
+                        c4=list(next(S for S in fours if r in S).members),
+                        v4=list(next(S for S in fours if r not in S).members))
+    doc = json.loads(json.dumps(ser.system_to_dict(F)))
+    doc["isos"].append(dict(zip(("domain", "codomain", "map"), bad_iso(d))))
+    return doc
+
+
+def _bool_for_one(ids):
+    # True == 1 and hash(True) == hash(1), so a parsed list with 1 is found for it
+    assert 1 in ids
+    return [True if x == 1 else x for x in ids]
+
+
+_BAD_STORED_ISOS = {  # case: (what the error says, the stored iso)
+    "not-multiplicative": ("not multiplicative", lambda d: (
+        d.c4, d.c4, [[0, 0], [d.r, d.r2], [d.r2, d.r], [d.r3, d.r3]])),
+    "not-injective": ("not injective", lambda d: (
+        d.c4, d.c4, [[0, 0], [d.r, d.r], [d.r2, d.r], [d.r3, d.r3]])),
+    "not-total": ("not total", lambda d: (d.c4, d.c4, [[0, 0], [d.r, d.r], [d.r2, d.r2]])),
+    "moves-identity": ("identity", lambda d: (
+        d.c4, d.c4, [[0, d.r2], [d.r, d.r3], [d.r2, 0], [d.r3, d.r]])),
+    "image-not-codomain": ("not onto", lambda d: (d.c4, d.v4, [[x, x] for x in d.c4])),
+    "domain-not-subgroup": ("not a subgroup", lambda d: ([0, d.r], [0, d.r], [[0, 0], [d.r, d.r]])),
+    "pair-of-three": ("pairs", lambda d: (d.c4, d.c4, [[x, x, x] for x in d.c4])),
+    "bool-in-domain": ("True", lambda d: (_bool_for_one(d.P), d.P, [[x, x] for x in d.P])),
+    "bool-in-map": ("True", lambda d: (d.P, d.P, [[x, x] for x in _bool_for_one(d.P)])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_STORED_ISOS))
+def test_malformed_stored_iso_is_rejected(tmp_path, capsys, case):
+    says, bad_iso = _BAD_STORED_ISOS[case]
+    doc = _d8_doc_with(bad_iso)
+    good = dict(doc, isos=doc["isos"][:-1])
+    assert ser.system_from_dict(good).iso_count() == len(good["isos"])
+    with pytest.raises(ParseError, match=says):  # ValidationError is a ParseError
+        ser.system_from_dict(doc)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("fusion", "check", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_system_from_dict_parses_each_member_list_once(e16_seeded, monkeypatch):
+    # one parse per distinct domain or codomain list, and one GroupHom per
+    # stored iso; parsing both lists of every iso made 2 * 71 + 1 parses here
+    doc = json.loads(json.dumps(ser.system_to_dict(e16_seeded)))
+    calls = {"_member_mask": 0, "GroupHom": 0}
+    member_mask, hom_init = ser._member_mask, pg.GroupHom.__init__
+
+    def counted_mask(*args):
+        calls["_member_mask"] += 1
+        return member_mask(*args)
+
+    def counted_init(*args):
+        calls["GroupHom"] += 1
+        hom_init(*args)
+
+    monkeypatch.setattr(ser, "_member_mask", counted_mask)
+    monkeypatch.setattr(pg.GroupHom, "__init__", counted_init)
+    back = ser.system_from_dict(doc)
+    assert fz.same_system(back, e16_seeded)
+    subgroups = {S for key in back.table for S in key}
+    assert 2 * back.iso_count() > len(subgroups) + 1
+    assert calls["_member_mask"] <= len(subgroups) + 1  # + 1: the carrier
+    assert calls["GroupHom"] == back.iso_count()
 
 
 @pytest.mark.parametrize("field, value", [
