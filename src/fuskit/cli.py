@@ -228,14 +228,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FuskitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

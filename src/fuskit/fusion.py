@@ -54,13 +54,13 @@ class PreFusionSystem:
     ``strongly_closed``, ``saturated``, ``aut_real``, ``centric``,
     ``radical``, ``fnrc``, ``normal_subgroup``, ``o_p``, ``z_f``,
     ``quotient_parts``, ``factor_system``, ``bar_system``, ``generated_bar``,
-    ``k_normalizer``, ``pairs_by_key``, ``invariant``) holds a function of
-    ``(kind, p, carrier, table)`` alone: none reads ``provenance`` or depends
-    on which object asks.  So on its first memo lookup a system finds its
-    memo by that content key in a weak registry: it adopts the memo of any
-    live twin, or registers a fresh one.  The registry holds memos weakly, so
-    it keeps no system alive, and a memo lives as long as one of its systems
-    does.
+    ``pushes_to_factor``, ``is_fusion``, ``k_normalizer``, ``pairs_by_key``,
+    ``invariant``) holds a function of ``(kind, p, carrier, table)`` alone:
+    none reads ``provenance`` or depends on which object asks.  So on its
+    first memo lookup a system finds its memo by that content key in a weak
+    registry: it adopts the memo of any live twin, or registers a fresh one.
+    The registry holds memos weakly, so it keeps no system alive, and a memo
+    lives as long as one of its systems does.
     Groups compare by content, so twins may sit on distinct equal ambient
     groups; a memoized subgroup then lives in the first twin's group, which
     compares equal to the others'.
@@ -213,7 +213,7 @@ def validate_hom(h: GroupHom):
 
 
 def generated_on(carrier: Subgroup, p: int, seeds: Sequence[GroupHom],
-                 base: Optional[dict[TablePair, set[GroupHom]]] = None,
+                 base: Optional[dict[TablePair, Iterable[GroupHom]]] = None,
                  provenance: str = "generated") -> FusionSystem:
     """Smallest fusion system on the carrier containing its conjugation maps,
     the seed isomorphisms (as isos onto their images) and the base maps.

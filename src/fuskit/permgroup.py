@@ -183,7 +183,8 @@ class Perm:
         return "Perm(" + "".join("(" + " ".join(map(str, c)) + ")" for c in cyc) + ")"
 
 
-# (degree, name, generator images, element images) -> the live group
+# (degree, name, generator images, element images) -> the live group, and
+# (degree, name, generator images) -> the live group group_from_generators made
 _GROUPS: "weakref.WeakValueDictionary[tuple, Group]" = weakref.WeakValueDictionary()
 
 
@@ -358,11 +359,17 @@ class Group:
 
 def group_from_generators(degree: int, gens: Sequence, name: str = "G",
                           cap: Optional[int] = None) -> Group:
-    """Enumerate the group generated by ``gens`` (one-line images or Perms)."""
+    """Enumerate the group generated by ``gens`` (one-line images or Perms).
+    The elements follow from the degree and the generators, so a live group
+    made here from the same degree, name and generators is not enumerated again."""
     if degree < 1:
         raise NotAPermutation("degree must be at least 1")
     cap = order_cap(cap)
     perms = [Perm.checked(g.images if isinstance(g, Perm) else g, degree) for g in gens]
+    key = (degree, name, tuple(g.images for g in perms))
+    G = _GROUPS.get(key)
+    if G is not None and G.order <= cap:  # over the cap, enumerating raises
+        return G
     ident = Perm.identity(degree)
     seen = {ident.images: ident}
     frontier = [ident]
@@ -377,7 +384,8 @@ def group_from_generators(degree: int, gens: Sequence, name: str = "G",
                     if len(seen) > cap:
                         raise OrderCapExceeded(f"group order exceeds cap {cap}")
         frontier = nxt
-    return Group._from_elements(degree, seen.values(), name, generators=perms)
+    G = _GROUPS[key] = Group._from_elements(degree, seen.values(), name, generators=perms)
+    return G
 
 
 class Subgroup:
@@ -831,14 +839,9 @@ def quotient_group(G: Group, N: Subgroup) -> tuple[Group, tuple[int, ...]]:
             for n in N.members:
                 coset[G.mul(n, x)] = c
     k = len(reps)
-    images = []
-    for g in range(G.order):
-        images.append(tuple(coset[G.mul(r, g)] for r in reps))
+    images = [tuple(coset[G.mul(r, g)] for r in reps) for g in range(G.order)]
     perms = {img: Perm(img) for img in images}
-    gen_perms = []
-    for gp in G.generators:
-        gid = G.index_of(gp)
-        gen_perms.append(perms[images[gid]])
+    gen_perms = [perms[images[G.index_of(gp)]] for gp in G.generators]
     Q = Group._from_elements(k, perms.values(), f"{G.name}/{N.order}", generators=gen_perms)
     proj = tuple(Q.index_of(perms[images[g]]) for g in range(G.order))
     mt = G._mul

@@ -15,7 +15,8 @@ from typing import Optional
 from . import permgroup as pg
 from .errors import (
     ImageNotAFusionSystem,
-    NotAnIsomorphism,
+    NotAHomomorphism,
+    NotInjective,
     NotNormalInP,
     NotSaturated,
     NotStronglyClosed,
@@ -30,6 +31,7 @@ from .fusion import (
     is_weakly_closed,
     same_system,
     transport,
+    validate_hom,
 )
 from .permgroup import Group, GroupHom, Subgroup, memo
 
@@ -67,21 +69,17 @@ def _preimage_subgroup(F: PreFusionSystem, parts: _QuotientParts, S: Subgroup) -
 
 def factor_parts(F: PreFusionSystem, Q: Subgroup) -> tuple[FusionSystem, dict[int, int]]:
     """The factor system F/Q plus the carrier projection map."""
-    return _factor_system(F, Q), _quotient_parts(F, Q).proj
+    return factor_system(F, Q), _quotient_parts(F, Q).proj
 
 
 @memo("factor_system")
-def _factor_system(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
+def factor_system(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
+    """The factor system on P/Q: morphisms between overgroups of Q fixing Q."""
     parts = _quotient_parts(F, Q)
     fixing_q = (phi for (r, s), homs in F.table.items() if Q <= r and Q <= s
                 for phi in homs if pg.mask_image(phi.mapping, Q.mask) == Q.mask)
     return FusionSystem(parts.group.full_subgroup(), F.p,
                         image_table(fixing_q, parts.proj, parts.group), provenance="factor")
-
-
-def factor_system(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
-    """The factor system on P/Q: morphisms between overgroups of Q fixing Q."""
-    return factor_parts(F, Q)[0]
 
 
 @memo("bar_system")
@@ -100,8 +98,7 @@ def bar_system(F: PreFusionSystem, Q: Subgroup) -> PreFusionSystem:
 def generated_bar(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
     """The fusion closure of the bar system."""
     bar = bar_system(F, Q)
-    return generated_on(bar.carrier, F.p, [], base={k: set(v) for k, v in bar.table.items()},
-                        provenance="generated-bar")
+    return generated_on(bar.carrier, F.p, [], base=bar.table, provenance="generated-bar")
 
 
 # -- the prefusion axiom checker ----------------------------------------------
@@ -115,11 +112,11 @@ class PrefusionWitness:
     homs: tuple[GroupHom, ...]
 
 
+@memo("is_fusion")
 def prefusion_is_fusion(pre: PreFusionSystem) -> tuple[bool, Optional[PrefusionWitness]]:
     """Do the stored isos satisfy the fusion-system axioms (with hom-sets
     derived as iso-then-inclusion)?  Returns the first failure in canonical
     iteration order as a witness."""
-    G = pre.parent
     carrier = pre.carrier
     for A in pg.subgroups_of(carrier):
         for g in carrier.members:
@@ -128,8 +125,7 @@ def prefusion_is_fusion(pre: PreFusionSystem) -> tuple[bool, Optional[PrefusionW
                 return False, PrefusionWitness("missing-conjugation", (theta,))
     isos = pre.all_isos()
     for h in isos:
-        inv = h.inverse()
-        if not pre.contains_iso(inv):
+        if not pre.contains_iso(h.inverse()):
             return False, PrefusionWitness("missing-inverse", (h,))
     for h in isos:
         for A in pg.subgroups_of(h.domain):
@@ -139,8 +135,7 @@ def prefusion_is_fusion(pre: PreFusionSystem) -> tuple[bool, Optional[PrefusionW
             if not pre.contains_iso(res):
                 return False, PrefusionWitness("missing-restriction", (h, res))
     for phi in isos:
-        img = phi.image()
-        for psi in pre.isos_from(img):
+        for psi in pre.isos_from(phi.image()):
             comp = phi.then(psi)
             if not pre.contains_iso(comp):
                 return False, PrefusionWitness("missing-composite", (phi, psi))
@@ -178,9 +173,8 @@ def quotient_morphism(F: FusionSystem, Q: Subgroup, target: str = "generated-bar
         raise ValueError("target must be 'generated-bar' or 'factor'")
     if not is_strongly_closed(F, Q):
         raise NotStronglyClosed("a fusion-system morphism kernel must be strongly closed")
-    parts = _quotient_parts(F, Q)
+    bar = bar_system(F, Q)  # the image of every morphism of F under the projection
     if target == "factor":
-        bar = bar_system(F, Q)
         closed, witness = prefusion_is_fusion(bar)
         tgt = factor_system(F, Q)
         if not closed or not same_system(bar, tgt):
@@ -188,12 +182,9 @@ def quotient_morphism(F: FusionSystem, Q: Subgroup, target: str = "generated-bar
                 f"bar image is not the factor system (witness: {witness})")
     else:
         tgt = generated_bar(F, Q)
-    morph = FusionSystemMorphism(F, tgt, dict(parts.proj), Q)
-    for homs in F.table.values():
-        for phi in homs:
-            if not tgt.contains_iso(morph.apply(phi)):
-                raise ImageNotAFusionSystem("functor condition failed on a morphism")
-    return morph
+    if any(not homs <= tgt.table.get(key, frozenset()) for key, homs in bar.table.items()):
+        raise ImageNotAFusionSystem("functor condition failed on a morphism")
+    return FusionSystemMorphism(F, tgt, dict(_quotient_parts(F, Q).proj), Q)
 
 
 # -- closure transfer -----------------------------------------------------------
@@ -245,39 +236,47 @@ def closure_transfer(F: FusionSystem, Q: Subgroup, strong: bool = True) -> Closu
 
 # -- isomorphism theorems ---------------------------------------------------------
 
-def _canonical_transport_equal(A: PreFusionSystem, B: PreFusionSystem, xs,
-                               to_a, to_b) -> bool:
-    """Transport A along the canonical map to_a(x) -> to_b(x), x in xs, from
-    A's carrier to B's, and compare with B.  A canonical map that is not well
-    defined or not an isomorphism counts as a comparison failure, not an error."""
+def _canonical_iso(A: Subgroup, B: Subgroup, xs, to_a, to_b) -> Optional[GroupHom]:
+    """The map to_a(x) -> to_b(x), x in xs, as an isomorphism of A onto B; None
+    (a failed comparison, not an error) unless it is a well-defined bijective hom."""
     pairs = {to_a[x]: to_b[x] for x in xs}
     if any(pairs[to_a[x]] != to_b[x] for x in xs):
-        return False
-    if set(pairs) != set(A.carrier.members) or len(set(pairs.values())) != B.carrier.order:
-        return False
+        return None
+    theta = GroupHom(A, B, pairs.items())
     try:
-        moved = transport(A, GroupHom(A.carrier, B.carrier, pairs.items()))
-    except NotAnIsomorphism:
-        return False
-    return same_system(moved, B)
+        validate_hom(theta)  # total on A, multiplicative, injective, into B
+    except (NotAHomomorphism, NotInjective):
+        return None
+    return theta if theta.image_mask == B.mask else None
+
+
+@memo("pushes_to_factor")
+def _pushes_to_factor(E: PreFusionSystem, K: Subgroup) -> bool:
+    """Is the push of all of E through the projection of E/K equal to E/K?"""
+    parts = _quotient_parts(E, K)
+    return image_table((phi for homs in E.table.values() for phi in homs),
+                       parts.proj, parts.group) == factor_system(E, K).table
 
 
 def verify_second_iso(F: FusionSystem, Q: Subgroup, E: FusionSystem) -> bool:
-    """EQ/Q (image of E in the bar system) is isomorphic to E/(R n Q), along
-    the canonical coset correspondence."""
+    """EQ/Q (image of E in the bar system) is isomorphic to E/(R n Q), R the
+    carrier of E, along theta: proj(x) -> rproj(x), x in R, where proj and
+    rproj project onto F/Q and E/(R n Q).  As theta o proj = rproj on R, theta
+    moves EQ/Q onto the push of E through rproj; so the check is that this
+    push (memoized on E) is E/(R n Q) and that theta is an isomorphism onto its
+    carrier.  On R the fibres of proj and rproj are both the cosets of R n Q,
+    so the push raises InvariantViolation exactly when one through proj would."""
     if not is_saturated(F):
         raise NotSaturated("the second isomorphism theorem assumes saturation")
     if not is_strongly_closed(F, Q):
         raise NotStronglyClosed("Q must be strongly closed")
     R = E.carrier
     parts = _quotient_parts(F, Q)
-    table = image_table((phi for homs in E.table.values() for phi in homs),
-                        parts.proj, parts.group)
-    eqq = FusionSystem(_image_subgroup(parts, R), E.p, table, provenance="derived")
-
+    image = _image_subgroup(parts, R)
     cap = pg.meet(R, Q)
     right, rproj = factor_parts(E, cap)
-    return _canonical_transport_equal(eqq, right, R.members, parts.proj, rproj)
+    return (_pushes_to_factor(E, cap)  # first, so an iso that induces no map raises
+            and _canonical_iso(image, right.carrier, R.members, parts.proj, rproj) is not None)
 
 
 def verify_third_iso(F: FusionSystem, Q: Subgroup, R: Subgroup) -> bool:
@@ -289,12 +288,12 @@ def verify_third_iso(F: FusionSystem, Q: Subgroup, R: Subgroup) -> bool:
     if not Q <= R:
         raise NotNormalInP("Q must be contained in R")
     fq, proj1 = factor_parts(F, Q)
-    parts1 = _quotient_parts(F, Q)
-    r_over_q = _image_subgroup(parts1, R)
-    f2, proj2 = factor_parts(fq, r_over_q)
+    f2, proj2 = factor_parts(fq, _image_subgroup(_quotient_parts(F, Q), R))
     fr, proj3 = factor_parts(F, R)
     members = F.carrier.members
-    return _canonical_transport_equal(f2, fr, members, {x: proj2[proj1[x]] for x in members}, proj3)
+    theta = _canonical_iso(f2.carrier, fr.carrier, members,
+                           {x: proj2[proj1[x]] for x in members}, proj3)
+    return theta is not None and same_system(transport(f2, theta), fr)
 
 
 def local_determination_holds(F: FusionSystem, Q: Subgroup) -> bool:

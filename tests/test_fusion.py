@@ -408,9 +408,12 @@ def test_registry_lets_systems_go(groups):
 
 @pytest.fixture(scope="module")
 def verify_run():
-    """One full verify: its report, the builds per memo table, the n_phi
-    calls, and the corpus records, kept alive so their memos stay registered."""
+    """One full verify: its report, the builds per memo table, counted calls
+    (n_phi, induced_pairs, GroupHom builds, and the transports made inside
+    verify_second_iso), and the corpus records, kept alive so their memos
+    stay registered."""
     from collections import Counter
+    from fuskit import quotients as qt
     from fuskit import verify
     from fuskit.corpus import shipped_corpus_dir
     records = []
@@ -420,12 +423,34 @@ def verify_run():
         records.extend(real(*args, **kwargs))
         return records
 
+    inside = [0]
+    second_transports = [0]
+    real_second, real_transport = qt.verify_second_iso, fz.transport
+
+    def second_iso(*args):
+        inside[0] += 1
+        try:
+            return real_second(*args)
+        finally:
+            inside[0] -= 1
+
+    def transport(*args):
+        second_transports[0] += inside[0] > 0
+        return real_transport(*args)
+
     before = Counter(pg.BUILDS)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "corpus_systems", capture)
-        n_phi = _counting(mp, fz, "n_phi")
+        mp.setattr(qt, "verify_second_iso", second_iso)
+        mp.setattr(qt, "transport", transport)
+        mp.setattr(fz, "transport", transport)
+        counted = {"n_phi": _counting(mp, fz, "n_phi"),
+                   "induced_pairs": _counting(mp, pg, "induced_pairs"),
+                   "GroupHom": _counting(mp, pg.GroupHom, "__init__")}
         report = verify.run_verification(shipped_corpus_dir())
-    return report, pg.BUILDS - before, n_phi[0], records
+    calls = {name: c[0] for name, c in counted.items()}
+    calls["second_iso_transport"] = second_transports[0]
+    return report, pg.BUILDS - before, calls, records
 
 
 def test_verify_work_bound(verify_run):
@@ -433,10 +458,10 @@ def test_verify_work_bound(verify_run):
     # routes; sharing one memo per content saturates each table once (224
     # builds, 2,335 n_phi calls and 222 O_p builds, against 1,017, 20,832
     # and 1,006 with one memo per object)
-    report, builds, n_phi, _ = verify_run
+    report, builds, calls, _ = verify_run
     assert report.ok
     assert builds["saturated"] <= 300
-    assert n_phi <= 4000
+    assert calls["n_phi"] <= 4000
     assert builds["o_p"] <= 300
     # interned groups share their lattices and Sylow subgroups: 62 and 1,031
     # builds, against 1,622 lattices with one memo per group object
@@ -447,6 +472,27 @@ def test_verify_work_bound(verify_run):
     # generating sets are built 128 times
     assert builds["automorphisms"] == 0
     assert builds["aut_generators"] <= 200
+
+
+def test_verify_quotient_work_bound(verify_run):
+    # each quotient check pushes an iso table through a projection once:
+    # the second isomorphism theorem pushes E once through E -> E/(R n Q),
+    # memoized per (E, R n Q) (863 pushes), instead of through F -> F/Q and
+    # again along the canonical map (5,507 pushes); the functor condition
+    # reads the memoized bar table; each bar table is closed once (39
+    # closures for 292 checks).  One verify makes 58,055 induced_pairs calls
+    # and 90,186 GroupHom builds, against 113,702 and 165,629 before.
+    report, builds, calls, _ = verify_run
+    assert report.ok
+    assert calls["induced_pairs"] <= 75_000
+    assert calls["GroupHom"] <= 120_000
+    assert calls["second_iso_transport"] == 0
+    assert builds["pushes_to_factor"] <= 900
+    assert builds["is_fusion"] <= 60
+    # the tables live on the memos of the systems the verify built (an
+    # earlier test may have built them, so their builds can read 0 here)
+    tables = {name for memo in fz._MEMOS.values() for name in memo}
+    assert {"pushes_to_factor", "is_fusion"} <= tables
 
 
 def test_every_system_memo_table_is_audited(verify_run):

@@ -16,3 +16,26 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert found == []
+
+
+def test_the_order_cap_is_the_only_environment_read():
+    # an environment variable is a knob; FUSKIT_ORDER_CAP, read in
+    # permgroup.order_cap, is the package's one
+    names = ("environ", "environb", "getenv", "getenvb")
+    reads = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parent = {id(c): p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        func = {id(n): f.name for f in ast.walk(tree)
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [(path.name, func.get(id(node)), f"from os import {a.name}")
+                          for a in node.names if a.name in names]
+            elif (isinstance(node, ast.Attribute) and node.attr in names
+                  and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                expr = node  # widen to the whole call, e.g. os.environ.get("X")
+                while isinstance(parent.get(id(expr)), (ast.Attribute, ast.Call, ast.Subscript)):
+                    expr = parent[id(expr)]
+                reads.append((path.name, func.get(id(node)), ast.unparse(expr)))
+    assert reads == [("permgroup.py", "order_cap", "os.environ.get('FUSKIT_ORDER_CAP')")]

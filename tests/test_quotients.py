@@ -4,7 +4,13 @@ from fuskit import fusion as fz
 from fuskit import permgroup as pg
 from fuskit import quotients as qt
 from fuskit import subsystems as ss
-from fuskit.errors import ImageNotAFusionSystem, NotNormalInP, NotSaturated, NotStronglyClosed
+from fuskit.errors import (
+    ImageNotAFusionSystem,
+    InvariantViolation,
+    NotNormalInP,
+    NotSaturated,
+    NotStronglyClosed,
+)
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +189,36 @@ def test_second_iso_examples(s4_system, v4):
     triv = s4_system.parent.trivial_subgroup()
     assert qt.verify_second_iso(s4_system, triv, E)
     assert qt.verify_second_iso(s4_system, v4, ss.inner_system(v4, 2))
+
+
+def test_second_iso_rejects_a_system_that_induces_no_map(s4_system, v4):
+    # E is generated on D8 by an outer automorphism swapping its two Klein
+    # fours, so E moves V4 and its isos induce no map on D8/V4
+    P = s4_system.carrier
+    alpha = next(a for a in pg.automorphisms(P) if pg.mask_image(a.mapping, v4.mask) != v4.mask)
+    E = fz.generated_on(P, 2, [alpha])
+    with pytest.raises(InvariantViolation):
+        qt.verify_second_iso(s4_system, v4, E)
+
+
+def test_canonical_iso_rejects_what_is_not_an_isomorphism(s4_system, v4):
+    P = s4_system.carrier
+    same = {x: x for x in P.members}
+    theta = qt._canonical_iso(P, P, P.members, same, same)
+    assert theta is not None and theta.is_identity_map()
+    # not well defined: every x goes to one point but to different images
+    assert qt._canonical_iso(P, P, P.members, {x: 0 for x in P.members}, same) is None
+    # not bijective: V4 into D8 is an injective hom but not onto, and the
+    # trivial map on V4 is a hom onto V4's identity only
+    assert qt._canonical_iso(v4, P, v4.members, same, same) is None
+    assert qt._canonical_iso(v4, v4, v4.members, same, {x: 0 for x in v4.members}) is None
+    # not multiplicative: a bijection of D8 fixing 1 that swaps the central
+    # involution with an element of order 4
+    G = P.parent
+    z = next(x for x in pg.center(P).members if x)
+    r = next(x for x in P.members if G.element_order(x) == 4)
+    swap = {**same, z: r, r: z}
+    assert qt._canonical_iso(P, P, P.members, same, swap) is None
 
 
 def test_third_iso_examples(s4_system, v4):

@@ -39,6 +39,27 @@ def test_group_round_trip_is_interned(groups):
         assert again is G
 
 
+def test_live_group_is_not_enumerated_again(monkeypatch):
+    # the elements follow from the degree and the generators, so a document
+    # whose group is live is looked up, not enumerated with Perm products
+    doc = {"name": "D8-again", "degree": 4, "generators": [[1, 2, 3, 0], [3, 2, 1, 0]]}
+    G = ser.group_from_dict(doc)
+    calls = [0]
+    real = pg.Perm.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(pg.Perm, "__mul__", counted)
+    assert ser.group_from_dict(json.loads(json.dumps(doc))) is G
+    assert calls[0] == 0
+    with pytest.raises(OrderCapExceeded):
+        ser.group_from_dict(doc, cap=G.order - 1)
+    renamed = ser.group_from_dict(dict(doc, name="D8-renamed"))
+    assert renamed == G and renamed is not G and renamed.name == "D8-renamed"
+
+
 def test_system_round_trip_reuses_the_group_memos():
     # the roundtrip's ambient group is interned with the original, so its
     # lattice is not built again

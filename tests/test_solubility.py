@@ -25,7 +25,7 @@ def test_oracle_tower_builds_its_own_quotients(s4_system, monkeypatch):
     def production(*args):
         raise AssertionError("the oracle must not build quotients through the checked path")
 
-    for mod, name in ((qt, "_quotient_parts"), (qt, "factor_parts"), (qt, "_factor_system"),
+    for mod, name in ((qt, "_quotient_parts"), (qt, "factor_parts"), (qt, "factor_system"),
                       (pg, "quotient_group"), (pg, "as_group")):
         monkeypatch.setattr(mod, name, production)
     tower, soluble, length = oracle_tower(s4_system)
