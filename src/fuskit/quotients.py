@@ -17,6 +17,7 @@ from .errors import (
     ImageNotAFusionSystem,
     NotAHomomorphism,
     NotInjective,
+    NotNormal,
     NotNormalInP,
     NotSaturated,
     NotStronglyClosed,
@@ -30,7 +31,6 @@ from .fusion import (
     is_strongly_closed,
     is_weakly_closed,
     same_system,
-    transport,
     validate_hom,
 )
 from .permgroup import Group, GroupHom, Subgroup, memo
@@ -50,10 +50,10 @@ def _quotient_parts(F: PreFusionSystem, Q: Subgroup) -> _QuotientParts:
         raise NotNormalInP("Q must lie inside the carrier")
     CG, new_to_par = pg.as_group(F.carrier)
     par_to_new = {p: i for i, p in enumerate(new_to_par)}
-    N = Subgroup(CG, pg.mask_image(par_to_new, Q.mask))
-    if not pg.is_normal_in(N, CG.full_subgroup()):
-        raise NotNormalInP("Q is not normal in the carrier")
-    QG, proj_new = pg.quotient_group(CG, N)
+    try:
+        QG, proj_new = pg.quotient_group(CG, Subgroup(CG, pg.mask_image(par_to_new, Q.mask)))
+    except NotNormal:
+        raise NotNormalInP("Q is not normal in the carrier") from None
     return _QuotientParts(QG, {p: proj_new[i] for i, p in enumerate(new_to_par)})
 
 
@@ -280,7 +280,9 @@ def verify_second_iso(F: FusionSystem, Q: Subgroup, E: FusionSystem) -> bool:
 
 
 def verify_third_iso(F: FusionSystem, Q: Subgroup, R: Subgroup) -> bool:
-    """(F/Q)/(R/Q) is isomorphic to F/R along the canonical map."""
+    """(F/Q)/(R/Q) is isomorphic to F/R along the canonical map theta.  Once
+    theta is checked to be an isomorphism onto F/R's carrier, the check is that
+    the push of (F/Q)/(R/Q)'s table through theta is F/R's table."""
     if not is_saturated(F):
         raise NotSaturated("the third isomorphism theorem assumes saturation")
     if not (is_strongly_closed(F, Q) and is_strongly_closed(F, R)):
@@ -293,7 +295,8 @@ def verify_third_iso(F: FusionSystem, Q: Subgroup, R: Subgroup) -> bool:
     members = F.carrier.members
     theta = _canonical_iso(f2.carrier, fr.carrier, members,
                            {x: proj2[proj1[x]] for x in members}, proj3)
-    return theta is not None and same_system(transport(f2, theta), fr)
+    return theta is not None and image_table(
+        (phi for homs in f2.table.values() for phi in homs), theta.mapping, fr.parent) == fr.table
 
 
 def local_determination_holds(F: FusionSystem, Q: Subgroup) -> bool:

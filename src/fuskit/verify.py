@@ -102,12 +102,18 @@ def report_emit(report: VerificationReport, format: str = "text", timings: bool 
 
 # -- witness payloads --------------------------------------------------------------
 
-def _sub_payload(S: Subgroup) -> dict:
-    return {"order": S.order, "members": list(S.members)}
-
-
-def _hom_payload(h: GroupHom) -> dict:
-    return {"domain": list(h.domain.members), "map": [list(x) for x in h.pairs]}
+def _payload(detail):
+    """A failure detail as JSON: subgroups and homs become element-index lists,
+    lists, tuples and dicts are rendered item by item, other values stay."""
+    if isinstance(detail, Subgroup):
+        return {"order": detail.order, "members": list(detail.members)}
+    if isinstance(detail, GroupHom):
+        return {"domain": list(detail.domain.members), "map": [list(x) for x in detail.pairs]}
+    if isinstance(detail, dict):
+        return {k: _payload(v) for k, v in detail.items()}
+    if isinstance(detail, (list, tuple)):
+        return [_payload(v) for v in detail]
+    return detail
 
 
 # -- suite plumbing -----------------------------------------------------------------
@@ -123,6 +129,19 @@ class _Ctx:
     @memo("saturated_records")
     def saturated(self) -> list[SystemRecord]:
         return [r for r in self.records if is_saturated(r.system)]
+
+    def over(self, where: Callable[[FusionSystem, Subgroup], bool]):
+        """(rec, F, Q) for each saturated record and each subgroup Q of its
+        carrier with where(F, Q), in record order and then lattice order."""
+        for rec in self.saturated:
+            F = rec.system
+            for Q in F.subgroups():
+                if where(F, Q):
+                    yield rec, F, Q
+
+    def closed(self, rec: SystemRecord) -> list[Subgroup]:
+        """The strongly closed subgroups of the record's carrier, in lattice order."""
+        return cached(self, "closed", rec.key, _strongly_closed, rec.system)
 
     def named_ids(self, rec: SystemRecord, name: str, need: int = 1) -> list[int]:
         """The element ids of the generators ``named_subgroups[name]`` of the
@@ -151,6 +170,10 @@ class _Ctx:
         return cached(self, "models", (rec.entry.name, rec.p), rec.entry.load_model, rec.p)
 
 
+def _strongly_closed(F: FusionSystem) -> list[Subgroup]:
+    return [Q for Q in F.subgroups() if is_strongly_closed(F, Q)]
+
+
 def _knorm_instances(F: FusionSystem) -> list:
     got = []
     for Q in F.subgroups():
@@ -165,7 +188,18 @@ def _knorm_instances(F: FusionSystem) -> list:
     return got
 
 
-Check = Iterator[tuple[str, bool, Optional[dict]]]
+def _holds(check: Callable[[], bool]) -> bool:
+    """check(), with an error it raises counted as a failed instance."""
+    try:
+        return check()
+    except FuskitError:
+        return False
+
+
+# A suite yields (instance id, ok, detail) per instance.  The detail is a dict
+# of raw values (subgroups, homs, lists of them, plain JSON values); the
+# driver renders it with _payload, and only for a failed instance.
+Check = Iterator[tuple[str, bool, dict]]
 _SUITES: dict[str, tuple[str, Callable[[_Ctx], Check]]] = {}
 
 
@@ -182,9 +216,8 @@ def _suite(theorem: str, description: str):
         "conjugation fusion systems of finite groups are saturated")
 def _s_saturated(ctx: _Ctx) -> Check:
     for rec in ctx.records:
-        if rec.label != "conj":
-            continue
-        yield rec.key, is_saturated(rec.system), None
+        if rec.label == "conj":
+            yield rec.key, is_saturated(rec.system), {}
 
 
 @_suite("iso-tables-closed",
@@ -192,9 +225,7 @@ def _s_saturated(ctx: _Ctx) -> Check:
 def _s_closed(ctx: _Ctx) -> Check:
     for rec in ctx.records:
         ok, wit = qt.prefusion_is_fusion(rec.system)
-        detail = None if ok else {"witness": wit.kind,
-                                  "homs": [_hom_payload(h) for h in wit.homs]}
-        yield rec.key, ok, detail
+        yield rec.key, ok, {} if ok else {"witness": wit.kind, "homs": wit.homs}
 
 
 @_suite("example-sixteen-quotient",
@@ -205,12 +236,12 @@ def _s_example16(ctx: _Ctx) -> Check:
     for rec in recs:
         F = rec.system
         A = ctx.named_subgroup(rec, "A")
-        yield f"{rec.key}/A-strongly-closed", is_strongly_closed(F, A), None
+        yield f"{rec.key}/A-strongly-closed", is_strongly_closed(F, A), {}
 
         bar = qt.bar_system(F, A)
         ok, wit = qt.prefusion_is_fusion(bar)
         yield f"{rec.key}/bar-not-category", (not ok and wit.kind == "missing-composite"), \
-            None if not ok else {"reason": "bar image unexpectedly closed"}
+            {"reason": "bar image unexpectedly closed"} if ok else {}
 
         parts = qt._quotient_parts(F, A)
         QG = parts.group
@@ -219,22 +250,21 @@ def _s_example16(ctx: _Ctx) -> Check:
         wit_ok = (wit is not None and len(wit.homs) == 2
                   and wit.homs[0].domain == cosets["B"] and wit.homs[0].image() == cosets["C"]
                   and wit.homs[1].domain == cosets["C"] and wit.homs[1].image() == cosets["D"])
-        yield f"{rec.key}/bar-witness-pair", wit_ok, \
-            None if wit_ok else {"witness": [_hom_payload(h) for h in (wit.homs if wit else ())]}
+        yield f"{rec.key}/bar-witness-pair", wit_ok, {"witness": wit.homs if wit else ()}
 
         fac = qt.factor_system(F, A)
         inner_quot = fusion_from_group(QG, 2)
-        yield f"{rec.key}/factor-is-inner", same_system(fac, inner_quot), None
+        yield f"{rec.key}/factor-is-inner", same_system(fac, inner_quot), {}
 
         gen = qt.generated_bar(F, A)
         yield f"{rec.key}/generated-strictly-larger", \
-            gen.iso_count() > bar.iso_count() and gen.iso_count() > fac.iso_count(), None
+            gen.iso_count() > bar.iso_count() and gen.iso_count() > fac.iso_count(), {}
 
         exp = rec.entry.expected.get("p2:seeded", {})
         stamped = (exp.get("strongly_closed_A", {}).get("value") is True
                    and exp.get("bar_over_A_is_fusion", {}).get("value") is False
                    and exp.get("factor_by_A_is_inner_quotient", {}).get("value") is True)
-        yield f"{rec.key}/reference-values-stamped", stamped, None
+        yield f"{rec.key}/reference-values-stamped", stamped, {}
 
 
 @_suite("example-intersection-unsaturated",
@@ -250,38 +280,33 @@ def _s_example_intersection(ctx: _Ctx) -> Check:
         E = fusion_intersect(restricted_to(ss.inner_system(Q, 2), S),
                              restricted_to(ss.inner_system(R, 2), S))
         auts = E.aut(S)
-        yield f"{rec.key}/aut-order-two", len(auts) == 2, \
-            None if len(auts) == 2 else {"aut_order": len(auts)}
+        yield f"{rec.key}/aut-order-two", len(auts) == 2, {"aut_order": len(auts)}
 
         x = ctx.named_element(rec, "Q")          # generator x of the dihedral factor
         y = ctx.named_element(rec, "Q", 1)
         x2 = G.mul(x, x)
         x2y = G.mul(x2, y)
         swap = GroupHom(S, S, [(0, 0), (x2, x2), (y, x2y), (x2y, y)])
-        yield f"{rec.key}/swap-present", swap in auts, None
+        yield f"{rec.key}/swap-present", swap in auts, {}
 
-        yield f"{rec.key}/not-saturated", not is_saturated(E), None
+        yield f"{rec.key}/not-saturated", not is_saturated(E), {}
         ok_stamp = (rec.entry.expected.get("p2", {})
                     .get("intersection_aut_order", {}).get("value") == 2)
-        yield f"{rec.key}/reference-values-stamped", ok_stamp, None
+        yield f"{rec.key}/reference-values-stamped", ok_stamp, {}
 
 
 @_suite("normality-five-criteria",
         "the five equivalent characterizations of a normal subgroup agree")
 def _s_five_way(ctx: _Ctx) -> Check:
-    for rec in ctx.saturated:
-        F = rec.system
-        for Q in F.subgroups():
-            sc = is_strongly_closed(F, Q)
-            c1 = same_system(ss.normalizer_system(F, Q), F)
-            c2 = sc and ss.is_normal_subsystem(F, ss.inner_system(Q, F.p))
-            c3 = cl.is_normal_subgroup(F, Q)
-            c4 = cl.strongly_closed_central_series(F, Q, "strong") is not None
-            c5 = sc and cl.strongly_closed_central_series(F, Q, "weak") is not None
-            ok = c1 == c2 == c3 == c4 == c5
-            yield (f"{rec.key}/|Q|={Q.order}", ok,
-                   None if ok else {"subgroup": _sub_payload(Q),
-                                    "criteria": [c1, c2, c3, c4, c5]})
+    for rec, F, Q in ctx.over(lambda F, Q: True):
+        sc = is_strongly_closed(F, Q)
+        c1 = same_system(ss.normalizer_system(F, Q), F)
+        c2 = sc and ss.is_normal_subsystem(F, ss.inner_system(Q, F.p))
+        c3 = cl.is_normal_subgroup(F, Q)
+        c4 = cl.strongly_closed_central_series(F, Q, "strong") is not None
+        c5 = sc and cl.strongly_closed_central_series(F, Q, "weak") is not None
+        yield (f"{rec.key}/|Q|={Q.order}", c1 == c2 == c3 == c4 == c5,
+               {"subgroup": Q, "criteria": [c1, c2, c3, c4, c5]})
 
 
 @_suite("product-strongly-closed",
@@ -289,43 +314,26 @@ def _s_five_way(ctx: _Ctx) -> Check:
 def _s_product(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         F = rec.system
-        closed = [Q for Q in F.subgroups() if is_strongly_closed(F, Q)]
-        for A, B in combinations_with_replacement(closed, 2):
-            try:
-                ok = is_strongly_closed(F, pg.set_product(A, B))
-            except FuskitError:
-                ok = False
-            yield (f"{rec.key}/{A.order}x{B.order}", ok,
-                   None if ok else {"A": _sub_payload(A), "B": _sub_payload(B)})
+        for A, B in combinations_with_replacement(ctx.closed(rec), 2):
+            yield (f"{rec.key}/{A.order}x{B.order}",
+                   _holds(lambda: is_strongly_closed(F, pg.set_product(A, B))), {"A": A, "B": B})
 
 
 @_suite("quotient-saturated",
         "quotients by weakly closed subgroups of saturated systems are saturated")
 def _s_quotient_saturated(ctx: _Ctx) -> Check:
-    for rec in ctx.saturated:
-        F = rec.system
-        for Q in F.subgroups():
-            if not is_weakly_closed(F, Q):
-                continue
-            ok = is_saturated(qt.factor_system(F, Q))
-            yield f"{rec.key}/|Q|={Q.order}", ok, None if ok else {"Q": _sub_payload(Q)}
+    for rec, F, Q in ctx.over(is_weakly_closed):
+        yield f"{rec.key}/|Q|={Q.order}", is_saturated(qt.factor_system(F, Q)), {"Q": Q}
 
 
 @_suite("factor-equals-bar",
         "for saturated systems the factor system equals the full induced image")
 def _s_factor_equals_bar(ctx: _Ctx) -> Check:
-    for rec in ctx.saturated:
-        F = rec.system
-        for Q in F.subgroups():
-            if not is_strongly_closed(F, Q):
-                continue
-            bar = qt.bar_system(F, Q)
-            closed, wit = qt.prefusion_is_fusion(bar)
-            ok = closed and same_system(bar, qt.factor_system(F, Q))
-            yield (f"{rec.key}/|Q|={Q.order}", ok,
-                   None if ok else {"Q": _sub_payload(Q),
-                                    "bar_closed": closed,
-                                    "witness": wit.kind if wit else None})
+    for rec, F, Q in ctx.over(is_strongly_closed):
+        bar = qt.bar_system(F, Q)
+        closed, wit = qt.prefusion_is_fusion(bar)
+        yield (f"{rec.key}/|Q|={Q.order}", closed and same_system(bar, qt.factor_system(F, Q)),
+               {"Q": Q, "bar_closed": closed, "witness": wit.kind if wit else None})
 
 
 @_suite("second-isomorphism",
@@ -333,13 +341,10 @@ def _s_factor_equals_bar(ctx: _Ctx) -> Check:
 def _s_second_iso(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         F = rec.system
-        closed = [Q for Q in F.subgroups() if is_strongly_closed(F, Q)]
-        for Q in closed:
+        for Q in ctx.closed(rec):
             for R in F.subgroups():
-                E = ss.inner_system(R, F.p)
-                ok = qt.verify_second_iso(F, Q, E)
-                yield (f"{rec.key}/|Q|={Q.order}/|R|={R.order}", ok,
-                       None if ok else {"Q": _sub_payload(Q), "R": _sub_payload(R)})
+                yield (f"{rec.key}/|Q|={Q.order}/|R|={R.order}",
+                       qt.verify_second_iso(F, Q, ss.inner_system(R, F.p)), {"Q": Q, "R": R})
 
 
 @_suite("third-isomorphism",
@@ -347,86 +352,57 @@ def _s_second_iso(ctx: _Ctx) -> Check:
 def _s_third_iso(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         F = rec.system
-        closed = [Q for Q in F.subgroups() if is_strongly_closed(F, Q)]
+        closed = ctx.closed(rec)
         for Q in closed:
             for R in closed:
-                if not Q <= R:
-                    continue
-                ok = qt.verify_third_iso(F, Q, R)
-                yield (f"{rec.key}/|Q|={Q.order}/|R|={R.order}", ok,
-                       None if ok else {"Q": _sub_payload(Q), "R": _sub_payload(R)})
+                if Q <= R:
+                    yield (f"{rec.key}/|Q|={Q.order}/|R|={R.order}",
+                           qt.verify_third_iso(F, Q, R), {"Q": Q, "R": R})
 
 
 @_suite("closure-transfer",
         "projection to the quotient matches weak/strong closure on both sides")
 def _s_closure_transfer(ctx: _Ctx) -> Check:
-    for rec in ctx.saturated:
-        F = rec.system
-        for Q in F.subgroups():
-            if not is_strongly_closed(F, Q):
-                continue
-            rep = qt.closure_transfer(F, Q)
-            yield (f"{rec.key}/|Q|={Q.order}", rep.ok,
-                   None if rep.ok else {"Q": _sub_payload(Q)})
+    for rec, F, Q in ctx.over(is_strongly_closed):
+        yield f"{rec.key}/|Q|={Q.order}", qt.closure_transfer(F, Q).ok, {"Q": Q}
 
 
 @_suite("normal-control",
         "the join of the conjugates of a subgroup normal in a normal subsystem "
         "is normal in the whole system")
 def _s_normal_control(ctx: _Ctx) -> Check:
-    for rec in ctx.saturated:
-        F = rec.system
-        for Q in F.subgroups():
-            if not cl.is_normal_subgroup(F, Q):
-                continue
-            E = ss.inner_system(Q, F.p)
-            for R in pg.subgroups_of(Q):
-                if not cl.is_normal_subgroup(E, R):
-                    continue
+    for rec, F, Q in ctx.over(cl.is_normal_subgroup):
+        E = ss.inner_system(Q, F.p)
+        for R in pg.subgroups_of(Q):
+            if cl.is_normal_subgroup(E, R):
                 S = F.parent.subgroup_of(x for c in F.iso_class(R) for x in c.members)
-                ok = cl.is_normal_subgroup(F, S)
-                yield (f"{rec.key}/|Q|={Q.order}/|R|={R.order}", ok,
-                       None if ok else {"Q": _sub_payload(Q), "R": _sub_payload(R),
-                                        "join": _sub_payload(S)})
+                yield (f"{rec.key}/|Q|={Q.order}/|R|={R.order}", cl.is_normal_subgroup(F, S),
+                       {"Q": Q, "R": R, "join": S})
 
 
 @_suite("char-normal-descends",
         "a subsystem of a normal subsystem stabilized by the big automorphism "
         "group is itself normal")
 def _s_char_normal(ctx: _Ctx) -> Check:
-    for rec in ctx.saturated:
-        F = rec.system
-        for Qp in F.subgroups():
-            if not cl.is_normal_subgroup(F, Qp):
-                continue
-            Eprime = ss.inner_system(Qp, F.p)
-            for R in pg.characteristic_subgroups(Qp):
-                E = ss.inner_system(R, F.p)
-                if not ss.is_normal_subsystem(Eprime, E):
-                    continue
-                if not ss.aut_f_acts_on(E, F.aut(Qp)):
-                    continue
-                ok = ss.is_normal_subsystem(F, E)
-                yield (f"{rec.key}/|Q'|={Qp.order}/|R|={R.order}", ok,
-                       None if ok else {"Qprime": _sub_payload(Qp), "R": _sub_payload(R)})
+    for rec, F, Qp in ctx.over(cl.is_normal_subgroup):
+        Eprime = ss.inner_system(Qp, F.p)
+        for R in pg.characteristic_subgroups(Qp):
+            E = ss.inner_system(R, F.p)
+            if ss.is_normal_subsystem(Eprime, E) and ss.aut_f_acts_on(E, F.aut(Qp)):
+                yield (f"{rec.key}/|Q'|={Qp.order}/|R|={R.order}",
+                       ss.is_normal_subsystem(F, E), {"Qprime": Qp, "R": R})
 
 
 @_suite("invariant-iff-frattini",
         "a subsystem on a strongly closed subgroup is invariant exactly when "
         "the carrier automorphisms act on it and it has the Frattini property")
 def _s_invariant_iff_frattini(ctx: _Ctx) -> Check:
-    for rec in ctx.saturated:
-        F = rec.system
-        for Q in F.subgroups():
-            if not is_strongly_closed(F, Q):
-                continue
-            E = ss.inner_system(Q, F.p)
-            lhs = ss.is_invariant(F, E)
-            rhs = ss.aut_f_acts_on(E, F.aut(Q)) and ss.is_frattini(F, E)
-            ok = lhs == rhs
-            yield (f"{rec.key}/|Q|={Q.order}", ok,
-                   None if ok else {"Q": _sub_payload(Q),
-                                    "invariant": lhs, "acts_and_frattini": rhs})
+    for rec, F, Q in ctx.over(is_strongly_closed):
+        E = ss.inner_system(Q, F.p)
+        lhs = ss.is_invariant(F, E)
+        rhs = ss.aut_f_acts_on(E, F.aut(Q)) and ss.is_frattini(F, E)
+        yield (f"{rec.key}/|Q|={Q.order}", lhs == rhs,
+               {"Q": Q, "invariant": lhs, "acts_and_frattini": rhs})
 
 
 @_suite("knormalizer-normal-in-normalizer",
@@ -434,12 +410,8 @@ def _s_invariant_iff_frattini(ctx: _Ctx) -> Check:
 def _s_knorm_normal(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         for Q, homs, nq, nk in ctx.knorm_instances(rec):
-            try:
-                ok = ss.is_normal_subsystem(nq, nk)
-            except FuskitError:
-                ok = False
-            yield (f"{rec.key}/|Q|={Q.order}/|K|={len(homs)}", ok,
-                   None if ok else {"Q": _sub_payload(Q), "K_order": len(homs)})
+            yield (f"{rec.key}/|Q|={Q.order}/|K|={len(homs)}",
+                   _holds(lambda: ss.is_normal_subsystem(nq, nk)), {"Q": Q, "K_order": len(homs)})
 
 
 @_suite("knormalizer-saturated",
@@ -447,9 +419,8 @@ def _s_knorm_normal(ctx: _Ctx) -> Check:
 def _s_knorm_saturated(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         for Q, homs, _, nk in ctx.knorm_instances(rec):
-            ok = is_saturated(nk)
-            yield (f"{rec.key}/|Q|={Q.order}/|K|={len(homs)}", ok,
-                   None if ok else {"Q": _sub_payload(Q), "K_order": len(homs)})
+            yield (f"{rec.key}/|Q|={Q.order}/|K|={len(homs)}", is_saturated(nk),
+                   {"Q": Q, "K_order": len(homs)})
 
 
 @_suite("central-kernel-normality",
@@ -458,21 +429,17 @@ def _s_knorm_saturated(ctx: _Ctx) -> Check:
 def _s_centrelift(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         F = rec.system
-        Z_F = cl.center_of_fusion(F)
-        for Z in pg.subgroups_of(Z_F):
+        for Z in pg.subgroups_of(cl.center_of_fusion(F)):
             if not is_strongly_closed(F, Z):
                 continue
-            quot, _ = qt.factor_parts(F, Z)
+            quot = qt.factor_system(F, Z)
             parts = qt._quotient_parts(F, Z)
             for Q in F.subgroups():
-                if not Z <= Q:
-                    continue
-                left = cl.is_normal_subgroup(F, Q)
-                right = cl.is_normal_subgroup(quot, qt._image_subgroup(parts, Q))
-                ok = left == right
-                yield (f"{rec.key}/|Z|={Z.order}/|Q|={Q.order}", ok,
-                       None if ok else {"Z": _sub_payload(Z), "Q": _sub_payload(Q),
-                                        "normal": left, "image_normal": right})
+                if Z <= Q:
+                    left = cl.is_normal_subgroup(F, Q)
+                    right = cl.is_normal_subgroup(quot, qt._image_subgroup(parts, Q))
+                    yield (f"{rec.key}/|Z|={Z.order}/|Q|={Q.order}", left == right,
+                           {"Z": Z, "Q": Q, "normal": left, "image_normal": right})
 
 
 @_suite("core-of-normal-subsystem",
@@ -481,41 +448,29 @@ def _s_centrelift(ctx: _Ctx) -> Check:
 def _s_normalop(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         F = rec.system
-        core = cl.o_p(F)
         for Q in F.subgroups():
-            if not cl.is_normal_subgroup(F, Q):
-                continue
-            E = ss.inner_system(Q, F.p)
-            ok = pg.meet(core, Q) == cl.o_p(E)
-            yield (f"{rec.key}/inner/|Q|={Q.order}", ok,
-                   None if ok else {"Q": _sub_payload(Q)})
+            if cl.is_normal_subgroup(F, Q):
+                yield (f"{rec.key}/inner/|Q|={Q.order}",
+                       pg.meet(cl.o_p(F), Q) == cl.o_p(ss.inner_system(Q, F.p)), {"Q": Q})
         for Q, homs, nq, nk in ctx.knorm_instances(rec):
-            if not (is_saturated(nq) and is_saturated(nk)):
-                continue
-            ok = pg.meet(cl.o_p(nq), nk.carrier) == cl.o_p(nk)
-            yield (f"{rec.key}/knorm/|Q|={Q.order}/|K|={len(homs)}", ok,
-                   None if ok else {"Q": _sub_payload(Q), "K_order": len(homs)})
+            if is_saturated(nq) and is_saturated(nk):
+                yield (f"{rec.key}/knorm/|Q|={Q.order}/|K|={len(homs)}",
+                       pg.meet(cl.o_p(nq), nk.carrier) == cl.o_p(nk),
+                       {"Q": Q, "K_order": len(homs)})
 
 
 @_suite("subnormal-core-containment",
         "cores of (sub)normal subsystems land inside the big core")
 def _s_subnormal_core(ctx: _Ctx) -> Check:
-    for rec in ctx.saturated:
-        F = rec.system
+    for rec, F, Q in ctx.over(cl.is_normal_subgroup):
         core = cl.o_p(F)
-        for Q in F.subgroups():
-            if not cl.is_normal_subgroup(F, Q):
-                continue
-            E = ss.inner_system(Q, F.p)
-            ok = cl.o_p(E) <= core
-            yield (f"{rec.key}/|Q|={Q.order}", ok,
-                   None if ok else {"Q": _sub_payload(Q)})
-            # one level further down: normal subgroups of the subsystem
-            for R in pg.subgroups_of(Q):
-                if cl.is_normal_subgroup(E, R):
-                    ok2 = cl.o_p(ss.inner_system(R, F.p)) <= core
-                    yield (f"{rec.key}/|Q|={Q.order}/|R|={R.order}", ok2,
-                           None if ok2 else {"Q": _sub_payload(Q), "R": _sub_payload(R)})
+        E = ss.inner_system(Q, F.p)
+        yield f"{rec.key}/|Q|={Q.order}", cl.o_p(E) <= core, {"Q": Q}
+        # one level further down: normal subgroups of the subsystem
+        for R in pg.subgroups_of(Q):
+            if cl.is_normal_subgroup(E, R):
+                yield (f"{rec.key}/|Q|={Q.order}/|R|={R.order}",
+                       cl.o_p(ss.inner_system(R, F.p)) <= core, {"Q": Q, "R": R})
 
 
 @_suite("core-over-centre",
@@ -526,46 +481,30 @@ def _s_opequalz(ctx: _Ctx) -> Check:
         F = rec.system
         Z = cl.center_of_fusion(F)
         core = cl.o_p(F)
-        ok1 = Z <= core
-        quot, _ = qt.factor_parts(F, Z)
-        parts = qt._quotient_parts(F, Z)
-        pre = qt._preimage_subgroup(F, parts, cl.o_p(quot))
-        ok2 = pre == core
-        yield (rec.key, ok1 and ok2,
-               None if ok1 and ok2 else {"Z": _sub_payload(Z), "core": _sub_payload(core),
-                                         "preimage": _sub_payload(pre)})
+        pre = qt._preimage_subgroup(F, qt._quotient_parts(F, Z),
+                                    cl.o_p(qt.factor_system(F, Z)))
+        yield rec.key, Z <= core and pre == core, {"Z": Z, "core": core, "preimage": pre}
 
 
 @_suite("weakly-closed-central",
         "weakly closed central subgroups of strongly closed subgroups are "
         "strongly closed")
 def _s_weak_central(ctx: _Ctx) -> Check:
-    for rec in ctx.saturated:
-        F = rec.system
-        for Q in F.subgroups():
-            if not is_strongly_closed(F, Q):
-                continue
-            for Z in pg.subgroups_of(pg.center(Q)):
-                if not is_weakly_closed(F, Z):
-                    continue
-                ok = is_strongly_closed(F, Z)
-                yield (f"{rec.key}/|Q|={Q.order}/|Z|={Z.order}", ok,
-                       None if ok else {"Q": _sub_payload(Q), "Z": _sub_payload(Z)})
+    for rec, F, Q in ctx.over(is_strongly_closed):
+        for Z in pg.subgroups_of(pg.center(Q)):
+            if is_weakly_closed(F, Z):
+                yield (f"{rec.key}/|Q|={Q.order}/|Z|={Z.order}", is_strongly_closed(F, Z),
+                       {"Q": Q, "Z": Z})
 
 
 @_suite("inner-normal-characteristic",
         "characteristic subgroups of a subgroup with normal inner system are "
         "strongly closed")
 def _s_fqq(ctx: _Ctx) -> Check:
-    for rec in ctx.saturated:
-        F = rec.system
-        for Q in F.subgroups():
-            if not cl.is_normal_subgroup(F, Q):
-                continue
-            for R in pg.characteristic_subgroups(Q):
-                ok = is_strongly_closed(F, R)
-                yield (f"{rec.key}/|Q|={Q.order}/|R|={R.order}", ok,
-                       None if ok else {"Q": _sub_payload(Q), "R": _sub_payload(R)})
+    for rec, F, Q in ctx.over(cl.is_normal_subgroup):
+        for R in pg.characteristic_subgroups(Q):
+            yield (f"{rec.key}/|Q|={Q.order}/|R|={R.order}", is_strongly_closed(F, R),
+                   {"Q": Q, "R": R})
 
 
 @_suite("psoluble-constrained",
@@ -575,12 +514,11 @@ def _s_psoluble_constrained(ctx: _Ctx) -> Check:
         F = rec.system
         rep = sol.o_p_tower(F)
         if not rep.p_soluble:
-            yield f"{rec.key}/not-soluble", True, None
+            yield f"{rec.key}/not-soluble", True, {}
             continue
         core = cl.o_p(F)
-        ok = rep.constrained and F.centralizer_in_carrier(core) <= core
-        yield (rec.key, ok,
-               None if ok else {"tower": [s.order for s in rep.tower]})
+        yield (rec.key, rep.constrained and F.centralizer_in_carrier(core) <= core,
+               {"tower": [s.order for s in rep.tower]})
 
 
 @_suite("psoluble-group-model",
@@ -589,24 +527,15 @@ def _s_psoluble_constrained(ctx: _Ctx) -> Check:
 def _s_model(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         F = rec.system
-        if rec.label != "conj":
+        model = ctx.model(rec) if rec.label == "conj" else None
+        if model is None or not sol.is_constrained(F):
             continue
-        model = ctx.model(rec)
-        if model is None:
-            continue
-        if not sol.is_constrained(F):
-            continue
-        try:
-            ok_model = sol.is_model(model, F)
-        except FuskitError:
-            ok_model = False
-        yield f"{rec.key}/model", ok_model, None if ok_model else {"model": model.name}
+        yield f"{rec.key}/model", _holds(lambda: sol.is_model(model, F)), {"model": model.name}
         real = cl.aut_realization(F, cl.o_p(F))
         crit = sol.group_is_p_soluble(real.group, rec.p)
         via_group = sol.group_is_p_soluble(model, rec.p)
-        ok = crit == via_group
-        yield (f"{rec.key}/criterion", ok,
-               None if ok else {"aut_core_p_soluble": crit, "model_p_soluble": via_group})
+        yield (f"{rec.key}/criterion", crit == via_group,
+               {"aut_core_p_soluble": crit, "model_p_soluble": via_group})
 
 
 @_suite("psoluble-subsystems-quotients",
@@ -617,19 +546,14 @@ def _s_psoluble_closure(ctx: _Ctx) -> Check:
         F = rec.system
         if not sol.o_p_tower(F).p_soluble:
             continue
-        for Q in F.subgroups():
-            if not is_strongly_closed(F, Q):
-                continue
+        for Q in ctx.closed(rec):
             quot = qt.factor_system(F, Q)
-            ok = is_saturated(quot) and sol.o_p_tower(quot).p_soluble
-            yield (f"{rec.key}/quotient/|Q|={Q.order}", ok,
-                   None if ok else {"Q": _sub_payload(Q)})
+            yield (f"{rec.key}/quotient/|Q|={Q.order}",
+                   is_saturated(quot) and sol.o_p_tower(quot).p_soluble, {"Q": Q})
         for Q, homs, _, nk in ctx.knorm_instances(rec):
-            if not is_saturated(nk):
-                continue
-            ok = sol.o_p_tower(nk).p_soluble
-            yield (f"{rec.key}/subsystem/|Q|={Q.order}/|K|={len(homs)}", ok,
-                   None if ok else {"Q": _sub_payload(Q), "K_order": len(homs)})
+            if is_saturated(nk):
+                yield (f"{rec.key}/subsystem/|Q|={Q.order}/|K|={len(homs)}",
+                       sol.o_p_tower(nk).p_soluble, {"Q": Q, "K_order": len(homs)})
 
 
 @_suite("psoluble-extension",
@@ -638,14 +562,12 @@ def _s_psoluble_extension(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         F = rec.system
         core = cl.o_p(F)
-        inner_ok = sol.o_p_tower(ss.inner_system(core, F.p)).p_soluble if core.order > 1 else True
+        inner_ok = core.order == 1 or sol.o_p_tower(ss.inner_system(core, F.p)).p_soluble
         quot = qt.factor_system(F, core)
-        quot_ok = is_saturated(quot) and sol.o_p_tower(quot).p_soluble
-        if not (inner_ok and quot_ok):
-            yield f"{rec.key}/hypothesis-empty", True, None
-            continue
-        ok = sol.o_p_tower(F).p_soluble
-        yield rec.key, ok, None if ok else {"core": _sub_payload(core)}
+        if inner_ok and is_saturated(quot) and sol.o_p_tower(quot).p_soluble:
+            yield rec.key, sol.o_p_tower(F).p_soluble, {"core": core}
+        else:
+            yield f"{rec.key}/hypothesis-empty", True, {}
 
 
 @_suite("group-centralizer-in-core",
@@ -658,14 +580,11 @@ def _s_group_centralizer(ctx: _Ctx) -> Check:
             continue
         seen.add(key)
         G = rec.group
-        if not sol.group_is_p_soluble(G, rec.p):
-            continue
-        if pg.core_pprime(G, rec.p).order != 1:
+        if not sol.group_is_p_soluble(G, rec.p) or pg.core_pprime(G, rec.p).order != 1:
             continue
         core = pg.core_p(G, rec.p)
-        ok = pg.centralizer(G.full_subgroup(), core) <= core
-        yield (f"{rec.entry.name}@p{rec.p}", ok,
-               None if ok else {"core": _sub_payload(core)})
+        yield (f"{rec.entry.name}@p{rec.p}", pg.centralizer(G.full_subgroup(), core) <= core,
+               {"core": core})
 
 
 @_suite("qdpfree-soluble-cores",
@@ -673,16 +592,13 @@ def _s_group_centralizer(ctx: _Ctx) -> Check:
         "at every tower step")
 def _s_qdpfree(ctx: _Ctx) -> Check:
     for rec in ctx.records:
-        if rec.label != "conj":
-            continue
-        if not sol.group_is_p_soluble(rec.group, rec.p):
-            continue
-        if not sol.is_qdp_free_group(rec.group, rec.p):
+        if (rec.label != "conj" or not sol.group_is_p_soluble(rec.group, rec.p)
+                or not sol.is_qdp_free_group(rec.group, rec.p)):
             continue
         rep = sol.o_p_tower(rec.system)
-        ok = rep.p_soluble and (rec.system.carrier.order == 1 or rep.tower[1].order > 1)
-        yield (rec.key, ok,
-               None if ok else {"tower": [s.order for s in rep.tower]})
+        yield (rec.key,
+               rep.p_soluble and (rec.system.carrier.order == 1 or rep.tower[1].order > 1),
+               {"tower": [s.order for s in rep.tower]})
 
 
 @_suite("alperin-generation",
@@ -690,13 +606,23 @@ def _s_qdpfree(ctx: _Ctx) -> Check:
 def _s_alperin_gen(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         F = rec.system
+        gens = cl.alperin_generators(F)
         base: dict = {}
-        for S, auts in cl.alperin_generators(F):
+        for S, auts in gens:
             base.setdefault((S, S), set()).update(auts)
         regen = generated_on(F.carrier, F.p, [], base=base)
-        ok = same_system(regen, F)
-        yield (rec.key, ok,
-               None if ok else {"generators": [s.order for s, _ in cl.alperin_generators(F)]})
+        yield rec.key, same_system(regen, F), {"generators": [s.order for s, _ in gens]}
+
+
+def _recomposes(F: FusionSystem, phi: GroupHom) -> bool:
+    """Do the steps of phi's Alperin decomposition compose back to phi, each
+    intermediate image inside the subgroup of its step?"""
+    cur = GroupHom.identity(phi.domain)
+    for S, alpha in cl.alperin_decompose(F, phi):
+        if cur.image_mask & ~S.mask:
+            return False
+        cur = cur.then(alpha.restriction(cur.image()))
+    return cur.pairs == phi.pairs
 
 
 @_suite("alperin-decomposition",
@@ -706,18 +632,8 @@ def _s_alperin_dec(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         F = rec.system
         for phi in F.all_isos():
-            try:
-                steps = cl.alperin_decompose(F, phi)
-                cur = GroupHom.identity(phi.domain)
-                for S, alpha in steps:
-                    if cur.image_mask & ~S.mask:
-                        raise FuskitError("intermediate image escapes its family subgroup")
-                    cur = cur.then(alpha.restriction(cur.image()))
-                ok = cur.pairs == phi.pairs
-            except FuskitError:
-                ok = False
-            yield (f"{rec.key}/|Q|={phi.domain.order}", ok,
-                   None if ok else {"phi": _hom_payload(phi)})
+            yield (f"{rec.key}/|Q|={phi.domain.order}", _holds(lambda: _recomposes(F, phi)),
+                   {"phi": phi})
 
 
 @_suite("morphism-kernels-strongly-closed",
@@ -725,17 +641,11 @@ def _s_alperin_dec(ctx: _Ctx) -> Check:
 def _s_kernels(ctx: _Ctx) -> Check:
     for rec in ctx.records:
         F = rec.system
-        for Q in F.subgroups():
-            if not is_strongly_closed(F, Q):
-                continue
-            target = "factor" if is_saturated(F) else "generated-bar"
-            try:
-                morph = qt.quotient_morphism(F, Q, target=target)
-                ok = morph.kernel == Q and is_strongly_closed(F, morph.kernel)
-            except FuskitError:
-                ok = False
-            yield (f"{rec.key}/|Q|={Q.order}", ok,
-                   None if ok else {"Q": _sub_payload(Q)})
+        target = "factor" if is_saturated(F) else "generated-bar"
+        for Q in ctx.closed(rec):
+            # Q is strongly closed, so a kernel equal to Q is too
+            yield (f"{rec.key}/|Q|={Q.order}",
+                   _holds(lambda: qt.quotient_morphism(F, Q, target=target).kernel == Q), {"Q": Q})
 
 
 @_suite("nphi-bounds",
@@ -748,9 +658,25 @@ def _s_nphi(ctx: _Ctx) -> Check:
             Q = phi.domain
             n_sub = n_phi(F, phi)
             lower = pg.set_product(Q, F.centralizer_in_carrier(Q))
-            ok = lower <= n_sub and n_sub <= F.normalizer_in_carrier(Q)
-            yield (f"{rec.key}/|Q|={Q.order}", ok,
-                   None if ok else {"phi": _hom_payload(phi), "n_phi": _sub_payload(n_sub)})
+            yield (f"{rec.key}/|Q|={Q.order}", lower <= n_sub <= F.normalizer_in_carrier(Q),
+                   {"phi": phi, "n_phi": n_sub})
+
+
+# Recomputations of the stamped values: of an entry's group, by top-level
+# block name, and of a system, by field name inside its block.
+_GROUP_VALUES = {
+    "order": lambda G: G.order,
+    "subgroup_count": lambda G: len(pg.subgroups(G)),
+}
+_SYSTEM_VALUES = {
+    "sylow_order": lambda F: F.carrier.order,
+    "saturated": lambda F: is_saturated(F),
+    "op_order": lambda F: cl.o_p(F).order,
+    "tower_orders": lambda F: [s.order for s in sol.o_p_tower(F).tower],
+    "p_soluble": lambda F: sol.o_p_tower(F).p_soluble,
+    "p_length": lambda F: sol.o_p_tower(F).p_length,
+    "constrained": lambda F: sol.is_constrained(F),
+}
 
 
 @_suite("expected-values",
@@ -769,44 +695,25 @@ def _s_expected(ctx: _Ctx) -> Check:
                     continue
                 if group is None:
                     group = entry.load_group()
-                if name == "order":
-                    got = group.order
-                elif name == "subgroup_count":
-                    got = len(pg.subgroups(group))
-                else:
-                    continue
-                ok = got == exp["value"]
-                yield (f"{entry.name}/{name}", ok,
-                       None if ok else {"expected": exp["value"], "got": got})
+                if name in _GROUP_VALUES:
+                    got = _GROUP_VALUES[name](group)
+                    yield (f"{entry.name}/{name}", got == exp["value"],
+                           {"expected": exp["value"], "got": got})
                 continue
             rec = by_key.get((entry.name, name))
             if rec is None:
                 yield f"{entry.name}/{name}", False, {"reason": "no such system"}
                 continue
-            F = rec.system
             for field_name, leaf in sorted(exp.items()):
                 if leaf.get("provenance") == "paper":
                     continue
-                if field_name == "sylow_order":
-                    got = F.carrier.order
-                elif field_name == "saturated":
-                    got = is_saturated(F)
-                elif field_name == "op_order":
-                    got = cl.o_p(F).order
-                elif field_name == "tower_orders":
-                    got = [s.order for s in sol.o_p_tower(F).tower]
-                elif field_name == "p_soluble":
-                    got = sol.o_p_tower(F).p_soluble
-                elif field_name == "p_length":
-                    got = sol.o_p_tower(F).p_length
-                elif field_name == "constrained":
-                    got = sol.is_constrained(F)
-                else:
+                recompute = _SYSTEM_VALUES.get(field_name)
+                if recompute is None:
                     yield f"{entry.name}/{name}/{field_name}", False, {"reason": "unknown field"}
                     continue
-                ok = got == leaf["value"]
-                yield (f"{entry.name}/{name}/{field_name}", ok,
-                       None if ok else {"expected": leaf["value"], "got": got})
+                got = recompute(rec.system)
+                yield (f"{entry.name}/{name}/{field_name}", got == leaf["value"],
+                       {"expected": leaf["value"], "got": got})
 
 
 # -- driver ---------------------------------------------------------------------------
@@ -833,7 +740,7 @@ def run_verification(corpus_dir, theorem: Optional[str] = None,
             else:
                 failures.append({
                     "instance": instance_id,
-                    "detail": detail or {},
+                    "detail": _payload(detail),
                     "replay": f"fuskit verify {corpus_dir} --theorem {name}",
                 })
         outcomes.append(TheoremOutcome(

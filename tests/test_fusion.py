@@ -408,49 +408,22 @@ def test_registry_lets_systems_go(groups):
 
 @pytest.fixture(scope="module")
 def verify_run():
-    """One full verify: its report, the builds per memo table, counted calls
-    (n_phi, induced_pairs, GroupHom builds, and the transports made inside
-    verify_second_iso), and the corpus records, kept alive so their memos
-    stay registered."""
+    """The work of one full verify (see verify_work.py), counted in a fresh
+    interpreter, so the counts read the same whatever tests ran before."""
+    import json
+    import os
+    import subprocess
+    import sys
     from collections import Counter
-    from fuskit import quotients as qt
-    from fuskit import verify
-    from fuskit.corpus import shipped_corpus_dir
-    records = []
-    real = verify.corpus_systems
-
-    def capture(*args, **kwargs):
-        records.extend(real(*args, **kwargs))
-        return records
-
-    inside = [0]
-    second_transports = [0]
-    real_second, real_transport = qt.verify_second_iso, fz.transport
-
-    def second_iso(*args):
-        inside[0] += 1
-        try:
-            return real_second(*args)
-        finally:
-            inside[0] -= 1
-
-    def transport(*args):
-        second_transports[0] += inside[0] > 0
-        return real_transport(*args)
-
-    before = Counter(pg.BUILDS)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "corpus_systems", capture)
-        mp.setattr(qt, "verify_second_iso", second_iso)
-        mp.setattr(qt, "transport", transport)
-        mp.setattr(fz, "transport", transport)
-        counted = {"n_phi": _counting(mp, fz, "n_phi"),
-                   "induced_pairs": _counting(mp, pg, "induced_pairs"),
-                   "GroupHom": _counting(mp, pg.GroupHom, "__init__")}
-        report = verify.run_verification(shipped_corpus_dir())
-    calls = {name: c[0] for name, c in counted.items()}
-    calls["second_iso_transport"] = second_transports[0]
-    return report, pg.BUILDS - before, calls, records
+    from pathlib import Path
+    src = str(Path(fz.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("verify_work.py"))],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    return run["ok"], Counter(run["builds"]), Counter(run["calls"]), run
 
 
 def test_verify_work_bound(verify_run):
@@ -458,8 +431,8 @@ def test_verify_work_bound(verify_run):
     # routes; sharing one memo per content saturates each table once (224
     # builds, 2,335 n_phi calls and 222 O_p builds, against 1,017, 20,832
     # and 1,006 with one memo per object)
-    report, builds, calls, _ = verify_run
-    assert report.ok
+    ok, builds, calls, _ = verify_run
+    assert ok
     assert builds["saturated"] <= 300
     assert calls["n_phi"] <= 4000
     assert builds["o_p"] <= 300
@@ -481,18 +454,21 @@ def test_verify_quotient_work_bound(verify_run):
     # again along the canonical map (5,507 pushes); the functor condition
     # reads the memoized bar table; each bar table is closed once (39
     # closures for 292 checks).  One verify makes 58,055 induced_pairs calls
-    # and 90,186 GroupHom builds, against 113,702 and 165,629 before.
-    report, builds, calls, _ = verify_run
-    assert report.ok
+    # and 90,186 GroupHom builds, against 113,702 and 165,629 before.  The
+    # third pushes (F/Q)/(R/Q) through the canonical map it has validated,
+    # without a transport that validates it again (723 validate_hom calls,
+    # against 1,446 with 723 transports).
+    ok, builds, calls, run = verify_run
+    assert ok
     assert calls["induced_pairs"] <= 75_000
     assert calls["GroupHom"] <= 120_000
-    assert calls["second_iso_transport"] == 0
+    assert calls["verify_second_iso.transport"] == 0
+    assert calls["verify_third_iso.transport"] == 0
+    assert calls["verify_third_iso.validate_hom"] <= 800
     assert builds["pushes_to_factor"] <= 900
     assert builds["is_fusion"] <= 60
-    # the tables live on the memos of the systems the verify built (an
-    # earlier test may have built them, so their builds can read 0 here)
-    tables = {name for memo in fz._MEMOS.values() for name in memo}
-    assert {"pushes_to_factor", "is_fusion"} <= tables
+    # the tables live on the memos of the systems the verify built
+    assert {"pushes_to_factor", "is_fusion"} <= set(run["tables"])
 
 
 def test_every_system_memo_table_is_audited(verify_run):
@@ -501,6 +477,7 @@ def test_every_system_memo_table_is_audited(verify_run):
     import re
     doc = fz.PreFusionSystem.__doc__
     audited = set(re.findall(r"``(\w+)``", doc[doc.index("owns ("):doc.index(") holds")]))
-    assert verify_run[3] and len(fz._MEMOS) > 100
-    tables = {name for memo in fz._MEMOS.values() for name in memo}
+    run = verify_run[3]
+    assert run["memos"] > 100
+    tables = set(run["tables"])
     assert tables <= audited, tables - audited

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -494,3 +495,65 @@ def test_verify_failure_carries_witness(tmp_path, capsys):
     assert failures and failures[0]["instance"] == "d8/order"
     assert failures[0]["detail"] == {"expected": 9, "got": 8}
     assert "replay" in failures[0]
+
+
+def _raise(error):
+    def fail(*args):
+        raise error("forced failure")
+    return fail
+
+
+def _forced_failure(theorem):
+    """(owner module, attribute, replacement) that makes every instance of
+    the theorem fail, each through a different kind of failure detail."""
+    from fuskit import closure as cl
+    from fuskit import quotients as qt
+    from fuskit.errors import DecompositionNotFound, ProductNotASubgroup
+
+    def witness(pre):
+        return False, qt.PrefusionWitness("missing-composite", tuple(pre.all_isos()[-2:]))
+    return {
+        "third-isomorphism": (qt, "verify_third_iso", lambda F, Q, R: False),
+        "alperin-decomposition": (cl, "alperin_decompose", _raise(DecompositionNotFound)),
+        "iso-tables-closed": (qt, "prefusion_is_fusion", witness),
+        "product-strongly-closed": (pg, "set_product", _raise(ProductNotASubgroup)),
+    }[theorem]
+
+
+def forced_failures(theorem, corpus):
+    """The failure entries of `fuskit verify CORPUS --theorem THEOREM --format
+    json` under the forced failure, with the corpus path in the replay line
+    replaced by CORPUS."""
+    import io
+    out = io.BytesIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(*_forced_failure(theorem))
+        mp.setattr(sys, "stdout", SimpleNamespace(buffer=out))
+        assert cli.main(["verify", str(corpus), "--theorem", theorem,
+                         "--format", "json"]) == 1
+    doc = json.loads(out.getvalue())
+    failures = doc["theorems"][0]["failures"]
+    for f in failures:
+        f["replay"] = f["replay"].replace(str(corpus), "CORPUS")
+    return failures
+
+
+def small_corpus(root):
+    """The shipped corpus cut down to its s3 and s4 entries (five systems)."""
+    import shutil
+    corpus = root / "corpus"
+    shutil.copytree(CORPUS, corpus)
+    for path in corpus.glob("*.json"):
+        if path.stem not in ("s3", "s4"):
+            path.unlink()
+    return corpus
+
+
+@pytest.mark.parametrize("theorem", ["third-isomorphism", "alperin-decomposition",
+                                     "iso-tables-closed", "product-strongly-closed"])
+def test_forced_failures_are_reported_in_full(theorem, tmp_path):
+    # every instance fails; each entry names its instance, carries the raw
+    # witness (subgroups, homs, witness kind) as element-index payloads and
+    # replays its suite; an error raised by the check counts as a failure
+    golden = json.loads((Path(__file__).parent / "data" / "verify_failures.json").read_text())
+    assert forced_failures(theorem, small_corpus(tmp_path)) == golden[theorem]
