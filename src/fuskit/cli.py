@@ -2,7 +2,8 @@
 
 Subcommands: `group info`, `fusion build`, `fusion check`, `quotient`,
 `verify`.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
-error.  FUSKIT_ORDER_CAP overrides the group-order cap.
+error.  The group-order cap is set only by the environment variable
+FUSKIT_ORDER_CAP (default 20000); no option or API argument overrides it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .serialization import (
     dump_system,
     load_group,
     load_system_or_spec,
+    payload,
     system_to_dict,
 )
 from .verify import report_emit, run_verification, theorem_ids
@@ -44,12 +46,13 @@ def _subgroup_from_arg(F, text: str):
 def _cmd_group_info(args) -> int:
     G = load_group(args.file)
     full = G.full_subgroup()
+    center_order = pg.center(full).order
     info = {
         "name": G.name,
         "degree": G.degree,
         "order": G.order,
-        "abelian": G.is_abelian(),
-        "center_order": pg.center(full).order,
+        "abelian": center_order == G.order,
+        "center_order": center_order,
         "element_orders": {str(k): v for k, v in sorted(full.element_orders().items())},
         "subgroup_count": len(pg.subgroups(G)),
     }
@@ -107,8 +110,7 @@ def _cmd_fusion_check(args) -> int:
         out["normal"] = cl.is_normal_subgroup(F, Q)
     try:
         if args.op:
-            core = cl.o_p(F)
-            out["op"] = {"order": core.order, "members": list(core.members)}
+            out["op"] = payload(cl.o_p(F))
         if args.constrained:
             out["constrained"] = sol.is_constrained(F)
         if args.psoluble:
@@ -145,11 +147,7 @@ def _cmd_quotient(args) -> int:
         "mode": args.mode,
         "closure": {
             "is_fusion": closed,
-            "witness": None if closed else {
-                "kind": witness.kind,
-                "homs": [{"domain": list(h.domain.members),
-                          "map": [list(x) for x in h.pairs]} for h in witness.homs],
-            },
+            "witness": None if closed else {"kind": witness.kind, "homs": payload(witness.homs)},
         },
         "system": system_to_dict(sub),
     }

@@ -80,18 +80,17 @@ def fnrc_subgroups(F: FusionSystem) -> list[Subgroup]:
             if is_fully_normalized(F, S) and is_centric(F, S) and is_radical(F, S)]
 
 
-def is_normal_subgroup(F: FusionSystem, Q: Subgroup, strict: bool = False) -> bool:
+def is_normal_subgroup(F: FusionSystem, Q: Subgroup) -> bool:
     """Whether the whole system normalizes Q.
 
     On a saturated system this uses the containment criterion (strongly
     closed, and inside every fully normalized centric radical subgroup); on a
     non-saturated system the criterion is not available, so we fall back to
-    the definitional check and warn, or raise in strict mode.
+    the definitional check and warn.  A caller that wants no fallback checks
+    is_saturated first.
     """
     check_in_carrier(F, Q)
     if not is_saturated(F):
-        if strict:
-            raise NotSaturated("normality criterion requires a saturated system")
         warnings.warn("system is not saturated; using the definitional normality check",
                       stacklevel=2)
         return definitional_normal(F, Q)

@@ -30,12 +30,12 @@ class CorpusEntry:
     named_subgroups: dict[str, list[list[int]]] = field(default_factory=dict)
     expected: dict = field(default_factory=dict)
 
-    def load_group(self, cap: Optional[int] = None) -> Group:
-        return load_group(self.group_path, cap=cap)
+    def load_group(self) -> Group:
+        return load_group(self.group_path)
 
-    def load_model(self, p: int, cap: Optional[int] = None) -> Optional[Group]:
+    def load_model(self, p: int) -> Optional[Group]:
         path = self.models.get(p)
-        return load_group(path, cap=cap) if path else None
+        return load_group(path) if path else None
 
 
 def shipped_corpus_dir() -> Path:
@@ -127,16 +127,16 @@ class SystemRecord:
         return f"{self.entry.name}@p{self.p}{suffix}"
 
 
-def corpus_systems(entries: list[CorpusEntry], cap: Optional[int] = None) -> list[SystemRecord]:
+def corpus_systems(entries: list[CorpusEntry]) -> list[SystemRecord]:
     """Build every system an entry asks for, deterministically ordered."""
     records = []
     groups: dict[Path, Group] = {}
     for entry in entries:
         if entry.group_path not in groups:
-            groups[entry.group_path] = entry.load_group(cap=cap)
+            groups[entry.group_path] = entry.load_group()
         G = groups[entry.group_path]
         for p in entry.primes:
-            records.append(SystemRecord(entry, p, "conj", G, fusion_from_group(G, p, cap=cap)))
+            records.append(SystemRecord(entry, p, "conj", G, fusion_from_group(G, p)))
         for gen in entry.generated_systems:
             p = gen["p"]
             seeds = [_seed_from_dict(G, s) for s in gen.get("seed_morphisms", [])]

@@ -183,9 +183,9 @@ def _conjugation_table(carrier: Subgroup, acting_ids: Iterable[int]) -> dict[Tab
     return table
 
 
-def fusion_from_group(G: Group, p: int, cap: Optional[int] = None) -> FusionSystem:
+def fusion_from_group(G: Group, p: int) -> FusionSystem:
     """The fusion system of G on one of its Sylow p-subgroups."""
-    if G.order > pg.order_cap(cap):
+    if G.order > pg.order_cap():
         raise OrderCapExceeded(f"group of order {G.order} exceeds cap")
     P = pg.sylow(G, p)
     table = _conjugation_table(P, range(G.order))

@@ -38,10 +38,8 @@ DEFAULT_ISO_CAP = 512
 _TABLE_LIMIT = 2048
 
 
-def order_cap(explicit: Optional[int] = None) -> int:
-    """Resolve the group-order cap (FUSKIT_ORDER_CAP overrides the default)."""
-    if explicit is not None:
-        return explicit
+def order_cap() -> int:
+    """The group-order cap: FUSKIT_ORDER_CAP if set, else DEFAULT_ORDER_CAP."""
     env = os.environ.get("FUSKIT_ORDER_CAP")
     return int(env) if env else DEFAULT_ORDER_CAP
 
@@ -62,9 +60,9 @@ def cached(owner, name: str, key, build, *args):
     declared with ``memo``.  A site calls ``cached`` itself when a check it
     runs on every call reads more than the owner and the key (the parent of a
     subgroup the key holds as a mask, an order cap, a warning), when the key
-    is not the one ``memo`` builds (an inferred prime, a list of homs, a
-    corpus record, another system's memo), or when the build is a function
-    defined elsewhere (``norm``, ``cent``).
+    is not the one ``memo`` builds (a list of homs, a corpus record, another
+    system's memo), or when the build is a function defined elsewhere
+    (``norm``, ``cent``).
     """
     try:
         return owner._caches[name][key]
@@ -334,13 +332,6 @@ class Group:
     def subgroup_of(self, ids: Iterable[int]) -> "Subgroup":
         return Subgroup(self, _closure_mask(self, 1 | mask_of(ids)))  # 1: the identity
 
-    def is_abelian(self) -> bool:
-        for i, a in enumerate(self.generators):
-            for b in self.generators[i + 1:]:
-                if (a * b).images != (b * a).images:
-                    return False
-        return True
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Group):
             return NotImplemented
@@ -357,14 +348,13 @@ class Group:
         return f"Group({self.name!r}, degree={self.degree}, order={self.order})"
 
 
-def group_from_generators(degree: int, gens: Sequence, name: str = "G",
-                          cap: Optional[int] = None) -> Group:
+def group_from_generators(degree: int, gens: Sequence, name: str = "G") -> Group:
     """Enumerate the group generated by ``gens`` (one-line images or Perms).
     The elements follow from the degree and the generators, so a live group
     made here from the same degree, name and generators is not enumerated again."""
     if degree < 1:
         raise NotAPermutation("degree must be at least 1")
-    cap = order_cap(cap)
+    cap = order_cap()
     perms = [Perm.checked(g.images if isinstance(g, Perm) else g, degree) for g in gens]
     key = (degree, name, tuple(g.images for g in perms))
     G = _GROUPS.get(key)
@@ -528,9 +518,9 @@ def _closure_from_gens(G: Group, gens: Sequence[int]) -> int:
 
 # -- subgroup enumeration ---------------------------------------------------
 
-def subgroups(G: Group, cap: Optional[int] = None) -> list[Subgroup]:
+def subgroups(G: Group) -> list[Subgroup]:
     """All subgroups of G, ordered by (order, bitmask)."""
-    if G.order > order_cap(cap):
+    if G.order > order_cap():
         raise OrderCapExceeded(f"group of order {G.order} exceeds cap")
     return subgroups_of(G.full_subgroup())
 

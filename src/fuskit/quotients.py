@@ -161,20 +161,20 @@ class FusionSystemMorphism:
         return pg.induced_hom(phi, self.carrier_map, self.target.parent)
 
 
-def quotient_morphism(F: FusionSystem, Q: Subgroup, target: str = "generated-bar") -> FusionSystemMorphism:
-    """The natural morphism F -> F/Q (kernel Q), with the functor condition
-    validated exhaustively.
+def quotient_morphism(F: FusionSystem, Q: Subgroup) -> FusionSystemMorphism:
+    """The natural morphism F -> F/Q, with the functor condition validated
+    exhaustively.
 
-    target='factor' additionally demands that the bar image is already a
-    closed fusion system equal to the factor system; otherwise only the
-    closure of the bar image receives a genuine morphism.
+    The target follows from F.  A saturated F maps onto the factor system
+    F/Q, and the bar image must already be a closed fusion system equal to
+    it (ImageNotAFusionSystem otherwise); any other F maps onto the generated
+    bar, the closure of the bar image.  The kernel is computed: it is the
+    preimage of the identity of P/Q under the carrier map.
     """
-    if target not in ("generated-bar", "factor"):
-        raise ValueError("target must be 'generated-bar' or 'factor'")
     if not is_strongly_closed(F, Q):
         raise NotStronglyClosed("a fusion-system morphism kernel must be strongly closed")
     bar = bar_system(F, Q)  # the image of every morphism of F under the projection
-    if target == "factor":
+    if is_saturated(F):
         closed, witness = prefusion_is_fusion(bar)
         tgt = factor_system(F, Q)
         if not closed or not same_system(bar, tgt):
@@ -184,7 +184,9 @@ def quotient_morphism(F: FusionSystem, Q: Subgroup, target: str = "generated-bar
         tgt = generated_bar(F, Q)
     if any(not homs <= tgt.table.get(key, frozenset()) for key, homs in bar.table.items()):
         raise ImageNotAFusionSystem("functor condition failed on a morphism")
-    return FusionSystemMorphism(F, tgt, dict(_quotient_parts(F, Q).proj), Q)
+    parts = _quotient_parts(F, Q)
+    kernel = _preimage_subgroup(F, parts, parts.group.trivial_subgroup())
+    return FusionSystemMorphism(F, tgt, dict(parts.proj), kernel)
 
 
 # -- closure transfer -----------------------------------------------------------

@@ -26,6 +26,21 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def payload(value):
+    """A value as JSON: a subgroup becomes its order and member ids, a hom its
+    domain's members and its [source, image] pairs; lists, tuples and dicts
+    are rendered item by item, other values stay."""
+    if isinstance(value, Subgroup):
+        return {"order": value.order, "members": list(value.members)}
+    if isinstance(value, GroupHom):
+        return {"domain": list(value.domain.members), "map": [list(x) for x in value.pairs]}
+    if isinstance(value, dict):
+        return {k: payload(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [payload(v) for v in value]
+    return value
+
+
 def _require(cond: bool, msg: str):
     if not cond:
         raise ParseError(msg)
@@ -52,14 +67,14 @@ def group_to_dict(G: Group) -> dict:
     }
 
 
-def group_from_dict(d: dict, cap: Optional[int] = None) -> Group:
+def group_from_dict(d: dict) -> Group:
     _require(isinstance(d, dict), "group document must be an object")
     _require_fields(d, "group document", ("name", "degree", "generators"))
     _require(type(d["degree"]) is int and d["degree"] >= 1,
              "field 'degree' must be a positive integer")
     _require(isinstance(d["generators"], list), "field 'generators' must be a list")
     try:
-        return pg.group_from_generators(d["degree"], d["generators"], str(d["name"]), cap=cap)
+        return pg.group_from_generators(d["degree"], d["generators"], str(d["name"]))
     except NotAPermutation as exc:
         raise ValidationError(f"bad generator in group {d['name']!r}: {exc}") from exc
 
@@ -76,22 +91,22 @@ def load_json(path: Union[str, Path]) -> dict:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
-def load_group(path: Union[str, Path], cap: Optional[int] = None) -> Group:
-    return group_from_dict(load_json(path), cap=cap)
+def load_group(path: Union[str, Path]) -> Group:
+    return group_from_dict(load_json(path))
 
 
 # -- fusion specs ---------------------------------------------------------------
 
-def _resolve_group(ref, base_dir: Optional[Path], resolver: Optional[Callable[[str], Group]],
-                   cap: Optional[int]) -> Group:
+def _resolve_group(ref, base_dir: Optional[Path],
+                   resolver: Optional[Callable[[str], Group]]) -> Group:
     if isinstance(ref, dict):
-        return group_from_dict(ref, cap=cap)
+        return group_from_dict(ref)
     if isinstance(ref, str):
         if ref.endswith(".json"):
             path = Path(ref)
             if not path.is_absolute() and base_dir is not None:
                 path = base_dir / path
-            return load_group(path, cap=cap)
+            return load_group(path)
         if resolver is not None:
             return resolver(ref)
         raise ParseError(f"group reference {ref!r} needs a resolver or a .json path")
@@ -111,8 +126,7 @@ def _seed_from_dict(G: Group, d: dict) -> GroupHom:
 
 
 def fusion_spec_from_dict(d: dict, base_dir: Optional[Path] = None,
-                          resolver: Optional[Callable[[str], Group]] = None,
-                          cap: Optional[int] = None) -> FusionSystem:
+                          resolver: Optional[Callable[[str], Group]] = None) -> FusionSystem:
     """Build a system from a spec document: conjugation fusion of an ambient
     group, or a generated system from seed morphisms on a p-group."""
     _require(isinstance(d, dict), "fusion spec must be an object")
@@ -121,20 +135,19 @@ def fusion_spec_from_dict(d: dict, base_dir: Optional[Path] = None,
     mode = d["mode"]
     if mode == "from-group":
         ref = d.get("ambient", d["group"])
-        G = _resolve_group(ref, base_dir, resolver, cap)
-        return fusion_from_group(G, p, cap=cap)
+        G = _resolve_group(ref, base_dir, resolver)
+        return fusion_from_group(G, p)
     if mode == "generated":
-        G = _resolve_group(d["group"], base_dir, resolver, cap)
+        G = _resolve_group(d["group"], base_dir, resolver)
         seeds = [_seed_from_dict(G, s) for s in d.get("seed_morphisms", [])]
         return fusion_generated(G, p, seeds)
     raise ParseError(f"unknown fusion mode {mode!r}")
 
 
-def load_fusion_spec(path: Union[str, Path], resolver: Optional[Callable[[str], Group]] = None,
-                     cap: Optional[int] = None) -> FusionSystem:
+def load_fusion_spec(path: Union[str, Path],
+                     resolver: Optional[Callable[[str], Group]] = None) -> FusionSystem:
     path = Path(path)
-    return fusion_spec_from_dict(load_json(path), base_dir=path.parent,
-                                 resolver=resolver, cap=cap)
+    return fusion_spec_from_dict(load_json(path), base_dir=path.parent, resolver=resolver)
 
 
 # -- computed systems -------------------------------------------------------------
@@ -163,7 +176,7 @@ def system_to_dict(F: PreFusionSystem) -> dict:
 _INT, _TWO = {int}, {2}
 
 
-def system_from_dict(d: dict, cap: Optional[int] = None) -> PreFusionSystem:
+def system_from_dict(d: dict) -> PreFusionSystem:
     """Parse a computed system, checking every stored iso.
 
     Each distinct domain or codomain list is parsed once per document: its
@@ -181,7 +194,7 @@ def system_from_dict(d: dict, cap: Optional[int] = None) -> PreFusionSystem:
     _require(d.get("version") == 1, "unsupported fusion-system version")
     _require_fields(d, "fusion-system document", ("p", "ambient", "carrier", "isos"))
     p = _prime_field(d)
-    G = group_from_dict(d["ambient"], cap=cap)
+    G = group_from_dict(d["ambient"])
     carrier = Subgroup(G, _member_mask(G, d["carrier"]))
     _require(G.subgroup_of(carrier.members).mask == carrier.mask, "the carrier is not a subgroup")
     _require(isinstance(d["isos"], list), "field 'isos' must be a list")
@@ -254,8 +267,8 @@ def dump_system(F: PreFusionSystem) -> str:
     return canonical_json(system_to_dict(F))
 
 
-def load_system_or_spec(path: Union[str, Path], resolver: Optional[Callable[[str], Group]] = None,
-                        cap: Optional[int] = None) -> PreFusionSystem:
+def load_system_or_spec(path: Union[str, Path],
+                        resolver: Optional[Callable[[str], Group]] = None) -> PreFusionSystem:
     """Load a serialized computed system, a build spec, or the wrapped output
     of the quotient subcommand."""
     path = Path(path)
@@ -264,5 +277,5 @@ def load_system_or_spec(path: Union[str, Path], resolver: Optional[Callable[[str
     if isinstance(d.get("system"), dict) and d["system"].get("format") == "fusion-system":
         d = d["system"]
     if d.get("format") == "fusion-system":
-        return system_from_dict(d, cap=cap)
-    return fusion_spec_from_dict(d, base_dir=path.parent, resolver=resolver, cap=cap)
+        return system_from_dict(d)
+    return fusion_spec_from_dict(d, base_dir=path.parent, resolver=resolver)

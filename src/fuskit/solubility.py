@@ -85,7 +85,7 @@ def is_model(G: Group, F: FusionSystem) -> bool:
     return False
 
 
-def qd_group(p: int, cap: Optional[int] = None) -> Group:
+def qd_group(p: int) -> Group:
     """The affine group (C_p x C_p) : SL_2(p) acting on p^2 points."""
     pg._check_prime(p)
     if p > 5:
@@ -100,27 +100,26 @@ def qd_group(p: int, cap: Optional[int] = None) -> Group:
     # row-vector action (a,b) -> (a,b) M for the elementary matrices
     m1 = [idx(a, (a + b) % p) for a in range(p) for b in range(p)]
     m2 = [idx((a + b) % p, b) for a in range(p) for b in range(p)]
-    return pg.group_from_generators(n, [t1, t2, m1, m2], f"Qd({p})", cap=cap)
+    return pg.group_from_generators(n, [t1, t2, m1, m2], f"Qd({p})")
 
 
-def is_qdp_free_group(G: Group, p: int, cap: Optional[int] = None) -> bool:
+def is_qdp_free_group(G: Group, p: int) -> bool:
     """No subquotient of G is isomorphic to Qd(p)."""
     pg._check_prime(p)
-    if G.order > pg.order_cap(cap):
+    if G.order > pg.order_cap():
         raise OrderCapExceeded(f"group of order {G.order} exceeds cap")
-    return cached(G, "qdp_free", p, _qdp_free, G, p, cap)
+    return cached(G, "qdp_free", p, _qdp_free, G, p)
 
 
-def _qdp_free(G: Group, p: int, cap: Optional[int]) -> bool:
+def _qdp_free(G: Group, p: int) -> bool:
     m = p ** 3 * (p * p - 1)
     if G.order % m:
         return True
-    target = qd_group(p)
-    iso_cap = max(m, pg.DEFAULT_ISO_CAP)
+    target = qd_group(p).full_subgroup()
     if m == G.order:
-        return pg.isomorphism_search(G, target, cap=iso_cap) is None
+        return not pg.isomorphisms_between(G.full_subgroup(), target)
     # a section H/N = Qd(p) takes H and the kernel N from the lattice of G
-    lattice = pg.subgroups(G, cap=cap)
+    lattice = pg.subgroups(G)
     for H in sorted((H for H in lattice if H.order % m == 0), key=lambda s: -s.order):
         for N in lattice:
             if N.order * m != H.order or not N <= H or not pg.is_normal_in(N, H):
@@ -128,7 +127,7 @@ def _qdp_free(G: Group, p: int, cap: Optional[int]) -> bool:
             HG, mem = pg.as_group(H)
             kernel = Subgroup(HG, pg.mask_image({x: i for i, x in enumerate(mem)}, N.mask))
             quotient, _ = pg.quotient_group(HG, kernel)
-            if pg.isomorphism_search(quotient, target, cap=iso_cap):
+            if pg.isomorphisms_between(quotient.full_subgroup(), target):
                 return False
     return True
 

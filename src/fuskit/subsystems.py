@@ -7,10 +7,10 @@ subset check on the iso tables.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import permgroup as pg
-from .errors import CarrierNotStronglyClosed, NotASubgroup, NotNormal
+from .errors import CarrierNotStronglyClosed, NotNormal
 from .fusion import (
     FusionSystem,
     PreFusionSystem,
@@ -32,24 +32,9 @@ def is_subsystem_of(E: PreFusionSystem, F: PreFusionSystem) -> bool:
     return all(homs <= F.table.get(key, frozenset()) for key, homs in E.table.items())
 
 
-def _infer_p(order: int, p: Optional[int]) -> int:
-    if p is not None:
-        return p
-    if order == 1:
-        raise ValueError("the trivial group needs an explicit prime")
-    q = min(d for d in range(2, order + 1) if order % d == 0)
-    if not pg._is_p_power(order, q):
-        raise NotASubgroup("carrier is not a p-group")
-    return q
-
-
-def inner_system(Q: Subgroup, p: Optional[int] = None) -> FusionSystem:
+@memo("inner_system")
+def inner_system(Q: Subgroup, p: int) -> FusionSystem:
     """The fusion system of Q on itself: conjugation maps by elements of Q."""
-    p = _infer_p(Q.order, p)
-    return cached(Q.parent, "inner_system", (Q.mask, p), _inner_system, Q, p)
-
-
-def _inner_system(Q: Subgroup, p: int) -> FusionSystem:
     return FusionSystem(Q, p, _conjugation_table(Q, Q.members), provenance="inner")
 
 

@@ -37,9 +37,10 @@ def test_p_group_fusion_is_inner(d8_system, groups):
     assert fz.same_system(d8_system, ss.inner_system(d8.full_subgroup(), 2))
 
 
-def test_from_group_cap(groups):
+def test_from_group_cap(groups, monkeypatch):
+    monkeypatch.setenv("FUSKIT_ORDER_CAP", "100")
     with pytest.raises(OrderCapExceeded):
-        fz.fusion_from_group(groups["a6"], 2, cap=100)
+        fz.fusion_from_group(groups["a6"], 2)
 
 
 def test_from_group_trivial_sylow(groups):

@@ -39,3 +39,22 @@ def test_the_order_cap_is_the_only_environment_read():
                     expr = parent[id(expr)]
                 reads.append((path.name, func.get(id(node)), ast.unparse(expr)))
     assert reads == [("permgroup.py", "order_cap", "os.environ.get('FUSKIT_ORDER_CAP')")]
+
+
+def test_the_order_cap_has_no_per_call_override():
+    # FUSKIT_ORDER_CAP alone sets the cap: order_cap takes no parameter, and
+    # no function takes a cap but isomorphism_search, whose own cap guards a
+    # public entry point and is threaded nowhere
+    with_cap = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            if getattr(node, "name", None) == "order_cap":
+                assert names == [], f"{path.name}:{node.lineno}"
+            if "cap" in names:
+                with_cap.append((path.name, getattr(node, "name", "<lambda>")))
+    assert with_cap == [("permgroup.py", "isomorphism_search")]

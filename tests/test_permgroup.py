@@ -55,9 +55,10 @@ def test_duplicate_image_rejected():
         pg.group_from_generators(3, [[0, 0, 1]], "bad")
 
 
-def test_order_cap():
+def test_order_cap(monkeypatch):
+    monkeypatch.setenv("FUSKIT_ORDER_CAP", "100")
     with pytest.raises(OrderCapExceeded):
-        pg.group_from_generators(6, [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]], "A6", cap=100)
+        pg.group_from_generators(6, [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]], "A6")
 
 
 def test_equal_identities_share_their_tables(groups):
@@ -179,9 +180,10 @@ def test_subgroup_invariants(groups):
     assert [pg.subgroup_key(s) for s in subs] == sorted(pg.subgroup_key(s) for s in subs)
 
 
-def test_subgroups_cap(groups):
+def test_subgroups_cap(groups, monkeypatch):
+    monkeypatch.setenv("FUSKIT_ORDER_CAP", "100")
     with pytest.raises(OrderCapExceeded):
-        pg.subgroups(groups["a6"], cap=100)
+        pg.subgroups(groups["a6"])
 
 
 def test_normal_subgroups(groups):
@@ -653,6 +655,6 @@ def test_perm_inverse(a):
 @settings(max_examples=25, deadline=None)
 @given(st.lists(perm_images, min_size=1, max_size=2))
 def test_generated_groups_satisfy_lagrange(gens):
-    G = pg.group_from_generators(5, gens, "H", cap=200)
+    G = pg.group_from_generators(5, gens, "H")
     for S in pg.subgroups(G):
         assert G.order % S.order == 0

@@ -133,7 +133,9 @@ def test_generated_bar_by_trivial(s4_system):
 # -- quotient morphisms -------------------------------------------------------------------
 
 def test_quotient_morphism_factor(s4_system, v4):
-    morph = qt.quotient_morphism(s4_system, v4, target="factor")
+    # s4@2 is saturated, so the target is the factor system
+    morph = qt.quotient_morphism(s4_system, v4)
+    assert morph.target is qt.factor_system(s4_system, v4)
     assert morph.kernel == v4
     assert fz.is_strongly_closed(s4_system, morph.kernel)
     # the morphism action is the induced map
@@ -153,11 +155,56 @@ def test_quotient_morphism_rejects_central_kernel(s4_system):
         qt.quotient_morphism(s4_system, z)
 
 
-def test_quotient_morphism_factor_demands_closure(e16_seeded, e16_line):
+def test_quotient_morphism_factor_demands_closure(s4_system, v4, monkeypatch):
+    # a saturated system's bar image must be the factor system: with one iso
+    # dropped from it, the morphism is refused
+    bar = qt.bar_system(s4_system, v4)
+    key = max(bar.table, key=lambda k: k[0].order)
+    dropped = fz.PreFusionSystem(bar.carrier, bar.p,
+                                 {**bar.table, key: sorted(bar.table[key], key=pg.hom_key)[1:]})
+    monkeypatch.setattr(qt, "bar_system", lambda F, Q: dropped)
     with pytest.raises(ImageNotAFusionSystem):
-        qt.quotient_morphism(e16_seeded, e16_line, target="factor")
-    morph = qt.quotient_morphism(e16_seeded, e16_line, target="generated-bar")
+        qt.quotient_morphism(s4_system, v4)
+
+
+def test_quotient_morphism_unsaturated_targets_generated_bar(e16_seeded, e16_line):
+    # the seeded e16 system is not saturated, and its bar image is not
+    # closed: the target is the closure of the bar image
+    assert not fz.is_saturated(e16_seeded)
+    morph = qt.quotient_morphism(e16_seeded, e16_line)
+    assert morph.target is qt.generated_bar(e16_seeded, e16_line)
     assert morph.kernel == e16_line
+
+
+def test_kernel_suite_fails_on_a_projection_that_moves_the_kernel(monkeypatch):
+    # the kernel is computed from the projection.  The bar and target tables
+    # are memoized first with the true projection, so only the kernel reads
+    # one that sends an element of Q off the identity; the suite then fails
+    # on every strongly closed Q with 1 < Q < P (for the others P/Q has no
+    # element to move it to, or Q none to move)
+    from fuskit.corpus import corpus_systems, load_corpus, shipped_corpus_dir
+    from fuskit.verify import run_verification
+    corpus = shipped_corpus_dir()
+    records = corpus_systems(load_corpus(corpus))  # alive, so the memos stay
+    proper = set()
+    for r in records:
+        for Q in r.system.subgroups():
+            if fz.is_strongly_closed(r.system, Q):
+                assert qt.quotient_morphism(r.system, Q).kernel == Q
+                if 1 < Q.order < r.system.carrier.order:
+                    proper.add(f"{r.key}/|Q|={Q.order}")
+    real = qt._quotient_parts
+
+    def moved(F, Q):
+        parts = real(F, Q)
+        if not 1 < Q.order < F.carrier.order:
+            return parts
+        outside = next(x for x in F.carrier.members if not (Q.mask >> x) & 1)
+        return qt._QuotientParts(parts.group, {**parts.proj, Q.members[1]: parts.proj[outside]})
+
+    monkeypatch.setattr(qt, "_quotient_parts", moved)
+    outcome, = run_verification(corpus, theorem="morphism-kernels-strongly-closed").outcomes
+    assert proper and {f["instance"] for f in outcome.failures} == proper
 
 
 # -- closure transfer ------------------------------------------------------------------------

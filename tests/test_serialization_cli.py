@@ -55,8 +55,10 @@ def test_live_group_is_not_enumerated_again(monkeypatch):
     monkeypatch.setattr(pg.Perm, "__mul__", counted)
     assert ser.group_from_dict(json.loads(json.dumps(doc))) is G
     assert calls[0] == 0
+    monkeypatch.setenv("FUSKIT_ORDER_CAP", str(G.order - 1))
     with pytest.raises(OrderCapExceeded):
-        ser.group_from_dict(doc, cap=G.order - 1)
+        ser.group_from_dict(doc)
+    monkeypatch.delenv("FUSKIT_ORDER_CAP")
     renamed = ser.group_from_dict(dict(doc, name="D8-renamed"))
     assert renamed == G and renamed is not G and renamed.name == "D8-renamed"
 
@@ -160,10 +162,20 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+_GROUP_INFO = {  # the whole report, byte for byte
+    "d8": {"abelian": False, "center_order": 2, "degree": 4,
+           "element_orders": {"1": 1, "2": 5, "4": 2}, "name": "D8", "order": 8,
+           "subgroup_count": 10},
+    "c4xc2": {"abelian": True, "center_order": 8, "degree": 6,
+              "element_orders": {"1": 1, "2": 3, "4": 4}, "name": "C4xC2", "order": 8,
+              "subgroup_count": 8},
+}
+
+
 def test_cli_group_info(capsys):
-    assert run_cli("group", "info", str(CORPUS / "groups" / "d8.json")) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["order"] == 8 and out["subgroup_count"] == 10
+    for name, info in _GROUP_INFO.items():
+        assert run_cli("group", "info", str(CORPUS / "groups" / f"{name}.json")) == 0
+        assert capsys.readouterr().out == json.dumps(info, sort_keys=True, indent=2) + "\n"
 
 
 def test_cli_build_and_check(tmp_path, capsys):
@@ -210,8 +222,10 @@ def test_cli_quotient_modes(tmp_path, capsys):
     a_gens = json.dumps(e16_entry["named_subgroups"]["A"])
     assert run_cli("quotient", str(spec), "--by", a_gens, "--mode", "bar") == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["closure"]["is_fusion"] is False
-    assert out["closure"]["witness"]["kind"] == "missing-composite"
+    assert out["closure"] == {"is_fusion": False, "witness": {
+        "kind": "missing-composite",
+        "homs": [{"domain": [0, 1], "map": [[0, 0], [1, 2]]},
+                 {"domain": [0, 2], "map": [[0, 0], [2, 4]]}]}}
     assert run_cli("quotient", str(spec), "--by", a_gens, "--mode", "generated-bar") == 0
     out = json.loads(capsys.readouterr().out)
     assert out["closure"]["is_fusion"] is True
@@ -495,6 +509,21 @@ def test_verify_failure_carries_witness(tmp_path, capsys):
     assert failures and failures[0]["instance"] == "d8/order"
     assert failures[0]["detail"] == {"expected": 9, "got": 8}
     assert "replay" in failures[0]
+
+
+def test_verify_misspelled_value_block_fails(tmp_path, capsys):
+    # a top-level value block nothing recomputes is a failure, not a skip
+    import shutil
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS, corpus)
+    doc = json.loads((corpus / "d8.json").read_text())
+    doc["expected"]["ordr"] = {"provenance": "derived-oracle", "value": 8}
+    (corpus / "d8.json").write_text(json.dumps(doc))
+    assert run_cli("verify", str(corpus), "--theorem", "expected-values",
+                   "--format", "json") == 1
+    failures = json.loads(capsys.readouterr().out)["theorems"][0]["failures"]
+    assert [(f["instance"], f["detail"]) for f in failures] == [
+        ("d8/ordr", {"reason": "unknown value"})]
 
 
 def _raise(error):

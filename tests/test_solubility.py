@@ -138,11 +138,12 @@ def test_qdp_free(groups):
     assert not sol.is_qdp_free_group(groups["a6"], 2)    # S4 sits inside A6
 
 
-def test_qdp_free_cap_is_checked_on_a_memo_hit(groups):
+def test_qdp_free_cap_is_checked_on_a_memo_hit(groups, monkeypatch):
     G = groups["a6"]
     assert not sol.is_qdp_free_group(G, 2)
+    monkeypatch.setenv("FUSKIT_ORDER_CAP", str(G.order - 1))
     with pytest.raises(OrderCapExceeded):  # the cap is not part of the key
-        sol.is_qdp_free_group(G, 2, cap=G.order - 1)
+        sol.is_qdp_free_group(G, 2)
 
 
 def test_cores_and_qdp_freeness_across_corpus(corpus_entries, groups):

@@ -31,12 +31,6 @@ def test_inner_d8_fuses_reflections(d8_system, groups):
     assert fz.same_system(E, d8_system)
 
 
-def test_inner_infers_prime(v4):
-    assert ss.inner_system(v4).p == 2
-    with pytest.raises(ValueError):
-        ss.inner_system(v4.parent.trivial_subgroup())
-
-
 def test_subsystem_containment(s4_system, v4):
     E = ss.inner_system(v4, 2)
     assert ss.is_subsystem_of(E, s4_system)
