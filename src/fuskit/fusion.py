@@ -166,12 +166,16 @@ def hom_set(F: PreFusionSystem, Q: Subgroup, R: Subgroup) -> list[GroupHom]:
 # -- constructors ------------------------------------------------------------
 
 def _conjugation_table(carrier: Subgroup, acting_ids: Iterable[int]) -> dict[TablePair, set[GroupHom]]:
+    """The conjugation maps by the acting ids between subgroups of the
+    carrier.  Conjugation is read on the carrier's members only, and each
+    distinct restriction to the carrier is walked over the subgroups once."""
     G = carrier.parent
     subs = pg.subgroups_of(carrier)
     cmask = carrier.mask
+    mem = carrier.members
     table: dict[TablePair, set[GroupHom]] = {}
-    for g in acting_ids:
-        cm = G.conj_map(g)
+    for imgs in dict.fromkeys(tuple(G.conj(x, g) for x in mem) for g in acting_ids):
+        cm = dict(zip(mem, imgs))
         for Q in subs:
             img = 0
             for x in Q.members:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import os
 import weakref
 from collections import Counter
-from operator import itemgetter
+from itertools import compress
+from operator import getitem, itemgetter, not_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -44,7 +45,9 @@ def order_cap() -> int:
     return int(env) if env else DEFAULT_ORDER_CAP
 
 
-# builds per memo table name: one on every miss of ``cached``, hits are not counted
+# builds per memo table name: one on every miss of ``cached``, hits are not
+# counted; also one per multiplication table composed (``mul_table``) or read
+# off another group's table (``mul_table_read``)
 BUILDS: Counter = Counter()
 
 
@@ -266,14 +269,40 @@ class Group:
 
     def _ensure_mul(self):
         if self._mul is None and self.order <= _TABLE_LIMIT:
+            BUILDS["mul_table"] += 1
             self._mul = self._composed_table()
 
     def _composed_table(self) -> tuple[tuple[int, ...], ...]:
+        """The table row by row: row(s*a) is row(s) composed with row(a), since
+        (s*a)*b = s*(a*b).  Only the rows of generators come from the Perm
+        images; the others are reached by a walk from the identity over the
+        generators, each new one closed over before the next is looked at.  A
+        generator the walk already reached adds nothing and is skipped, so a
+        group that lists all its elements as generators composes O(|G|) rows."""
         idx = self._index
-        rows = []
-        for a in self.elements:
-            ai = a.images
-            rows.append(tuple(idx[tuple(b.images[i] for i in ai)] for b in self.elements))
+        images = [p.images for p in self.elements]
+        rows: list = [None] * len(images)
+        rows[0] = tuple(range(len(images)))
+        reached = [0]
+        gens: list[tuple[int, tuple[int, ...]]] = []
+        for gp in self.generators:
+            g = idx[gp.images]
+            if rows[g] is not None:
+                continue
+            # row(g)[b] = index of g*b; a degree-1 group is trivial, so its
+            # generator is reached already and itemgetter gets 2+ points here
+            gens.append((g, tuple(map(idx.__getitem__, map(itemgetter(*gp.images), images)))))
+            n_old = len(reached)
+            for i, s in enumerate(reached):  # reached grows while we walk it
+                row_s = rows[s]
+                # the elements reached before g are closed under the earlier generators
+                for a, row_a in (gens[-1:] if i < n_old else gens):
+                    t = row_s[a]
+                    if rows[t] is None:
+                        rows[t] = tuple(map(row_s.__getitem__, row_a))
+                        reached.append(t)
+        if len(reached) != len(images):
+            raise InvariantViolation(f"the generators of {self.name} do not generate its elements")
         return tuple(rows)
 
     def mul(self, a: int, b: int) -> int:
@@ -303,7 +332,12 @@ class Group:
         cm = self._conj.get(g)
         if cm is None:
             gi = self.inv(g)
-            cm = tuple(self.mul(self.mul(gi, x), g) for x in range(self.order))
+            self._ensure_mul()
+            mt = self._mul
+            if mt is None:  # above _TABLE_LIMIT
+                cm = tuple(self.mul(self.mul(gi, x), g) for x in range(self.order))
+            else:  # g^-1 x g: the column of g read at row(g^-1)[x]
+                cm = tuple(map(list(map(itemgetter(g), mt)).__getitem__, mt[gi]))
             self._conj[g] = cm
         return cm
 
@@ -314,13 +348,29 @@ class Group:
         return orders[a]
 
     def _order_table(self) -> tuple[int, ...]:
-        orders = []
-        for x in range(self.order):
-            n, y = 1, x
-            while y != 0:
-                y = self.mul(y, x)
-                n += 1
-            orders.append(n)
+        self._ensure_mul()
+        mt = self._mul
+        if mt is None:  # above _TABLE_LIMIT
+            orders = []
+            for x in range(self.order):
+                n, y = 1, x
+                while y != 0:
+                    y = self.mul(y, x)
+                    n += 1
+                orders.append(n)
+            return tuple(orders)
+        # one pass per k over the x of order k or more, reading x^k off the
+        # table as row(x^(k-1))[x]; the x with x^k = 1 have order k
+        orders = [1] * self.order
+        xs = pw = list(range(1, self.order))
+        k = 1
+        while xs:
+            k += 1
+            pw = list(map(getitem, map(mt.__getitem__, pw), xs))
+            if 0 in pw:
+                for x in compress(xs, map(not_, pw)):
+                    orders[x] = k
+                xs, pw = list(compress(xs, pw)), list(compress(pw, pw))
         return tuple(orders)
 
     def full_subgroup(self) -> "Subgroup":
@@ -488,12 +538,20 @@ def _closure_mask(G: Group, mask: int) -> int:
 
 
 def _closure_from_gens(G: Group, gens: Sequence[int]) -> int:
+    return _closure_within(G, gens, G.order)
+
+
+def _closure_within(G: Group, gens: Sequence[int], most: int) -> int:
+    """The mask of the subgroup generated by gens, walked breadth first from
+    the identity; the walk stops after the first layer that takes it past
+    ``most`` elements, and the mask of the elements reached is returned."""
     G._ensure_mul()
     mt = G._mul
     mask = 1
+    size = 1
     frontier = [0]
     if mt is not None:
-        while frontier:
+        while frontier and size <= most:
             nxt = []
             for w in frontier:
                 row = mt[w]
@@ -503,8 +561,9 @@ def _closure_from_gens(G: Group, gens: Sequence[int]) -> int:
                         mask |= 1 << prod
                         nxt.append(prod)
             frontier = nxt
+            size += len(nxt)
         return mask
-    while frontier:
+    while frontier and size <= most:
         nxt = []
         for w in frontier:
             for g in gens:
@@ -513,6 +572,7 @@ def _closure_from_gens(G: Group, gens: Sequence[int]) -> int:
                     mask |= 1 << prod
                     nxt.append(prod)
         frontier = nxt
+        size += len(nxt)
     return mask
 
 
@@ -703,23 +763,32 @@ def thompson_subgroup(S: Subgroup) -> Subgroup:
 
 @memo("sylow")
 def sylow(G: Group, p: int) -> Subgroup:
-    """One Sylow p-subgroup, grown greedily in canonical element order.  Cached."""
+    """One Sylow p-subgroup, grown greedily in canonical element order.  Cached.
+
+    No p-subgroup has more than |G|_p elements, so a trial closure <S, x> is
+    given up once it holds more, and the scan ends when S has |G|_p
+    elements: every later trial would be given up."""
     _check_prime(p)
+    most = 1
+    while G.order % (most * p) == 0:
+        most *= p
     cur_gens: list[int] = []
     cur_mask = 1
     changed = True
-    while changed:
+    while changed and cur_mask.bit_count() < most:
         changed = False
         for x in range(G.order):
             if (cur_mask >> x) & 1:
                 continue
             if not _is_p_power(G.element_order(x), p):
                 continue
-            m = _closure_from_gens(G, cur_gens + [x])
-            if _is_p_power(m.bit_count(), p):
+            m = _closure_within(G, cur_gens + [x], most)
+            if m.bit_count() <= most and _is_p_power(m.bit_count(), p):
                 cur_gens.append(x)
                 cur_mask = m
                 changed = True
+                if m.bit_count() == most:
+                    break
     return Subgroup(G, cur_mask)
 
 
@@ -861,7 +930,9 @@ def _table_through(mt, lift: Sequence[int], down) -> tuple[tuple[int, ...], ...]
     """The multiplication table of a group read off the table mt of another:
     element i of the group is down[lift[i]], for a hom down (a dict or table)
     from the other group.  Re-indexing rows is much cheaper than composing."""
-    return tuple(tuple(down[row[y]] for y in lift) for row in (mt[x] for x in lift))
+    BUILDS["mul_table_read"] += 1
+    get = down.__getitem__
+    return tuple(tuple(map(get, map(mt[x].__getitem__, lift))) for x in lift)
 
 
 # -- homomorphisms -----------------------------------------------------------

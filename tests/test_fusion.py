@@ -355,6 +355,17 @@ def test_saturation_oracle_agrees_on_corpus(corpus_entries):
     assert False in verdicts  # e16@p2:seeded
 
 
+def test_from_group_above_the_table_limit():
+    # A7 has no multiplication table: conjugating all of it by every element
+    # took 143 s, conjugating the carrier's 8 members takes a fraction of one
+    a7 = pg.group_from_generators(7, [[1, 2, 3, 4, 5, 6, 0], [1, 2, 0, 3, 4, 5, 6]], "A7")
+    assert a7.order == 2_520 > pg._TABLE_LIMIT
+    F = fz.fusion_from_group(a7, 2)
+    assert F.carrier.order == 8
+    assert fz.is_saturated(F) and oracle_saturated(F)
+    assert a7._conj.keys() <= set(F.carrier.members)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_saturation_oracle_agrees_on_drawn_seeds(groups, data):
@@ -446,6 +457,10 @@ def test_verify_work_bound(verify_run):
     # generating sets are built 128 times
     assert builds["automorphisms"] == 0
     assert builds["aut_generators"] <= 200
+    # an interned group builds its multiplication table once: 47 are composed,
+    # and 642 are read off a parent's table (subgroups and quotients)
+    assert builds["mul_table"] <= 60
+    assert builds["mul_table_read"] <= 800
 
 
 def test_verify_quotient_work_bound(verify_run):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from fuskit import fusion as fz
 from fuskit import permgroup as pg
 from fuskit import solubility as sol
 from fuskit.errors import (
@@ -276,6 +278,55 @@ def test_sylow(groups):
     assert pg.sylow(s4, 2).order == 8
     assert pg.sylow(s4, 3).order == 3
     assert pg.sylow(groups["a6"], 2).order == 8
+
+
+# the masks of the greedy scan that closed every trial <S, x> to completion
+SYLOW_MASKS = {
+    "a4@2": 0x909, "a4@3": 0x7, "a6@2": 0x909000000000000909,
+    "a6@3": 0x7000000000007000000000000000007, "a6@5": 0x1200100010001,
+    "c2@2": 0x3, "c3@3": 0x7, "c4xc2@2": 0xff, "d8@2": 0xff, "d8xc2@2": 0xffff,
+    "e16@2": 0xffff, "q8@2": 0xff, "qd2@2": 0xc300c3, "qd2@3": 0x19,
+    "qd3@2": 0x50a849,
+    "qd3@3": 0x1c0000e000001c0000000e00007000000e00000007000038000007,
+    "s3@2": 0x3, "s3@3": 0x19, "s4@2": 0xc300c3, "s4@3": 0x19,
+    "sl23@2": 0x50a849, "sl23@3": 0x7,
+}
+
+
+def test_sylow_masks_are_stamped(groups):
+    got = {f"{name}@{p}": pg.sylow(G, p).mask
+           for name, G in groups.items() for p in (2, 3, 5, 7) if G.order % p == 0}
+    assert got == SYLOW_MASKS
+
+
+def test_sylow_work_bound(groups, monkeypatch):
+    # counts work, not time: closing every trial <S, x> to completion, and
+    # scanning again after S was whole, took 259 closures of 77,822 elements
+    # in all on A6 at p = 2, and 1,459 of 2,413,694 on A7 (15.7 s).  Now the
+    # scan ends when S has |G|_p elements (15 closures), and a trial past
+    # |G|_p elements is given up (122 elements, against 734 when the 15 are
+    # closed to completion)
+    a6 = groups["a6"]
+    fresh = pg.Group(a6.degree, "A6-sylow-cold", a6.generators, a6.elements)
+    closure = pg._closure_within
+    work = [0, 0]
+
+    def counting_closure(G, gens, most):
+        mask = closure(G, gens, most)
+        work[0] += 1
+        work[1] += mask.bit_count()
+        return mask
+
+    monkeypatch.setattr(pg, "_closure_within", counting_closure)
+    assert pg.sylow(fresh, 2).mask == SYLOW_MASKS["a6@2"]
+    assert work[0] <= 40 and work[1] <= 300
+    a7 = _from_cycles(7, [[0, 1, 2, 3, 4, 5, 6]], [[0, 1, 2]])
+    assert a7.order == 2_520 > pg._TABLE_LIMIT
+    work[:] = [0, 0]
+    # A7's first 360 elements fix point 0: they are A6's, in the same order,
+    # and the full scan found its Sylow subgroup among them as well
+    assert pg.sylow(a7, 2).mask == SYLOW_MASKS["a6@2"]
+    assert work[0] <= 40 and work[1] <= 300
 
 
 def test_join_meet_set_product(groups):
@@ -610,6 +661,43 @@ def test_tables_read_through_parent_match_composition(groups):
         for N in pg.normal_subgroups(G):
             Q, _ = pg.quotient_group(G, N)
             assert Q._mul == composed(Q)
+
+
+def _assert_tables_match_perm_products(G, step=1):
+    """Every step-th row of the table and conjugation map, and every element
+    order, against products and inverses of the permutations themselves."""
+    els = G.elements
+    G.mul(0, 0)
+    assert G._mul is not None
+    for a in range(0, G.order, step):
+        assert G._mul[a] == tuple(G.index_of(els[a] * y) for y in els), (G.name, a)
+    for a, x in enumerate(els):
+        assert G.element_order(a) == math.lcm(*map(len, x.cycles())), (G.name, a)
+    for g in range(0, G.order, step):
+        y, y_inv = els[g], els[g].inverse()
+        assert G.conj_map(g) == tuple(G.index_of(y_inv * x * y) for x in els), (G.name, g)
+
+
+def test_tables_and_conjugation_match_perm_products(groups):
+    # the table composes whole rows, the conjugation maps and element orders
+    # are read off it; the reference multiplies the permutations themselves
+    for G in groups.values():
+        _assert_tables_match_perm_products(G, 1 if G.order <= 100 else 5)
+    s3_wr_c3 = _from_cycles(9, [[0, 1, 2]], [[0, 1]], [[0, 3, 6], [1, 4, 7], [2, 5, 8]])
+    c2_wr_c2_wr_c2 = _from_cycles(8, [[0, 1]], [[0, 2], [1, 3]], [[0, 4], [1, 5], [2, 6], [3, 7]])
+    s6 = _from_cycles(6, [[0, 1, 2, 3, 4, 5]], [[0, 1]])
+    s4_x_s4 = _from_cycles(8, [[0, 1, 2, 3]], [[0, 1]], [[4, 5, 6, 7]], [[4, 5]])
+    assert (s6.order, s4_x_s4.order) == (720, 576)
+    for G in (s3_wr_c3, c2_wr_c2_wr_c2, s6, s4_x_s4):
+        _assert_tables_match_perm_products(G, 11)
+    # a group that lists all its elements as generators, and a degree-1 group
+    F = fz.fusion_from_group(groups["a6"], 2)
+    aut = max((fz.aut_realization(F, Q).group for Q in F.subgroups()), key=len)
+    assert aut.order == 6 and len(aut.generators) == 5
+    _assert_tables_match_perm_products(aut)
+    trivial = pg.group_from_generators(1, [[0]], "degree-1")
+    _assert_tables_match_perm_products(trivial)
+    assert trivial._mul == ((0,),)
 
 
 def test_thompson_subgroup_characteristic(groups):
