@@ -205,13 +205,13 @@ def alperin_decompose(F: FusionSystem, phi: GroupHom) -> list[tuple[Subgroup, Gr
         raise NotSaturated("the fusion theorem requires a saturated system")
     if not F.contains_iso(phi):
         raise MorphismNotInSystem("phi is not an isomorphism of the system")
-    Q = phi.domain
-    target = phi.pairs
+    # every word is defined on phi's domain, so its images key it
+    target = phi.images
     gens = alperin_generators(F)
-    start = GroupHom.identity(Q)
-    if start.pairs == target:
+    start = GroupHom.identity(phi.domain)
+    if start.images == target:
         return []
-    seen = {start.pairs: None}
+    seen = {start.images: None}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
@@ -221,12 +221,12 @@ def alperin_decompose(F: FusionSystem, phi: GroupHom) -> list[tuple[Subgroup, Gr
                 continue
             for alpha in sorted(auts, key=hom_key):
                 nxt = cur.then(alpha.restriction(cur_img))
-                if nxt.pairs in seen:
+                if nxt.images in seen:
                     continue
-                seen[nxt.pairs] = (cur.pairs, S, alpha)
-                if nxt.pairs == target:
+                seen[nxt.images] = (cur.images, S, alpha)
+                if nxt.images == target:
                     steps = []
-                    key = nxt.pairs
+                    key = nxt.images
                     while seen[key] is not None:
                         prev, s_i, a_i = seen[key]
                         steps.append((s_i, a_i))

@@ -54,7 +54,7 @@ class PreFusionSystem:
     ``strongly_closed``, ``saturated``, ``aut_real``, ``centric``,
     ``radical``, ``fnrc``, ``normal_subgroup``, ``o_p``, ``z_f``,
     ``quotient_parts``, ``factor_system``, ``bar_system``, ``generated_bar``,
-    ``pushes_to_factor``, ``is_fusion``, ``k_normalizer``, ``pairs_by_key``,
+    ``pushes_to_factor``, ``is_fusion``, ``k_normalizer``, ``images_by_key``,
     ``invariant``) holds a function of ``(kind, p, carrier, table)`` alone:
     none reads ``provenance`` or depends on which object asks.  So on its
     first memo lookup a system finds its memo by that content key in a weak
@@ -173,18 +173,15 @@ def _conjugation_table(carrier: Subgroup, acting_ids: Iterable[int]) -> dict[Tab
     subs = pg.subgroups_of(carrier)
     cmask = carrier.mask
     mem = carrier.members
-    table: dict[TablePair, set[GroupHom]] = {}
+    homs = []
     for imgs in dict.fromkeys(tuple(G.conj(x, g) for x in mem) for g in acting_ids):
-        cm = dict(zip(mem, imgs))
+        get = dict(zip(mem, imgs)).__getitem__
         for Q in subs:
-            img = 0
-            for x in Q.members:
-                img |= 1 << cm[x]
-            if img & ~cmask:
-                continue
-            R = Subgroup(G, img)
-            table.setdefault((Q, R), set()).add(GroupHom(Q, R, ((x, cm[x]) for x in Q.members)))
-    return table
+            q_imgs = tuple(map(get, Q.members))
+            img = pg.mask_of(q_imgs)
+            if not img & ~cmask:
+                homs.append(GroupHom(Q, Subgroup(G, img), q_imgs, img))
+    return iso_table(homs)
 
 
 def fusion_from_group(G: Group, p: int) -> FusionSystem:
@@ -199,15 +196,12 @@ def fusion_from_group(G: Group, p: int) -> FusionSystem:
 def validate_hom(h: GroupHom):
     """Check that h is a well-formed injective homomorphism into its codomain.
 
-    Multiplicativity is checked on the Cayley edges of the domain
-    (``permgroup.maps_cayley_edges``)."""
-    m = h.mapping
-    members = h.domain.members
-    if set(m) != set(members):
-        raise NotAHomomorphism("map is not total on the domain")
-    if m.get(0) != 0:
+    A hom is total on its domain by construction (``GroupHom.from_map``
+    checks a given map).  Multiplicativity is checked on the Cayley edges of
+    the domain (``permgroup.maps_cayley_edges``)."""
+    imgs = h.images
+    if imgs[0] != 0:
         raise NotAHomomorphism("identity must map to identity")
-    imgs = [m[x] for x in members]
     if not pg.maps_cayley_edges(pg.cayley_columns(h.domain), imgs, h.codomain.parent):
         raise NotAHomomorphism("map is not multiplicative")
     if len(set(imgs)) != len(imgs):
@@ -232,12 +226,12 @@ def generated_on(carrier: Subgroup, p: int, seeds: Sequence[GroupHom],
 
     A generator is a plain {x: y} dict over its domain, filed under the
     domain's mask with the mask of its image, and kept once per image tuple.
-    A word Q -> R is the tuple of its images aligned with Q.members; a
-    generator on R extends it by one lookup per member, and the extension's
-    image is the generator's.  The search starts from the identity of every
-    subgroup and extends each new word by every generator on its image.  The
-    homs are built only for the words found.  The trivial subgroup has only
-    its identity, so no generator is filed for it."""
+    A word Q -> R is the ``images`` of the hom it stands for, the images of
+    Q.members in order; a generator on R extends it by one lookup per
+    member, and the extension's image is the generator's.  The search starts
+    from the identity of every subgroup and extends each new word by every
+    generator on its image.  Each word found becomes a hom as it is.  The
+    trivial subgroup has only its identity, so no generator is filed for it."""
     G = carrier.parent
     subs = pg.subgroups_of(carrier)
     gens: dict[int, dict[tuple[int, ...], tuple[dict[int, int], int]]] = {}
@@ -280,10 +274,7 @@ def generated_on(carrier: Subgroup, p: int, seeds: Sequence[GroupHom],
                     seen.add((q, w))
                     words.append((q, w, s))
     sub = {Q.mask: Q for Q in subs}
-    table: dict[TablePair, set[GroupHom]] = {}
-    for q, imgs, r in words:
-        Q, R = sub[q], sub[r]
-        table.setdefault((Q, R), set()).add(GroupHom(Q, R, zip(Q.members, imgs), r))
+    table = iso_table(GroupHom(sub[q], sub[r], imgs, r) for q, imgs, r in words)
     return FusionSystem(carrier, p, table, provenance=provenance)
 
 
@@ -320,12 +311,11 @@ def same_system(F1: PreFusionSystem, F2: PreFusionSystem) -> bool:
     return F1.carrier == F2.carrier and F1.table == F2.table
 
 
-def image_table(homs: Iterable[GroupHom], m, G: Group) -> dict[TablePair, set[GroupHom]]:
-    """The iso table of the homs that the given isos induce under the element map m."""
+def iso_table(homs: Iterable[GroupHom]) -> dict[TablePair, set[GroupHom]]:
+    """The homs, each onto its codomain, filed by their domain and codomain."""
     table: dict[TablePair, set[GroupHom]] = {}
     for h in homs:
-        bar = pg.induced_hom(h, m, G)
-        table.setdefault((bar.domain, bar.codomain), set()).add(bar)
+        table.setdefault((h.domain, h.codomain), set()).add(h)
     return table
 
 
@@ -337,8 +327,8 @@ def transport(F: PreFusionSystem, theta: GroupHom) -> FusionSystem:
         validate_hom(theta)
     except (NotAHomomorphism, NotInjective) as exc:
         raise NotAnIsomorphism(str(exc)) from exc
-    table = image_table((h for homs in F.table.values() for h in homs),
-                        theta.mapping, theta.codomain.parent)
+    m, G = theta.mapping, theta.codomain.parent
+    table = iso_table(pg.induced_hom(h, m, G) for homs in F.table.values() for h in homs)
     return FusionSystem(theta.image(), F.p, table, provenance="derived")
 
 
@@ -374,17 +364,14 @@ def n_phi(F: PreFusionSystem, phi: GroupHom) -> Subgroup:
     G = F.parent
     NQ = F.normalizer_in_carrier(Q)
     NR = F.normalizer_in_carrier(R)
-    aut_p_r = set()
-    for y in NR.members:
-        cm = G.conj_map(y)
-        aut_p_r.add(tuple(cm[r] for r in R.members))
-    inv = phi.inverse().mapping
-    fm = phi.mapping
+    # phi c_x phi^-1 = c_y on R exactly when phi(c_x(q)) = c_y(phi(q)) for
+    # every q in Q: both sides are read as tuples over Q.members
+    imgs = phi.images
+    aut_p_r = {tuple(map(G.conj_map(y).__getitem__, imgs)) for y in NR.members}
+    fm = phi.mapping.__getitem__
     mask = 0
     for x in NQ.members:
-        cmx = G.conj_map(x)
-        cand = tuple(fm[cmx[inv[r]]] for r in R.members)
-        if cand in aut_p_r:
+        if tuple(map(fm, map(G.conj_map(x).__getitem__, Q.members))) in aut_p_r:
             mask |= 1 << x
     return Subgroup(G, mask)
 
@@ -421,11 +408,9 @@ def is_saturated(F: FusionSystem) -> bool:
 
 def extensions(F: PreFusionSystem, phi: GroupHom, over: Subgroup) -> Iterator[GroupHom]:
     """The isos of F out of `over` whose restriction to the domain of phi is phi."""
-    fm = phi.mapping
-    dom = phi.domain.members
+    dom, imgs = phi.domain.members, phi.images
     for psi in F.isos_from(over):
-        pm = psi.mapping
-        if all(pm[x] == fm[x] for x in dom):
+        if tuple(map(psi.mapping.__getitem__, dom)) == imgs:
             yield psi
 
 
@@ -441,13 +426,13 @@ class AutRealization:
     inn: Subgroup                     # the conjugation automorphisms from Q
 
     def __post_init__(self):
-        self._index = {h.pairs: i for i, h in enumerate(self.homs)}
+        self._index = {h.images: i for i, h in enumerate(self.homs)}
 
     def id_of(self, h: GroupHom) -> int:
-        try:
-            return self._index[h.pairs]
-        except KeyError:
-            raise NotASubgroupOfAut("automorphism is not in Aut_F(Q)") from None
+        i = self._index.get(h.images)
+        if i is None or h.domain.members != self.members:
+            raise NotASubgroupOfAut("automorphism is not in Aut_F(Q)")
+        return i
 
     def subgroup_for(self, homs: Iterable[GroupHom]) -> Subgroup:
         """The realized subgroup for a closed set of automorphisms."""
@@ -477,8 +462,7 @@ def _aut_realization(F: PreFusionSystem, Q: Subgroup) -> AutRealization:
     auts = sorted(F.aut(Q), key=hom_key)
     perms = {}
     for h in auts:
-        m = h.mapping
-        perms[h] = pg.Perm(tuple(pos[m[x]] for x in members))
+        perms[h] = pg.Perm(tuple(map(pos.__getitem__, h.images)))
     grp = Group._from_elements(max(len(members), 1), perms.values(),
                                f"Aut({Q.order})")
     homs: list[Optional[GroupHom]] = [None] * grp.order

@@ -144,7 +144,7 @@ def _oracle_quotient(F: FusionSystem, T: Subgroup) -> tuple[FusionSystem, dict[i
                 continue
             pairs = {proj[x]: proj[m[x]] for x in r.members}
             key = (Subgroup(Q, pg.mask_of(pairs)), Subgroup(Q, pg.mask_of(pairs.values())))
-            table.setdefault(key, set()).add(GroupHom(key[0], key[1], pairs.items()))
+            table.setdefault(key, set()).add(GroupHom.from_map(key[0], key[1], pairs))
     return FusionSystem(Q.full_subgroup(), F.p, table, provenance="oracle-quotient"), proj
 
 
@@ -203,7 +203,7 @@ def brute_automorphisms(Q: Subgroup) -> list[GroupHom]:
                     words.append(wg)
         if (len(set(f.values())) == len(mem)
                 and all(f[G.mul(x, y)] == G.mul(f[x], f[y]) for x in mem for y in mem)):
-            found.append(GroupHom(Q, Q, f.items()))
+            found.append(GroupHom.from_map(Q, Q, f))
     return sorted(found, key=hom_key)
 
 

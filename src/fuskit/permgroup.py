@@ -687,12 +687,18 @@ def normal_subgroups(G: Group) -> list[Subgroup]:
 
 @memo("conjugacy_classes")
 def conjugacy_classes(G: Group) -> list[tuple[int, int]]:
-    """The conjugacy classes as (least element, class mask) pairs, cached."""
+    """The conjugacy classes as (least element, class mask) pairs, cached.
+    A class is grown by its images under the generators of G until they fix it."""
+    maps = [G.conj_map(g) for g in G.full_subgroup().generating_ids()]
     seen = 0
     classes = []
     for x in range(G.order):
         if not (seen >> x) & 1:
-            cls = mask_of(G.conj_map(g)[x] for g in range(G.order))
+            cls, prev = 1 << x, 0
+            while cls != prev:
+                prev = cls
+                for cm in maps:
+                    cls |= mask_image(cm, cls)
             classes.append((x, cls))
             seen |= cls
     return classes
@@ -794,13 +800,16 @@ def sylow(G: Group, p: int) -> Subgroup:
 
 @memo("core_p")
 def core_p(G: Group, p: int) -> Subgroup:
-    """O_p(G): the intersection of all conjugates of a Sylow p-subgroup."""
-    P = sylow(G, p)
-    mask = P.mask
-    for g in range(G.order):
-        mask &= P.conjugate(g).mask
-        if mask == 1:
-            break
+    """O_p(G): the intersection of all conjugates of a Sylow p-subgroup P,
+    which is the largest subset of P that conjugation fixes.  P is cut down
+    to its meets with its images under the generators of G until no
+    generator moves it: a subset M with M^g = M for every generator g."""
+    maps = [G.conj_map(g) for g in G.full_subgroup().generating_ids()]
+    mask, prev = sylow(G, p).mask, 0
+    while mask != prev:
+        prev = mask
+        for cm in maps:
+            mask &= mask_image(cm, mask)
     return Subgroup(G, mask)
 
 
@@ -938,39 +947,55 @@ def _table_through(mt, lift: Sequence[int], down) -> tuple[tuple[int, ...], ...]
 # -- homomorphisms -----------------------------------------------------------
 
 class GroupHom:
-    """An injective homomorphism between subgroups, as a total index map.
+    """An injective homomorphism between subgroups, stored as ``images``: the
+    tuple of the images of ``domain.members``, in that order.
 
     Two homs are equal when they have the same domain, the same codomain
-    parent group, and the same mapping; the codomain subgroup itself is just
+    parent group, and the same images; the codomain subgroup itself is just
     a typing envelope.
     """
 
-    __slots__ = ("domain", "codomain", "pairs", "_map", "_image_mask", "_hash")
+    __slots__ = ("domain", "codomain", "images", "_map", "_img_mask", "_hash")
 
-    def __init__(self, domain: Subgroup, codomain: Subgroup, pairs: Iterable[tuple[int, int]],
+    def __init__(self, domain: Subgroup, codomain: Subgroup, images: Iterable[int],
                  image_mask: Optional[int] = None):
-        """image_mask, when given, must be the mask of the images in pairs."""
+        """images must align with domain.members; image_mask, when given,
+        must be their mask."""
         self.domain = domain
         self.codomain = codomain
-        self.pairs = tuple(sorted(pairs))
+        self.images = tuple(images)
         self._map = None
-        self._image_mask = image_mask
+        self._img_mask = image_mask
         self._hash = None
 
     @classmethod
+    def from_map(cls, domain: Subgroup, codomain: Subgroup, m) -> "GroupHom":
+        """The hom given by a dict, or a list of (source, image) pairs, whose
+        sources are exactly the domain's members."""
+        m = dict(m)
+        if len(m) != domain.order or not all(map(m.__contains__, domain.members)):
+            raise NotAHomomorphism("map is not total on the domain")
+        return cls(domain, codomain, map(m.__getitem__, domain.members))
+
+    @classmethod
     def identity(cls, Q: Subgroup) -> "GroupHom":
-        return cls(Q, Q, ((x, x) for x in Q.members))
+        return cls(Q, Q, Q.members, Q.mask)
 
     @classmethod
     def inclusion(cls, Q: Subgroup, R: Subgroup) -> "GroupHom":
         if not Q <= R:
             raise NotASubgroup("inclusion requires Q <= R")
-        return cls(Q, R, ((x, x) for x in Q.members))
+        return cls(Q, R, Q.members, Q.mask)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (source, image) pairs, sorted by source."""
+        return tuple(zip(self.domain.members, self.images))
 
     @property
     def mapping(self) -> dict[int, int]:
         if self._map is None:
-            self._map = dict(self.pairs)
+            self._map = dict(zip(self.domain.members, self.images))
         return self._map
 
     def __call__(self, x: int) -> int:
@@ -978,49 +1003,45 @@ class GroupHom:
 
     @property
     def image_mask(self) -> int:
-        if self._image_mask is None:
-            self._image_mask = _image_mask(self.pairs)
-        return self._image_mask
+        if self._img_mask is None:
+            self._img_mask = mask_of(self.images)
+        return self._img_mask
 
     def image(self) -> Subgroup:
         return Subgroup(self.codomain.parent, self.image_mask)
 
     def is_identity_map(self) -> bool:
-        return all(x == y for x, y in self.pairs)
+        return self.images == self.domain.members
 
     def restriction(self, Q: Subgroup) -> "GroupHom":
         """Restrict to Q <= domain; the codomain becomes the image of Q."""
-        m = self.mapping
-        pairs = tuple((x, m[x]) for x in Q.members)
-        img = _image_mask(pairs)
-        return GroupHom(Q, Subgroup(self.codomain.parent, img), pairs, img)
+        return _hom_onto(Q, self.codomain.parent, map(self.mapping.__getitem__, Q.members))
 
     def inverse(self) -> "GroupHom":
-        img = self.image()
-        return GroupHom(img, self.domain, ((y, x) for x, y in self.pairs), self.domain.mask)
+        back = dict(zip(self.images, self.domain.members))
+        return GroupHom(self.image(), self.domain, map(back.__getitem__, sorted(back)),
+                        self.domain.mask)
 
     def then(self, other: "GroupHom") -> "GroupHom":
         """Left-to-right composite; other must be defined on this image."""
-        om = other.mapping
-        pairs = tuple((x, om[y]) for x, y in self.pairs)
-        img = _image_mask(pairs)
-        return GroupHom(self.domain, Subgroup(other.codomain.parent, img), pairs, img)
+        return _hom_onto(self.domain, other.codomain.parent,
+                         map(other.mapping.__getitem__, self.images))
 
     def with_codomain(self, R: Subgroup) -> "GroupHom":
         if self.image_mask & ~R.mask:
             raise ImageEscapesCodomain("image does not lie in the requested codomain")
-        return GroupHom(self.domain, R, self.pairs)
+        return GroupHom(self.domain, R, self.images, self._img_mask)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupHom):
             return NotImplemented
-        return (self.pairs == other.pairs and self.domain == other.domain
+        return (self.images == other.images and self.domain == other.domain
                 and self.codomain.parent == other.codomain.parent)
 
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash((self.domain.mask, hash(self.domain.parent),
-                               hash(self.codomain.parent), self.pairs))
+                               hash(self.codomain.parent), self.images))
         return self._hash
 
     def __repr__(self) -> str:
@@ -1028,19 +1049,17 @@ class GroupHom:
                 f" in {self.codomain.parent.name})")
 
 
-def _image_mask(pairs) -> int:
-    """The bitmask of the images in (source, image) pairs.  Every restricted,
-    composed or induced hom needs one, and a loop written out here is markedly
-    faster than mask_of over a generator."""
-    mask = 0
-    for _, y in pairs:
-        mask |= 1 << y
-    return mask
+def _hom_onto(domain: Subgroup, parent: Group, images: Iterable[int]) -> GroupHom:
+    """The hom with these images of domain.members, onto its image in parent."""
+    images = tuple(images)
+    img = mask_of(images)
+    return GroupHom(domain, Subgroup(parent, img), images, img)
 
 
 def hom_key(h: GroupHom) -> tuple:
-    """Canonical sort key for homs: domain order/mask, image mask, mapping."""
-    return (h.domain.order, h.domain.mask, h.image_mask, h.pairs)
+    """Canonical sort key for homs: domain order/mask, image mask, images.
+    On one domain, images sort as the (source, image) pairs would."""
+    return (h.domain.order, h.domain.mask, h.image_mask, h.images)
 
 
 def hom_build(domain: Subgroup, codomain: Subgroup,
@@ -1069,7 +1088,7 @@ def hom_build(domain: Subgroup, codomain: Subgroup,
         raise NotInjective("the extension is not injective")
     if used & ~codomain.mask:
         raise ImageEscapesCodomain("image is not contained in the codomain")
-    return GroupHom(domain, codomain, ((x, img[x]) for x in elts), used)
+    return GroupHom(domain, codomain, map(img.__getitem__, domain.members), used)
 
 
 def cayley_columns(S: Subgroup) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -1156,30 +1175,23 @@ def conjugation_hom(g: int, Q: Subgroup, R: Subgroup) -> GroupHom:
     """theta_g : x -> g^-1 x g as a hom Q -> R; requires Q^g <= R."""
     _check_same_parent(Q, R)
     G = Q.parent
-    cm = G.conj_map(g)
-    pairs = []
-    for x in Q.members:
-        y = cm[x]
+    images = tuple(map(G.conj_map(g).__getitem__, Q.members))
+    for x, y in zip(Q.members, images):
         if y not in R:
             raise ConjugateEscapes(f"conjugate of element {x} lands outside R")
-        pairs.append((x, y))
-    return GroupHom(Q, R, pairs)
+    return GroupHom(Q, R, images)
 
 
 def induced_hom(h: GroupHom, m, G: Group) -> GroupHom:
     """The hom m(domain) -> m(image) in G that h induces under the element
-    map m (a dict or table defined on the domain and image of h)."""
-    pairs = induced_pairs(h, m)
-    img = _image_mask(pairs)
-    return GroupHom(Subgroup(G, mask_of(x for x, _ in pairs)), Subgroup(G, img), pairs, img)
-
-
-def induced_pairs(h: GroupHom, m) -> tuple[tuple[int, int], ...]:
-    """The sorted pairs of the map that h induces under the element map m."""
-    out = {m[x]: m[y] for x, y in h.pairs}
-    if len(out) < len(h.pairs) and any(out[m[x]] != m[y] for x, y in h.pairs):
+    map m (a dict or table defined on the domain and image of h): the one
+    push of a hom through an element map."""
+    get = m.__getitem__
+    xs, ys = h.domain.members, h.images
+    out = dict(zip(map(get, xs), map(get, ys)))
+    if len(out) < len(ys) and any(out[get(x)] != get(y) for x, y in zip(xs, ys)):
         raise InvariantViolation("the induced map is not well defined")
-    return tuple(sorted(out.items()))
+    return _hom_onto(Subgroup(G, mask_of(out)), G, map(out.__getitem__, sorted(out)))
 
 
 # -- isomorphism search ------------------------------------------------------
@@ -1218,7 +1230,7 @@ def _isos_extending(A: Subgroup, B: Subgroup, levels: list, prefix: Sequence[int
 
     def rec(k: int, used: int) -> bool:
         if k == len(gens):
-            found.append(GroupHom(A, B, [(x, img[x]) for x in A.members], B.mask))
+            found.append(GroupHom(A, B, map(img.__getitem__, A.members), B.mask))
             return not find_all
         for y in by_order.get(GA.element_order(gens[k]), ()):
             if (used >> y) & 1:

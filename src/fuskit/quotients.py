@@ -9,7 +9,7 @@ nothing is identified "by name".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import permgroup as pg
@@ -26,10 +26,10 @@ from .fusion import (
     FusionSystem,
     PreFusionSystem,
     generated_on,
-    image_table,
     is_saturated,
     is_strongly_closed,
     is_weakly_closed,
+    iso_table,
     same_system,
     validate_hom,
 )
@@ -76,10 +76,10 @@ def factor_parts(F: PreFusionSystem, Q: Subgroup) -> tuple[FusionSystem, dict[in
 def factor_system(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
     """The factor system on P/Q: morphisms between overgroups of Q fixing Q."""
     parts = _quotient_parts(F, Q)
-    fixing_q = (phi for (r, s), homs in F.table.items() if Q <= r and Q <= s
-                for phi in homs if pg.mask_image(phi.mapping, Q.mask) == Q.mask)
-    return FusionSystem(parts.group.full_subgroup(), F.p,
-                        image_table(fixing_q, parts.proj, parts.group), provenance="factor")
+    table = iso_table(pg.induced_hom(phi, parts.proj, parts.group)
+                      for (r, s), homs in F.table.items() if Q <= r and Q <= s
+                      for phi in homs if pg.mask_image(phi.mapping, Q.mask) == Q.mask)
+    return FusionSystem(parts.group.full_subgroup(), F.p, table, provenance="factor")
 
 
 @memo("bar_system")
@@ -89,8 +89,8 @@ def bar_system(F: PreFusionSystem, Q: Subgroup) -> PreFusionSystem:
         raise NotStronglyClosed("the bar construction needs a strongly closed kernel")
     parts = _quotient_parts(F, Q)
     # phi: R' -> S' induces QR'/Q -> QS'/Q, well defined as Q is strongly closed
-    table = image_table((phi for homs in F.table.values() for phi in homs),
-                        parts.proj, parts.group)
+    table = iso_table(pg.induced_hom(phi, parts.proj, parts.group)
+                      for homs in F.table.values() for phi in homs)
     return PreFusionSystem(parts.group.full_subgroup(), F.p, table, provenance="bar")
 
 
@@ -197,24 +197,25 @@ class ClosureTransferReport:
     weakly_closed_quotient: list[Subgroup]
     weak_bijection_ok: bool
     weak_images_ok: bool
-    strongly_closed_over: list[Subgroup] = field(default_factory=list)
-    strongly_closed_quotient: list[Subgroup] = field(default_factory=list)
-    strong_bijection_ok: Optional[bool] = None
-    strong_images_ok: Optional[bool] = None
+    strongly_closed_over: list[Subgroup]
+    strongly_closed_quotient: list[Subgroup]
+    strong_bijection_ok: bool
+    strong_images_ok: bool
 
     @property
     def ok(self) -> bool:
-        flags = [self.weak_bijection_ok, self.weak_images_ok,
-                 self.strong_bijection_ok, self.strong_images_ok]
-        return all(f for f in flags if f is not None)
+        return (self.weak_bijection_ok and self.weak_images_ok
+                and self.strong_bijection_ok and self.strong_images_ok)
 
 
-def closure_transfer(F: FusionSystem, Q: Subgroup, strong: bool = True) -> ClosureTransferReport:
+def closure_transfer(F: FusionSystem, Q: Subgroup) -> ClosureTransferReport:
     """Check that projection to F/Q matches weak/strong closure on both sides:
     a bijection over subgroups containing Q, and image closure for all others.
-    The strong-closure parts require a saturated system."""
+    F must be saturated."""
     if not is_strongly_closed(F, Q):
         raise NotStronglyClosed("closure transfer needs a strongly closed Q")
+    if not is_saturated(F):
+        raise NotSaturated("closure transfer requires a saturated system")
     quot, _ = factor_parts(F, Q)
     parts = _quotient_parts(F, Q)
     subs = F.subgroups()
@@ -228,12 +229,7 @@ def closure_transfer(F: FusionSystem, Q: Subgroup, strong: bool = True) -> Closu
         return over, on_quot, bijection, all(
             closed(quot, _image_subgroup(parts, R)) for R in subs if closed(F, R))
 
-    weak = transfer(is_weakly_closed)
-    if not strong:
-        return ClosureTransferReport(*weak)
-    if not is_saturated(F):
-        raise NotSaturated("strong-closure transfer requires a saturated system")
-    return ClosureTransferReport(*weak, *transfer(is_strongly_closed))
+    return ClosureTransferReport(*transfer(is_weakly_closed), *transfer(is_strongly_closed))
 
 
 # -- isomorphism theorems ---------------------------------------------------------
@@ -241,12 +237,12 @@ def closure_transfer(F: FusionSystem, Q: Subgroup, strong: bool = True) -> Closu
 def _canonical_iso(A: Subgroup, B: Subgroup, xs, to_a, to_b) -> Optional[GroupHom]:
     """The map to_a(x) -> to_b(x), x in xs, as an isomorphism of A onto B; None
     (a failed comparison, not an error) unless it is a well-defined bijective hom."""
-    pairs = {to_a[x]: to_b[x] for x in xs}
-    if any(pairs[to_a[x]] != to_b[x] for x in xs):
+    m = {to_a[x]: to_b[x] for x in xs}
+    if any(m[to_a[x]] != to_b[x] for x in xs):
         return None
-    theta = GroupHom(A, B, pairs.items())
     try:
-        validate_hom(theta)  # total on A, multiplicative, injective, into B
+        theta = GroupHom.from_map(A, B, m)  # total on A
+        validate_hom(theta)  # multiplicative, injective, into B
     except (NotAHomomorphism, NotInjective):
         return None
     return theta if theta.image_mask == B.mask else None
@@ -256,8 +252,8 @@ def _canonical_iso(A: Subgroup, B: Subgroup, xs, to_a, to_b) -> Optional[GroupHo
 def _pushes_to_factor(E: PreFusionSystem, K: Subgroup) -> bool:
     """Is the push of all of E through the projection of E/K equal to E/K?"""
     parts = _quotient_parts(E, K)
-    return image_table((phi for homs in E.table.values() for phi in homs),
-                       parts.proj, parts.group) == factor_system(E, K).table
+    return iso_table(pg.induced_hom(phi, parts.proj, parts.group)
+                     for homs in E.table.values() for phi in homs) == factor_system(E, K).table
 
 
 def verify_second_iso(F: FusionSystem, Q: Subgroup, E: FusionSystem) -> bool:
@@ -297,8 +293,9 @@ def verify_third_iso(F: FusionSystem, Q: Subgroup, R: Subgroup) -> bool:
     members = F.carrier.members
     theta = _canonical_iso(f2.carrier, fr.carrier, members,
                            {x: proj2[proj1[x]] for x in members}, proj3)
-    return theta is not None and image_table(
-        (phi for homs in f2.table.values() for phi in homs), theta.mapping, fr.parent) == fr.table
+    return theta is not None and iso_table(
+        pg.induced_hom(phi, theta.mapping, fr.parent)
+        for homs in f2.table.values() for phi in homs) == fr.table
 
 
 def local_determination_holds(F: FusionSystem, Q: Subgroup) -> bool:

@@ -18,6 +18,7 @@ from .fusion import (
     PreFusionSystem,
     fusion_from_group,
     fusion_generated,
+    iso_table,
 )
 from .permgroup import Group, GroupHom, Subgroup
 
@@ -157,10 +158,10 @@ def system_to_dict(F: PreFusionSystem) -> dict:
     codomain) pair share their two member lists."""
     isos = []
     for (q, r), homs in F.table.items():
-        # every hom under one key has domain q and image r: pairs alone sort them
+        # every hom under one key has domain q and image r: images alone sort them
         dom, cod = list(q.members), list(r.members)
-        isos.extend({"domain": dom, "codomain": cod, "map": list(map(list, pairs))}
-                    for pairs in sorted(h.pairs for h in homs))
+        isos.extend({"domain": dom, "codomain": cod, "map": list(map(list, zip(dom, imgs)))}
+                    for imgs in sorted(h.images for h in homs))
     return {
         "format": "fusion-system",
         "version": 1,
@@ -219,7 +220,7 @@ def system_from_dict(d: dict) -> PreFusionSystem:
     def invalid(msg: str):
         raise ValidationError(f"invalid stored morphism: {msg}")
 
-    table: dict = {}
+    homs = []
     for iso in d["isos"]:
         _require(isinstance(iso, dict), "a stored morphism must be an object")
         _require_fields(iso, "stored morphism", ("domain", "codomain", "map"))
@@ -245,9 +246,9 @@ def system_from_dict(d: dict) -> PreFusionSystem:
             raise ValidationError("stored morphism is not onto its codomain")
         if not pg.maps_cayley_edges(cols, imgs, G):
             invalid("map is not multiplicative")
-        table.setdefault((dom, cod), set()).add(GroupHom(dom, cod, zip(srcs, imgs), cod.mask))
+        homs.append(GroupHom(dom, cod, imgs, cod.mask))
     cls = FusionSystem if d.get("kind", "fusion") == "fusion" else PreFusionSystem
-    return cls(carrier, p, table, provenance=str(d.get("provenance", "parsed")))
+    return cls(carrier, p, iso_table(homs), provenance=str(d.get("provenance", "parsed")))
 
 
 def _element_ids(G: Group, ids):

@@ -78,7 +78,7 @@ def is_model(G: Group, F: FusionSystem) -> bool:
     theta0 = first[0]
     for alpha in pg.automorphisms(P):
         theta = alpha.then(theta0)
-        if theta.pairs == theta0.pairs:
+        if theta.images == theta0.images:  # both are defined on P
             continue
         if same_system(transport(FG, theta), F):
             return True

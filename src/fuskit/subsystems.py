@@ -48,17 +48,17 @@ def k_normalizer_system(F: FusionSystem, Q: Subgroup, K: Iterable[GroupHom]) -> 
     real = aut_realization(F, Q)
     K = list(K)
     real.subgroup_for(K)  # validates membership and closure under products
-    key = (Q.mask, tuple(sorted(h.pairs for h in K)))
+    key = (Q.mask, tuple(sorted(h.images for h in K)))  # K's homs are all on Q
     return cached(F, "k_normalizer", key, _k_normalizer_system, F, Q, K)
 
 
 def _k_normalizer_system(F: FusionSystem, Q: Subgroup, K: list[GroupHom]) -> FusionSystem:
-    k_pairs = {h.pairs for h in K}
-    k_pairs.add(GroupHom.identity(Q).pairs)
-    G = F.parent
     qmem = Q.members
+    k_images = {h.images for h in K}
+    k_images.add(qmem)  # the identity
+    G = F.parent
     n_mask = pg.mask_of(g for g in F.normalizer_in_carrier(Q).members
-                        if tuple((x, G.conj_map(g)[x]) for x in qmem) in k_pairs)
+                        if tuple(map(G.conj_map(g).__getitem__, qmem)) in k_images)
 
     table = {}
     for (r, s), homs in F.table.items():
@@ -66,7 +66,7 @@ def _k_normalizer_system(F: FusionSystem, Q: Subgroup, K: list[GroupHom]) -> Fus
             continue
         qr = pg.join(Q, r)
         kept = {phi for phi in homs
-                if any(tuple((x, psi.mapping[x]) for x in qmem) in k_pairs
+                if any(tuple(map(psi.mapping.__getitem__, qmem)) in k_images
                        for psi in extensions(F, phi, qr))}
         if kept:
             table[(r, s)] = kept
@@ -99,25 +99,26 @@ def is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
 def _is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
     Q = E.carrier
     _require_strongly_closed(F, Q)
-    e_pairs = _pairs_by_key(E)
+    e_images = _images_by_key(E)
+    G = F.parent
     for S in pg.subgroups_of(Q):
         for psi in F.isos_from(S):
             pm = psi.mapping
             for R in pg.subgroups_of(S):
-                dom = pg.mask_image(pm, R.mask)
                 for phi in E.isos_from(R):
                     if phi.image_mask & ~S.mask:
                         continue
-                    key = (dom, pg.mask_image(pm, phi.image_mask))
-                    if pg.induced_pairs(phi, pm) not in e_pairs.get(key, ()):
+                    bar = pg.induced_hom(phi, pm, G)
+                    key = (bar.domain.mask, bar.image_mask)
+                    if bar.images not in e_images.get(key, ()):
                         return False
     return True
 
 
-@memo("pairs_by_key")
-def _pairs_by_key(E: PreFusionSystem) -> dict[tuple[int, int], frozenset]:
-    """The pairs of E's isos, by the masks of their domain and image."""
-    return {(q.mask, r.mask): frozenset(h.pairs for h in homs) for (q, r), homs in E.table.items()}
+@memo("images_by_key")
+def _images_by_key(E: PreFusionSystem) -> dict[tuple[int, int], frozenset]:
+    """The images of E's isos, by the masks of their domain and image."""
+    return {(q.mask, r.mask): frozenset(h.images for h in homs) for (q, r), homs in E.table.items()}
 
 
 def is_frattini(F: FusionSystem, E: PreFusionSystem) -> bool:
@@ -130,9 +131,9 @@ def is_frattini(F: FusionSystem, E: PreFusionSystem) -> bool:
     for R in pg.subgroups_of(Q):
         for phi in F.isos_from(R):
             # beta = alpha^-1 phi : alpha(R) -> phi(R)
-            fm = phi.mapping
-            if not any(E.contains_iso(GroupHom(Subgroup(G, pg.mask_image(am, R.mask)), phi.image(),
-                                               ((am[x], fm[x]) for x in R.members)))
+            if not any(E.contains_iso(GroupHom.from_map(
+                    Subgroup(G, pg.mask_image(am, R.mask)), phi.image(),
+                    zip(map(am.__getitem__, R.members), phi.images)))
                        for am in auts):
                 return False
     return True

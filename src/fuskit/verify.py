@@ -271,7 +271,7 @@ def _s_example_intersection(ctx: _Ctx) -> Check:
         y = ctx.named_element(rec, "Q", 1)
         x2 = G.mul(x, x)
         x2y = G.mul(x2, y)
-        swap = GroupHom(S, S, [(0, 0), (x2, x2), (y, x2y), (x2y, y)])
+        swap = GroupHom.from_map(S, S, [(0, 0), (x2, x2), (y, x2y), (x2y, y)])
         yield f"{rec.key}/swap-present", swap in auts, {}
 
         yield f"{rec.key}/not-saturated", not is_saturated(E), {}
@@ -607,7 +607,7 @@ def _recomposes(F: FusionSystem, phi: GroupHom) -> bool:
         if cur.image_mask & ~S.mask:
             return False
         cur = cur.then(alpha.restriction(cur.image()))
-    return cur.pairs == phi.pairs
+    return cur.images == phi.images  # cur is defined on phi's domain
 
 
 @_suite("alperin-decomposition",

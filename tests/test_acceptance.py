@@ -84,7 +84,7 @@ def test_criterion_2_intersection_counterexample(groups):
         auts = E.aut(S)
         assert len(auts) == 2
         x2 = G.mul(x, x)
-        swap = pg.GroupHom(S, S, [(0, 0), (x2, x2), (y, G.mul(x2, y)), (G.mul(x2, y), y)])
+        swap = pg.GroupHom.from_map(S, S, [(0, 0), (x2, x2), (y, G.mul(x2, y)), (G.mul(x2, y), y)])
         assert swap in auts
         assert not fz.is_saturated(E)
 

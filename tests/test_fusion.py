@@ -7,6 +7,7 @@ from fuskit.errors import (
     DifferentCarrier,
     MorphismNotInSystem,
     NotAnIsomorphism,
+    NotASubgroupOfAut,
     OrderCapExceeded,
 )
 from fuskit.oracles import conjugation_map_count
@@ -103,7 +104,7 @@ def test_d8xc2_intersection(groups):
     auts = E.aut(S)
     assert len(auts) == 2
     x2 = G.mul(x, x)
-    swap = pg.GroupHom(S, S, [(0, 0), (x2, x2), (y, G.mul(x2, y)), (G.mul(x2, y), y)])
+    swap = pg.GroupHom.from_map(S, S, [(0, 0), (x2, x2), (y, G.mul(x2, y)), (G.mul(x2, y), y)])
     assert swap in auts
     assert not fz.is_saturated(E)
     # intersections of closed tables stay closed
@@ -355,6 +356,36 @@ def test_saturation_oracle_agrees_on_corpus(corpus_entries):
     assert False in verdicts  # e16@p2:seeded
 
 
+def test_hom_key_orders_homs_as_their_pairs(corpus_entries):
+    # on one domain the image tuples sort as the (source, image) pairs do
+    for rec in corpus_systems(list(corpus_entries.values())):
+        homs = [h for hs in rec.system.table.values() for h in hs]
+        by_pairs = sorted(homs, key=lambda h: (h.domain.order, h.domain.mask,
+                                               h.image_mask, h.pairs))
+        assert sorted(homs, key=pg.hom_key) == by_pairs, rec.key
+
+
+def test_aut_realization_rejects_an_iso_with_an_automorphisms_images(s4_system):
+    # an iso R -> Q, R != Q, whose image tuple is that of an automorphism of
+    # Q: the images key Aut_F(Q), so id_of must check the domain too
+    F = s4_system
+
+    def images(h):
+        return tuple(h.mapping[x] for x in h.domain.members)
+
+    found = 0
+    for (r, q), homs in F.table.items():
+        if r == q:
+            continue
+        auts = set(map(images, F.aut(q)))
+        for h in homs:
+            if images(h) in auts:
+                found += 1
+                with pytest.raises(NotASubgroupOfAut):
+                    fz.aut_realization(F, q).id_of(h)
+    assert found > 0
+
+
 def test_from_group_above_the_table_limit():
     # A7 has no multiplication table: conjugating all of it by every element
     # took 143 s, conjugating the carrier's 8 members takes a fraction of one
@@ -469,14 +500,14 @@ def test_verify_quotient_work_bound(verify_run):
     # memoized per (E, R n Q) (863 pushes), instead of through F -> F/Q and
     # again along the canonical map (5,507 pushes); the functor condition
     # reads the memoized bar table; each bar table is closed once (39
-    # closures for 292 checks).  One verify makes 58,055 induced_pairs calls
-    # and 90,186 GroupHom builds, against 113,702 and 165,629 before.  The
+    # closures for 292 checks).  One verify makes 58,055 induced_hom calls
+    # and 96,493 GroupHom builds, against 113,702 and 165,629 before.  The
     # third pushes (F/Q)/(R/Q) through the canonical map it has validated,
     # without a transport that validates it again (723 validate_hom calls,
     # against 1,446 with 723 transports).
     ok, builds, calls, run = verify_run
     assert ok
-    assert calls["induced_pairs"] <= 75_000
+    assert 0 < calls["induced_hom"] <= 75_000
     assert calls["GroupHom"] <= 120_000
     assert calls["verify_second_iso.transport"] == 0
     assert calls["verify_third_iso.transport"] == 0

@@ -58,3 +58,15 @@ def test_the_order_cap_has_no_per_call_override():
             if "cap" in names:
                 with_cap.append((path.name, getattr(node, "name", "<lambda>")))
     assert with_cap == [("permgroup.py", "isomorphism_search")]
+
+
+def test_only_the_output_boundary_and_the_oracles_read_pairs():
+    # a hom is its images, aligned with its domain's members; the sorted
+    # (source, image) pairs are a view for the serializer and the
+    # independent reference implementations only
+    readers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "pairs":
+                readers.append(path.name)
+    assert set(readers) <= {"serialization.py", "oracles.py"}, readers

@@ -502,6 +502,30 @@ def test_hom_equality_ignores_codomain_subgroup(groups):
     assert pg.GroupHom.identity(z) != pg.GroupHom.identity(z4)
 
 
+def test_from_map_needs_a_total_map(groups):
+    d8 = groups["d8"]
+    z = pg.center(d8.full_subgroup())
+    x = z.members[1]
+    with pytest.raises(NotAHomomorphism, match="not total"):
+        pg.GroupHom.from_map(z, z, {0: 0})  # misses x
+    outside = next(y for y in range(d8.order) if y not in z)
+    with pytest.raises(NotAHomomorphism, match="not total"):
+        pg.GroupHom.from_map(z, z, {0: 0, x: x, outside: outside})
+    with pytest.raises(NotAHomomorphism, match="not total"):
+        pg.GroupHom.from_map(z, z, [(0, 0), (outside, x)])
+
+
+def test_a_hom_is_its_image_tuple(groups):
+    s4 = groups["s4"]
+    for h in pg.automorphisms(pg.core_p(s4, 2)):
+        Q = h.domain
+        by_map = pg.GroupHom.from_map(Q, h.codomain, reversed(h.pairs))
+        by_images = pg.GroupHom(Q, h.codomain, h.images)
+        assert by_map == by_images == h and hash(by_map) == hash(by_images) == hash(h)
+        assert by_map.images == tuple(h.mapping[x] for x in Q.members)
+        assert h.pairs == tuple(sorted(h.mapping.items()))
+
+
 def test_conjugation_hom(groups):
     s4 = groups["s4"]
     full = s4.full_subgroup()

@@ -33,7 +33,7 @@ def test_factor_by_trivial_is_isomorphic(s4_system):
     fac, proj = qt.factor_parts(s4_system, triv)
     assert fac.carrier.order == s4_system.carrier.order
     pairs = {m: proj[m] for m in s4_system.carrier.members}
-    theta = pg.GroupHom(s4_system.carrier, fac.carrier, pairs.items())
+    theta = pg.GroupHom.from_map(s4_system.carrier, fac.carrier, pairs)
     assert fz.same_system(fz.transport(s4_system, theta), fac)
 
 
@@ -224,8 +224,6 @@ def test_closure_transfer_degenerate(s4_system):
 def test_closure_transfer_unsaturated(e16_seeded, e16_line):
     with pytest.raises(NotSaturated):
         qt.closure_transfer(e16_seeded, e16_line)
-    rep = qt.closure_transfer(e16_seeded, e16_line, strong=False)
-    assert rep.weak_bijection_ok and rep.weak_images_ok
 
 
 # -- isomorphism theorems -----------------------------------------------------------------------
