@@ -388,13 +388,12 @@ def is_saturated(F: FusionSystem) -> bool:
     aut_f = F.aut(P)
     if not aut_f:  # not even the identity of P: the Sylow axiom fails
         return False
-    inn = {tuple(P.parent.conj_map(g)[x] for x in P.members) for g in P.members}
     n = len(aut_f)
     p_part = 1
     while n % F.p == 0:
         p_part *= F.p
         n //= F.p
-    if p_part != len(inn):
+    if p_part != P.order // pg.center(P).order:  # |Inn(P)| = |P : Z(P)|
         return False
     for (q, r), homs in F.table.items():
         if not is_fully_normalized(F, r):

@@ -184,6 +184,19 @@ class Perm:
         return "Perm(" + "".join("(" + " ".join(map(str, c)) + ")" for c in cyc) + ")"
 
 
+class _ComposedRows:
+    """Group.rows() of a group without a table: rows[a] is a view of row a,
+    and rows[a][b] is composed by G.mul when it is read."""
+
+    __slots__ = ("G", "a")
+
+    def __init__(self, G: "Group", a: Optional[int] = None):
+        self.G, self.a = G, a
+
+    def __getitem__(self, i: int):
+        return _ComposedRows(self.G, i) if self.a is None else self.G.mul(self.a, i)
+
+
 # (degree, name, generator images, element images) -> the live group, and
 # (degree, name, generator images) -> the live group group_from_generators made
 _GROUPS: "weakref.WeakValueDictionary[tuple, Group]" = weakref.WeakValueDictionary()
@@ -316,6 +329,12 @@ class Group:
                 pb = self.elements[b].images
                 return self._index[tuple(pb[i] for i in pa)]
         return mt[a][b]
+
+    def rows(self):
+        """The rows of the multiplication table: rows()[a][b] = mul(a, b).
+        Above _TABLE_LIMIT a view that composes each product when it is read."""
+        self._ensure_mul()
+        return _ComposedRows(self) if self._mul is None else self._mul
 
     def inv(self, a: int) -> int:
         inv = self._inv
@@ -545,29 +564,16 @@ def _closure_within(G: Group, gens: Sequence[int], most: int) -> int:
     """The mask of the subgroup generated by gens, walked breadth first from
     the identity; the walk stops after the first layer that takes it past
     ``most`` elements, and the mask of the elements reached is returned."""
-    G._ensure_mul()
-    mt = G._mul
+    rows = G.rows()
     mask = 1
     size = 1
     frontier = [0]
-    if mt is not None:
-        while frontier and size <= most:
-            nxt = []
-            for w in frontier:
-                row = mt[w]
-                for g in gens:
-                    prod = row[g]
-                    if not (mask >> prod) & 1:
-                        mask |= 1 << prod
-                        nxt.append(prod)
-            frontier = nxt
-            size += len(nxt)
-        return mask
     while frontier and size <= most:
         nxt = []
         for w in frontier:
+            row = rows[w]
             for g in gens:
-                prod = G.mul(w, g)
+                prod = row[g]
                 if not (mask >> prod) & 1:
                     mask |= 1 << prod
                     nxt.append(prod)
@@ -707,9 +713,7 @@ def conjugacy_classes(G: Group) -> list[tuple[int, int]]:
 # -- the standard subgroup constructions -------------------------------------
 
 def center(S: Subgroup) -> Subgroup:
-    G = S.parent
-    mem = S.members
-    return Subgroup(G, mask_of(x for x in mem if all(G.mul(x, y) == G.mul(y, x) for y in mem)))
+    return centralizer(S, S)
 
 
 # centralizer and normalizer sit in the fusion layer's inner loops, so their
@@ -717,13 +721,16 @@ def center(S: Subgroup) -> Subgroup:
 
 
 def centralizer(ambient: Subgroup, Q: Subgroup) -> Subgroup:
+    """The g in ambient with g*x = x*g for every generating id x of Q, read
+    off the table rows; commuting with generators is commuting with Q."""
     _check_same_parent(ambient, Q)
     G = ambient.parent
-    qm = Q.members
+    rows = G.rows()
+    cols = [(x, rows[x]) for x in Q.generating_ids()]
     mask = 0
     for g in ambient.members:
-        cm = G.conj_map(g)
-        if all(cm[x] == x for x in qm):
+        row = rows[g]
+        if all(row[x] == row_x[g] for x, row_x in cols):
             mask |= 1 << g
     return Subgroup(G, mask)
 
@@ -1075,10 +1082,11 @@ def hom_build(domain: Subgroup, codomain: Subgroup,
     gens = [s for s in given if s != 0]
     gen_img = [given[s] for s in gens]
     levels = _cayley_levels(GA, gens)
+    rows = codomain.parent.rows()
     img = [0] * GA.order
     used = 1
     for level in levels:
-        used = _extend_level(level, img, gen_img, codomain.parent.mul, used, injective=False)
+        used = _extend_level(level, img, gen_img, rows, used, injective=False)
         if used is None:
             raise NotAHomomorphism("generator images do not extend multiplicatively")
     elts = [0] + [b for tree, _ in levels for b, _, _ in tree]
@@ -1154,19 +1162,20 @@ def _cayley_levels(G: Group, gens: Sequence[int]) -> list[tuple[list, list]]:
     return levels
 
 
-def _extend_level(level: tuple[list, list], img: list[int], gen_img: Sequence[int], mul,
+def _extend_level(level: tuple[list, list], img: list[int], gen_img: Sequence[int], rows,
                   used: int, injective: bool = True) -> Optional[int]:
     """Extend img over one level of _cayley_levels, given the images of the
-    generators.  Returns the mask of all images so far, or None when a Cayley
-    edge fails or, if injective, an image repeats."""
+    generators, reading products off the codomain's ``rows()``.  Returns the
+    mask of all images so far, or None when a Cayley edge fails or, if
+    injective, an image repeats."""
     tree, edges = level
     for b, a, j in tree:
-        y = img[b] = mul(img[a], gen_img[j])
+        y = img[b] = rows[img[a]][gen_img[j]]
         if (used >> y) & 1 and injective:
             return None
         used |= 1 << y
     for a, j, c in edges:
-        if mul(img[a], gen_img[j]) != img[c]:
+        if rows[img[a]][gen_img[j]] != img[c]:
             return None
     return used
 
@@ -1200,49 +1209,55 @@ def _order_histogram(S: Subgroup) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(S.element_orders().items()))
 
 
-def isomorphisms_between(A: Subgroup, B: Subgroup, find_all: bool = False) -> list[GroupHom]:
-    """Backtracking search for isomorphisms A -> B over generator images,
-    each candidate image checked on the Cayley edges of its level."""
+def isomorphisms_between(A: Subgroup, B: Subgroup) -> list[GroupHom]:
+    """The first isomorphism A -> B that backtracking over the images of
+    A.generating_ids() finds, as a one-element list; [] when there is none.
+    Each candidate image is checked on the Cayley edges of its level."""
     if A.order != B.order or _order_histogram(A) != _order_histogram(B):
         return []
-    return _isos_extending(A, B, _cayley_levels(A.parent, A.generating_ids()), (), find_all)
+    got = _IsoSearch(A, B, A.generating_ids()).first(0, 1)
+    return [] if got is None else [got]
 
 
-def _isos_extending(A: Subgroup, B: Subgroup, levels: list, prefix: Sequence[int],
-                    find_all: bool) -> list[GroupHom]:
-    """The isomorphisms A -> B that send the first generators of
-    A.generating_ids() to prefix, the rest found by backtracking; levels are
-    _cayley_levels of those generators.  Only the first one unless find_all."""
-    GA, GB = A.parent, B.parent
-    gens = A.generating_ids()
-    by_order: dict[int, list[int]] = {}
-    for y in B.members:
-        by_order.setdefault(GB.element_order(y), []).append(y)
-    img = [0] * GA.order
-    gen_img = list(prefix) + [0] * (len(gens) - len(prefix))
-    mul = GB.mul
-    used = 1
-    for k in range(len(prefix)):
-        used = _extend_level(levels[k], img, gen_img, mul, used)
-        if used is None:
-            return []
-    found: list[GroupHom] = []
+class _IsoSearch:
+    """Backtracking for isomorphisms A -> B over the images of gens, a
+    generating sequence of A, one level of _cayley_levels per generator.
 
-    def rec(k: int, used: int) -> bool:
-        if k == len(gens):
-            found.append(GroupHom(A, B, map(img.__getitem__, A.members), B.mask))
-            return not find_all
-        for y in by_order.get(GA.element_order(gens[k]), ()):
-            if (used >> y) & 1:
-                continue
-            gen_img[k] = y
-            u = _extend_level(levels[k], img, gen_img, mul, used)
-            if u is not None and rec(k + 1, u):
-                return True
-        return False
+    ``img`` holds the image of each element of A's parent reached so far and
+    ``gen_img`` the images of gens; both start as the identity.  A candidate
+    image of a generator has its order and is kept when its level extends.
+    """
 
-    rec(len(prefix), used)
-    return found
+    def __init__(self, A: Subgroup, B: Subgroup, gens: Sequence[int]):
+        GA, GB = A.parent, B.parent
+        self.A, self.B, self.gens = A, B, gens
+        self.levels = _cayley_levels(GA, gens)
+        self.rows = GB.rows()
+        self.img = list(range(GA.order))
+        self.gen_img = list(gens)
+        by_order: dict[int, list[int]] = {}
+        for y in B.members:
+            by_order.setdefault(GB.element_order(y), []).append(y)
+        self.candidates = [by_order.get(GA.element_order(g), ()) for g in gens]
+
+    def extend(self, k: int, y: int, used: int) -> Optional[int]:
+        """Send gens[k] to y and extend img over its level (see _extend_level)."""
+        self.gen_img[k] = y
+        return _extend_level(self.levels[k], self.img, self.gen_img, self.rows, used)
+
+    def first(self, k: int, used: int) -> Optional[GroupHom]:
+        """The first isomorphism found that agrees with img on <gens[:k]>,
+        whose images have the mask used."""
+        if k == len(self.gens):
+            return GroupHom(self.A, self.B, map(self.img.__getitem__, self.A.members), self.B.mask)
+        for y in self.candidates[k]:
+            if not (used >> y) & 1:
+                u = self.extend(k, y, used)
+                if u is not None:
+                    got = self.first(k + 1, u)
+                    if got is not None:
+                        return got
+        return None
 
 
 def isomorphism_search(G: Group, H: Group, cap: int = DEFAULT_ISO_CAP) -> Optional[GroupHom]:
@@ -1255,36 +1270,106 @@ def isomorphism_search(G: Group, H: Group, cap: int = DEFAULT_ISO_CAP) -> Option
     return res[0] if res else None
 
 
+# -- automorphisms: a stabilizer chain ---------------------------------------
+
+def _chain_gens(Q: Subgroup) -> tuple[int, ...]:
+    """A short generating sequence of Q for the stabilizer chain: each next
+    generator is the member whose closure with those before it is largest
+    (the first in element order on ties), and a generator that the others
+    generate is then dropped.  A member of a closure already tried cannot
+    do better than the member that gave it, so it is not tried.  No
+    generator is generated by the others, so for a p-group the sequence is
+    a minimal generating set (Burnside's basis theorem).
+
+    The chain search runs one backtrack per candidate image of each
+    generator, and a candidate that extends to no automorphism is refuted
+    only after the levels below it are exhausted; few generators keep those
+    levels few.  On C2 wr C2 wr C2, generating_ids() has 7 generators and
+    its chain takes 273,472 level extensions; this sequence has 3.
+    """
+    G = Q.parent
+    gens: list[int] = []
+    cur = 1
+    while cur != Q.mask:
+        best = tried = cur
+        pick = 0
+        for x in Q.members:
+            if not (tried >> x) & 1:
+                got = _closure_from_gens(G, gens + [x])
+                tried |= got
+                if got.bit_count() > best.bit_count():
+                    best, pick = got, x
+                    if got == Q.mask:
+                        break
+        gens.append(pick)
+        cur = best
+    for g in tuple(gens):
+        rest = [h for h in gens if h != g]
+        if _closure_from_gens(G, rest) == Q.mask:
+            gens = rest
+    return tuple(gens)
+
+
+@memo("aut_chain")
+def _aut_chain(Q: Subgroup) -> tuple[tuple[GroupHom, ...], ...]:
+    """The transversals T_0..T_{k-1} of the stabilizer chain of Aut(Q) along
+    _chain_gens(Q).  Cached.
+
+    With g_0..g_{k-1} that sequence and A_i the automorphisms that fix
+    g_0..g_{i-1}, Aut(Q) = A_0 >= A_1 >= ... >= A_k = 1 (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005).  Maps compose
+    left to right: "a then t" applies a first.  If t in A_i sends g_i to y,
+    the elements of A_i that send g_i to y are exactly "a then t" with a in
+    A_{i+1}, since such an s gives a = "s then t^-1", which fixes g_0..g_i.
+    So the cosets of A_{i+1} in A_i match the images y of g_i under A_i,
+    and T_i holds one automorphism per image y != g_i: the first the search
+    finds with g_0..g_{i-1} fixed and g_i sent to y.  Such a y has the order
+    of g_i and lies outside <g_0..g_{i-1}>, which A_i fixes pointwise; a
+    candidate that extends to no automorphism is not an image.
+    """
+    G = Q.parent
+    gens = _chain_gens(Q)
+    chain = []
+    for i, g in enumerate(gens):
+        search = _IsoSearch(Q, Q, gens)  # starts as the identity on <g_0..g_{i-1}>
+        fixed = _closure_from_gens(G, gens[:i])
+        T = []
+        for y in search.candidates[i]:
+            if y != g and not (fixed >> y) & 1:
+                used = search.extend(i, y, fixed)
+                t = None if used is None else search.first(i + 1, used)
+                if t is not None:
+                    T.append(t)
+        chain.append(tuple(T))
+    return tuple(chain)
+
+
 @memo("automorphisms")
 def automorphisms(Q: Subgroup) -> list[GroupHom]:
-    """All automorphisms of Q (cached on the parent group)."""
-    return sorted(isomorphisms_between(Q, Q, find_all=True), key=hom_key)
+    """All automorphisms of Q, sorted by hom_key.  Cached.
+
+    Listed bottom-up from the stabilizer chain (see _aut_chain): each
+    element of A_i is "a then t" for exactly one a in A_{i+1} and one t in
+    T_i or the identity, as the cosets of A_{i+1} in A_i match the images
+    of g_i.  So no automorphism is searched for, and none is listed twice.
+    A product is one map of t over the images of a, in member space.  Every
+    hom has domain Q and image Q, so hom_key orders them as their images.
+    """
+    auts = [Q.members]
+    for T in reversed(_aut_chain(Q)):
+        maps = [dict(zip(Q.members, t.images)).__getitem__ for t in T]
+        auts += [tuple(map(m, a)) for m in maps for a in auts]  # the old auts: A_{i+1}
+    auts.sort()
+    return [GroupHom(Q, Q, a, Q.mask) for a in auts]
 
 
 @memo("aut_generators")
 def automorphism_generators(Q: Subgroup) -> list[GroupHom]:
-    """A generating set of Aut(Q), found without listing Aut(Q).  Cached.
-
-    With g_0..g_k the generating ids of Q and A_i the automorphisms that fix
-    g_0..g_{i-1}, the set is the union of transversals T_i of A_{i+1} in A_i
-    (a stabilizer chain; Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 2005).  The cosets of A_{i+1} in A_i are the images of g_i
-    under A_i, and such an image y has the order of g_i and lies outside
-    <g_0..g_{i-1}>, which A_i fixes pointwise; so T_i holds the first
-    automorphism the search finds for each such y != g_i that has one.
-    A_i = T_i A_{i+1} with A_{k+1} trivial, so the T_i generate Aut(Q).
-    """
-    G = Q.parent
-    gens = Q.generating_ids()
-    levels = _cayley_levels(G, gens)
-    out: list[GroupHom] = []
-    for i, g in enumerate(gens):
-        fixed = _closure_from_gens(G, gens[:i])
-        order = G.element_order(g)
-        for y in Q.members:
-            if y != g and not (fixed >> y) & 1 and G.element_order(y) == order:
-                out += _isos_extending(Q, Q, levels, gens[:i] + (y,), False)
-    return out
+    """A generating set of Aut(Q), found without listing Aut(Q): the
+    transversal elements of its stabilizer chain (see _aut_chain), which
+    generate it since A_i is A_{i+1} followed by T_i or the identity, and
+    A_k = 1.  Cached."""
+    return [t for T in _aut_chain(Q) for t in T]
 
 
 def characteristic_subgroups(Q: Subgroup) -> list[Subgroup]:

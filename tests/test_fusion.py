@@ -296,9 +296,10 @@ def _draw_seeds(groups, data):
     for _ in range(data.draw(st.integers(1, 2))):
         Q = data.draw(st.sampled_from(proper))
         R = data.draw(st.sampled_from([R for R in proper if R.order == Q.order]))
-        isos = pg.isomorphisms_between(Q, R, find_all=True)
-        assume(isos)
-        seeds.append(data.draw(st.sampled_from(isos)))
+        first = pg.isomorphisms_between(Q, R)
+        assume(first)
+        # Iso(Q, R) is Aut(Q) followed by any one iso
+        seeds.append(data.draw(st.sampled_from([a.then(first[0]) for a in pg.automorphisms(Q)])))
     return G, seeds
 
 

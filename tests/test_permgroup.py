@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -145,9 +146,47 @@ def _from_cycles(degree, *gens):
         degree, [Permutation(cycles, size=degree).array_form for cycles in gens])
 
 
+def _c2_wr_c2_wr_c2(name="G"):
+    return pg.group_from_generators(8, [Permutation(c, size=8).array_form for c in (
+        [[0, 1]], [[0, 2], [1, 3]], [[0, 4], [1, 5], [2, 6], [3, 7]])], name)
+
+
+def _affine(p, name, *maps):
+    """The group of the maps (x, y) -> maps(x, y) mod p on the points
+    x*p + y of F_p^2."""
+    pts = [(x, y) for x in range(p) for y in range(p)]
+    return pg.group_from_generators(
+        p * p, [[u % p * p + v % p for u, v in (f(x, y) for x, y in pts)] for f in maps], name)
+
+
+def _heisenberg(p):
+    """p^{1+2}_+ as the maps (x, y) -> (x + a, y + b*x + c) of F_p^2."""
+    return _affine(p, f"{p}^(1+2)", lambda x, y: (x + 1, y), lambda x, y: (x, y + x),
+                   lambda x, y: (x, y + 1))
+
+
+def _agl23():
+    """AGL(2,3): the translations and GL(2,3) on F_3^2."""
+    return _affine(3, "AGL(2,3)", lambda x, y: (x + 1, y), lambda x, y: (y, -x),
+                   lambda x, y: (x, x + y), lambda x, y: (2 * x, y))
+
+
+def _sympy_order(Q, homs):
+    """The order of the group the homs generate, acting on the members of Q
+    (Schreier-Sims via sympy); one generator is added at a time, and only when
+    it is not in the group so far, since sympy slows down on hundreds."""
+    pos = {x: i for i, x in enumerate(Q.members)}
+    gen = PermutationGroup([Permutation(Q.order - 1)])
+    for h in homs:
+        perm = Permutation([pos[y] for y in h.images])
+        if not gen.contains(perm):
+            gen = PermutationGroup(gen.generators + [perm])
+    return gen.order()
+
+
 def test_wide_carrier_lattices():
     s3_wr_c3 = _from_cycles(9, [[0, 1, 2]], [[0, 1]], [[0, 3, 6], [1, 4, 7], [2, 5, 8]])
-    c2_wr_c2_wr_c2 = _from_cycles(8, [[0, 1]], [[0, 2], [1, 3]], [[0, 4], [1, 5], [2, 6], [3, 7]])
+    c2_wr_c2_wr_c2 = _c2_wr_c2_wr_c2()
     assert (s3_wr_c3.order, c2_wr_c2_wr_c2.order) == (648, 128)
     assert len(pg.subgroups(s3_wr_c3)) == 1_208
     assert len(pg.subgroups(c2_wr_c2_wr_c2)) == 576
@@ -368,6 +407,22 @@ def test_standard_constructions(groups):
     assert pg.set_product(z, z) == z
     with pytest.raises(pg.NotASubgroup):
         pg.centralizer(s4_full, pg.center(d8_full))
+
+
+def test_centralizer_matches_the_conjugation_maps(groups):
+    # C_S(Q) tests commuting with Q's generating ids on the table rows; the
+    # definition it replaced kept the g in S whose conjugation map fixes every
+    # member of Q.  Every (S, Q) pair of each corpus group, and S = G for A6,
+    # whose 501 subgroups make 251,001 pairs
+    for name, G in groups.items():
+        subs = pg.subgroups(G)
+        for Q in subs:
+            fixing = pg.mask_of(g for g in range(G.order)
+                                if all(G.conj_map(g)[x] == x for x in Q.members))
+            for S in (subs if name != "a6" else [G.full_subgroup()]):
+                assert pg.centralizer(S, Q).mask == S.mask & fixing, (name, S.mask, Q.mask)
+            if Q.mask == G.full_subgroup().mask:
+                assert pg.center(Q).mask == fixing, name
 
 
 # -- upper central series ------------------------------------------------------------
@@ -613,31 +668,94 @@ def test_sylow_automorphism_digests(corpus_entries, groups):
     assert got == SYLOW_AUT_DIGESTS
 
 
+def _cold(G, name):
+    """A twin of G with empty tables: its own name makes it a new identity,
+    where interning would hand back the group whose automorphisms an earlier
+    test listed, and every count would be 0."""
+    cold = pg.Group(G.degree, name, G.generators, G.elements)
+    assert cold._caches is not G._caches
+    return cold
+
+
 def test_automorphism_search_work_bound(groups, monkeypatch):
-    # counts work, not time: the closure-based extension made 10,055,760 calls
-    e16 = groups["e16"]
-    # its own name makes it a new identity: interning would hand back the E16
-    # whose automorphisms an earlier test listed, and the count would be 0
-    cold = pg.Group(e16.degree, "E16-cold", e16.generators, e16.elements)
-    assert cold._caches is not e16._caches
-    calls = 0
-    mul = pg.Group.mul
+    # counts work, not time.  Level extensions count the search: along the 4
+    # generating ids of E16 a generating set of Aut(E16) took 180 and the list
+    # of all 20,160 took 22,905, one backtrack per automorphism; the list is
+    # now products of the chain's transversals, so it searches no more than
+    # the generating set does.  Group.mul counts the products that are not
+    # read off table rows, the Cayley levels' (the closure-based extension
+    # made 10,055,760 calls, and the backtrack on the bound mul 848,074)
+    work = Counter()
+    mul, extend = pg.Group.mul, pg._extend_level
 
     def counting_mul(self, a, b):
-        nonlocal calls
-        calls += 1
+        work["mul"] += 1
         return mul(self, a, b)
 
+    def counting_extend(*args, **kwargs):
+        work["extend"] += 1
+        return extend(*args, **kwargs)
+
     monkeypatch.setattr(pg.Group, "mul", counting_mul)
-    full = pg.sylow(cold, 2)
-    # a generating set of Aut(E16) takes 2,944 products, the list of it 848,074
-    calls = 0
+    monkeypatch.setattr(pg, "_extend_level", counting_extend)
+    full = pg.sylow(_cold(groups["e16"], "E16-cold"), 2)
+    work.clear()
     assert len(pg.automorphism_generators(full)) <= 60
-    assert 0 < calls <= 10_000
-    calls = 0
+    assert 0 < work["extend"] <= 200 and 0 < work["mul"] <= 10_000
+    full = pg.sylow(_cold(groups["e16"], "E16-cold-list"), 2)
+    work.clear()
     assert len(pg.automorphisms(full)) == 20160
-    assert 0 < calls <= 2_000_000
+    assert 0 < work["extend"] <= 200 and 0 < work["mul"] <= 2_000_000
+    # its 7 generating ids took 273,472 level extensions; the chain's own
+    # generating sequence has 3
+    wide = _c2_wr_c2_wr_c2("C2wrC2wrC2-cold").full_subgroup()
+    work.clear()
+    pg.automorphism_generators(wide)
+    assert 0 < work["extend"] <= 1_000
     assert not hasattr(pg, "_extend_hom")
+
+
+def test_automorphisms_of_wide_carriers():
+    # the list from the chain is distinct and sorted, each element is a hom,
+    # and it has as many elements as the group its generators generate; the
+    # Sylow 3-subgroup of A7 (C3 x C3) is searched without a table
+    agl = _agl23()
+    a7 = _from_cycles(7, [[0, 1, 2, 3, 4, 5, 6]], [[0, 1, 2]])
+    assert agl.order == 432 and a7.order > pg._TABLE_LIMIT
+    cases = [(_from_cycles(9, [[0, 1, 2]], [[0, 3, 6], [1, 4, 7], [2, 5, 8]]).full_subgroup(), 324),
+             (_c2_wr_c2_wr_c2().full_subgroup(), 512),
+             (pg.sylow(agl, 3), 432),  # 3^(1+2)_+: 3^2 * |GL(2,3)|
+             (pg.sylow(a7, 3), 48)]  # GL(2,3)
+    for Q, n in cases:
+        auts = pg.automorphisms(Q)
+        images = [a.images for a in auts]
+        assert len(set(images)) == len(images) == n
+        assert sorted(auts, key=pg.hom_key) == auts
+        for a in auts:
+            fz.validate_hom(a)
+            assert a.image_mask == Q.mask
+        assert _sympy_order(Q, pg.automorphism_generators(Q)) == n
+
+
+def test_automorphism_generators_of_7_1_2(monkeypatch):
+    # Aut(7^(1+2)_+) has order 7^2 * |GL(2,7)| = 98,784; its list would take
+    # hundreds of MB, so only the generators are built.  The chain search
+    # along generating ids took 338 s
+    P = _heisenberg(7).full_subgroup()
+    assert P.order == 343
+    calls = [0]
+    extend = pg._extend_level
+
+    def counting_extend(*args, **kwargs):
+        calls[0] += 1
+        return extend(*args, **kwargs)
+
+    monkeypatch.setattr(pg, "_extend_level", counting_extend)
+    gens = pg.automorphism_generators(P)
+    assert 0 < calls[0] <= 10_000
+    for a in gens:
+        fz.validate_hom(a)
+    assert _sympy_order(P, gens) == 98_784
 
 
 def test_automorphism_generators_generate_aut(groups):
