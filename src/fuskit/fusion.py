@@ -174,7 +174,7 @@ def _conjugation_table(carrier: Subgroup, acting_ids: Iterable[int]) -> dict[Tab
     cmask = carrier.mask
     mem = carrier.members
     homs = []
-    for imgs in dict.fromkeys(tuple(G.conj(x, g) for x in mem) for g in acting_ids):
+    for imgs in dict.fromkeys(pg.conj_images(G, g, mem) for g in acting_ids):
         get = dict(zip(mem, imgs)).__getitem__
         for Q in subs:
             q_imgs = tuple(map(get, Q.members))

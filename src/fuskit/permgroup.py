@@ -342,23 +342,23 @@ class Group:
             inv = self._inv = tuple(self._index[p.inverse().images] for p in self.elements)
         return inv[a]
 
-    def conj(self, x: int, g: int) -> int:
-        """g^-1 x g."""
-        return self.mul(self.mul(self.inv(g), x), g)
-
     def conj_map(self, g: int) -> tuple[int, ...]:
         """The table x -> g^-1 x g over all element indices, cached per g."""
         cm = self._conj.get(g)
         if cm is None:
-            gi = self.inv(g)
-            self._ensure_mul()
-            mt = self._mul
-            if mt is None:  # above _TABLE_LIMIT
-                cm = tuple(self.mul(self.mul(gi, x), g) for x in range(self.order))
-            else:  # g^-1 x g: the column of g read at row(g^-1)[x]
-                cm = tuple(map(list(map(itemgetter(g), mt)).__getitem__, mt[gi]))
-            self._conj[g] = cm
+            cm = self._conj[g] = conj_images(self, g, range(self.order))
         return cm
+
+    def _read_table(self, src: "Group", lift: Sequence[int], down) -> None:
+        """Take the table, when this group has none yet, from the rows of src:
+        element i here is down[lift[i]], for a hom down (a dict or table) from
+        src.  Re-indexing rows is much cheaper than composing, but above
+        _TABLE_LIMIT src has no rows to re-index."""
+        if self._mul is None and src.order <= _TABLE_LIMIT:
+            BUILDS["mul_table_read"] += 1
+            rows = src.rows()
+            get = down.__getitem__
+            self._mul = tuple(tuple(map(get, map(rows[x].__getitem__, lift))) for x in lift)
 
     def element_order(self, a: int) -> int:
         orders = self._orders
@@ -367,25 +367,15 @@ class Group:
         return orders[a]
 
     def _order_table(self) -> tuple[int, ...]:
-        self._ensure_mul()
-        mt = self._mul
-        if mt is None:  # above _TABLE_LIMIT
-            orders = []
-            for x in range(self.order):
-                n, y = 1, x
-                while y != 0:
-                    y = self.mul(y, x)
-                    n += 1
-                orders.append(n)
-            return tuple(orders)
         # one pass per k over the x of order k or more, reading x^k off the
         # table as row(x^(k-1))[x]; the x with x^k = 1 have order k
+        rows = self.rows()
         orders = [1] * self.order
         xs = pw = list(range(1, self.order))
         k = 1
         while xs:
             k += 1
-            pw = list(map(getitem, map(mt.__getitem__, pw), xs))
+            pw = list(map(getitem, map(rows.__getitem__, pw), xs))
             if 0 in pw:
                 for x in compress(xs, map(not_, pw)):
                     orders[x] = k
@@ -415,6 +405,13 @@ class Group:
 
     def __repr__(self) -> str:
         return f"Group({self.name!r}, degree={self.degree}, order={self.order})"
+
+
+def conj_images(G: Group, g: int, xs: Iterable[int]) -> tuple[int, ...]:
+    """The conjugates g^-1 x g of the ids xs, in order, read off the table
+    rows as row(row(g^-1)[x])[g]."""
+    rows = G.rows()
+    return tuple(map(itemgetter(g), map(rows.__getitem__, map(rows[G.inv(g)].__getitem__, xs))))
 
 
 def group_from_generators(degree: int, gens: Sequence, name: str = "G") -> Group:
@@ -613,35 +610,29 @@ def subgroups_of(S: Subgroup) -> list[Subgroup]:
         cyc_rep.setdefault(m, x)
     reps = [cyc_rep[m] for m in sorted(cyc_rep)]
 
-    G._ensure_mul()
-    mt = G._mul
+    rows = G.rows()
     gens_s = S.generating_ids()
     # conjugation by a generator central in S fixes every subgroup of S; the
-    # orbit step reads it on S's members only, so without a table (where a
-    # map over all of G costs a product per element) only they are conjugated
-    conj = [G.conj_map(g) if mt is not None else {x: G.conj(x, g) for x in S.members}
-            for g in gens_s if any(G.mul(g, h) != G.mul(h, g) for h in gens_s)]
+    # orbit step reads it on S's members only, so only they are conjugated
+    conj = [dict(zip(S.members, conj_images(G, g, S.members)))
+            for g in gens_s if any(rows[g][h] != rows[h][g] for h in gens_s)]
     known = {1}
     layer: list[tuple[int, tuple[int, ...]]] = [(1, ())]
     while layer:
         nxt = []
         for mask, gens in layer:
             covered = mask
-            if mt is not None:
-                h_rows = [mt[h] for h in _bits(mask)]
-                # a proper subgroup of S above H has index at least the least
-                # prime q of [S:H], so it holds at most [S:H]/q cosets of H
-                index = S.order // len(h_rows)
-                most = index // next((q for q in range(2, index + 1) if index % q == 0), 1)
+            h_rows = [rows[h] for h in _bits(mask)]
+            # a proper subgroup of S above H has index at least the least
+            # prime q of [S:H], so it holds at most [S:H]/q cosets of H
+            index = S.order // len(h_rows)
+            most = index // next((q for q in range(2, index + 1) if index % q == 0), 1)
             for x in reps:
                 if (covered >> x) & 1:
                     continue
                 new_gens = gens + (x,)
-                if mt is None:
-                    j = _closure_from_gens(G, new_gens)
-                else:
-                    j, hx = _coset_join(mt, h_rows, mask, new_gens, most, S.mask)
-                    covered |= hx  # <H, h*x> = <H, x>: those joins are known
+                j, hx = _coset_join(rows, h_rows, mask, new_gens, most, S.mask)
+                covered |= hx  # <H, h*x> = <H, x>: those joins are known
                 if j not in known:
                     known.add(j)
                     orbit = [(j, new_gens)]
@@ -659,12 +650,12 @@ def subgroups_of(S: Subgroup) -> list[Subgroup]:
     return sorted((Subgroup(G, m) for m in known), key=subgroup_key)
 
 
-def _coset_join(mt, h_rows: list, mask: int, gens: Sequence[int], most: int,
+def _coset_join(rows, h_rows: list, mask: int, gens: Sequence[int], most: int,
                 whole: int) -> tuple[int, int]:
     """<H, x> for x = gens[-1], grown from the subgroup H (its mask and table
     rows; gens generate H with x) as a union of right cosets H*r by Dimino's
-    step.  A join of more than ``most`` cosets is ``whole``.  Also returns the
-    mask of the coset H*x."""
+    step, reading products off the table ``rows``.  A join of more than
+    ``most`` cosets is ``whole``.  Also returns the mask of the coset H*x."""
     x = gens[-1]
     hx = 0
     for h_row in h_rows:
@@ -674,7 +665,7 @@ def _coset_join(mt, h_rows: list, mask: int, gens: Sequence[int], most: int,
     for r in reps:  # reps grows while we walk it
         if len(reps) >= most:
             return whole, hx
-        row = mt[r]
+        row = rows[r]
         for g in gens:
             y = row[g]
             if not (mask >> y) & 1:
@@ -895,60 +886,50 @@ def upper_central_series(Q: Subgroup) -> list[Subgroup]:
 
 # -- quotients ---------------------------------------------------------------
 
-def quotient_group(G: Group, N: Subgroup) -> tuple[Group, tuple[int, ...]]:
-    """The coset action of G on N\\G, plus the element-wise projection.
+def quotient_group(S: Group | Subgroup, N: Subgroup) -> tuple[Group, tuple[int, ...]]:
+    """The coset action of S on N\\S, plus the projection as the tuple of the
+    images of S.members.
 
+    S is a subgroup of a group G, or G itself for its full subgroup.  The
+    quotient of G is named "G/|N|" and generated by the images of G's
+    generators; that of a subgroup S is named "G|{|S|}/{|N|}" and generated
+    by the images of S.generating_ids(), or the identity when S is trivial.
     Cosets are numbered by their least element, so the construction is
-    deterministic; the action is faithful for G/N because N is normal.
+    deterministic; the action is faithful for S/N because N is normal in S.
+    Products, and the quotient's table, are read off the rows of G's table.
     """
-    if N.parent != G:
-        raise NotASubgroup("N does not live in G")
-    if not is_normal_in(N, G.full_subgroup()):
-        raise NotNormal("N is not normal in G")
-    coset = [-1] * G.order
+    if S.__class__ is Subgroup:
+        G = S.parent
+        name = f"{G.name}|{S.order}"
+        gens = S.generating_ids() or (0,)
+    else:
+        G, S = S, S.full_subgroup()
+        name = G.name
+        gens = [G.index_of(gp) for gp in G.generators]
+    if N.parent != G or not N <= S:
+        raise NotASubgroup("N does not lie in S")
+    if not is_normal_in(N, S):
+        raise NotNormal("N is not normal in S")
+    rows = G.rows()
+    coset = [-1] * G.order  # the coset number of each member of S, then its id in Q
     reps = []
-    for x in range(G.order):
+    for x in S.members:
         if coset[x] == -1:
-            c = len(reps)
-            reps.append(x)
             for n in N.members:
-                coset[G.mul(n, x)] = c
-    k = len(reps)
-    images = [tuple(coset[G.mul(r, g)] for r in reps) for g in range(G.order)]
-    perms = {img: Perm(img) for img in images}
-    gen_perms = [perms[images[G.index_of(gp)]] for gp in G.generators]
-    Q = Group._from_elements(k, perms.values(), f"{G.name}/{N.order}", generators=gen_perms)
-    proj = tuple(Q.index_of(perms[images[g]]) for g in range(G.order))
-    mt = G._mul
-    if mt is not None and Q._mul is None:
-        lift = [0] * k
-        for r in reps:
-            lift[proj[r]] = r
-        Q._mul = _table_through(mt, lift, proj)
-    return Q, proj
-
-
-@memo("as_group")
-def as_group(S: Subgroup) -> tuple[Group, tuple[int, ...]]:
-    """Reify a subgroup as a standalone Group; returns (group, new->parent ids)."""
-    parent = S.parent
-    mem = S.members  # ascending parent ids are already in canonical perm order
-    gens = [parent.elements[i] for i in S.generating_ids()] or [Perm.identity(parent.degree)]
-    G = Group(parent.degree, f"{parent.name}|{S.order}",
-              tuple(gens), tuple(parent.elements[i] for i in mem))
-    mt = parent._mul
-    if mt is not None and G._mul is None:
-        G._mul = _table_through(mt, mem, {x: i for i, x in enumerate(mem)})
-    return G, mem
-
-
-def _table_through(mt, lift: Sequence[int], down) -> tuple[tuple[int, ...], ...]:
-    """The multiplication table of a group read off the table mt of another:
-    element i of the group is down[lift[i]], for a hom down (a dict or table)
-    from the other group.  Re-indexing rows is much cheaper than composing."""
-    BUILDS["mul_table_read"] += 1
-    get = down.__getitem__
-    return tuple(tuple(map(get, map(mt[x].__getitem__, lift))) for x in lift)
+                coset[rows[n][x]] = len(reps)
+            reps.append(x)
+    rep_rows = [rows[r] for r in reps]
+    images = {g: tuple(coset[row[g]] for row in rep_rows) for g in S.members}
+    perms = {img: Perm(img) for img in images.values()}
+    Q = Group._from_elements(len(reps), perms.values(), f"{name}/{N.order}",
+                             generators=[perms[images[g]] for g in gens])
+    lift = [0] * len(reps)
+    for r in reps:
+        lift[Q._index[images[r]]] = r
+    for x in S.members:
+        coset[x] = Q._index[images[x]]
+    Q._read_table(G, lift, coset)
+    return Q, tuple(map(coset.__getitem__, S.members))
 
 
 # -- homomorphisms -----------------------------------------------------------
@@ -1122,13 +1103,9 @@ def maps_cayley_edges(cols, imgs: Sequence[int], H: Group) -> bool:
     f(x)*f(g) for every member x and generating id g.  With f(1) = 1 that
     makes f multiplicative: f(x*y) = f(x)*f(y) follows by induction on the
     length of y as a word in the generating ids."""
-    H._ensure_mul()
-    mt = H._mul
-    rows = None if mt is None else list(map(mt.__getitem__, imgs))
+    rows = list(map(H.rows().__getitem__, imgs))
     for at, col in cols:
-        fg = imgs[at]
-        got = [H.mul(y, fg) for y in imgs] if mt is None else list(map(itemgetter(fg), rows))
-        if got != list(map(imgs.__getitem__, col)):
+        if list(map(itemgetter(imgs[at]), rows)) != list(map(imgs.__getitem__, col)):
             return False
     return True
 

@@ -2,9 +2,9 @@
 closure transfer to quotients, and the isomorphism-theorem verifiers.
 
 Quotient carriers are always realized explicitly by the coset action of the
-reified carrier group, and every comparison between systems on quotients is
-made by transporting along an explicitly constructed group isomorphism;
-nothing is identified "by name".
+carrier, read off its parent's table, and every comparison between systems
+on quotients is made by transporting along an explicitly constructed group
+isomorphism; nothing is identified "by name".
 """
 
 from __future__ import annotations
@@ -48,13 +48,11 @@ class _QuotientParts:
 def _quotient_parts(F: PreFusionSystem, Q: Subgroup) -> _QuotientParts:
     if not Q <= F.carrier:
         raise NotNormalInP("Q must lie inside the carrier")
-    CG, new_to_par = pg.as_group(F.carrier)
-    par_to_new = {p: i for i, p in enumerate(new_to_par)}
     try:
-        QG, proj_new = pg.quotient_group(CG, Subgroup(CG, pg.mask_image(par_to_new, Q.mask)))
+        QG, proj = pg.quotient_group(F.carrier, Q)
     except NotNormal:
         raise NotNormalInP("Q is not normal in the carrier") from None
-    return _QuotientParts(QG, {p: proj_new[i] for i, p in enumerate(new_to_par)})
+    return _QuotientParts(QG, dict(zip(F.carrier.members, proj)))
 
 
 def _image_subgroup(parts: _QuotientParts, R: Subgroup) -> Subgroup:

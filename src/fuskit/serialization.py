@@ -140,8 +140,9 @@ def fusion_spec_from_dict(d: dict, base_dir: Optional[Path] = None,
         return fusion_from_group(G, p)
     if mode == "generated":
         G = _resolve_group(d["group"], base_dir, resolver)
-        seeds = [_seed_from_dict(G, s) for s in d.get("seed_morphisms", [])]
-        return fusion_generated(G, p, seeds)
+        seeds = d.get("seed_morphisms", [])
+        _require(isinstance(seeds, list), "field 'seed_morphisms' must be a list")
+        return fusion_generated(G, p, [_seed_from_dict(G, s) for s in seeds])
     raise ParseError(f"unknown fusion mode {mode!r}")
 
 

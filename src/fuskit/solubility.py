@@ -124,9 +124,7 @@ def _qdp_free(G: Group, p: int) -> bool:
         for N in lattice:
             if N.order * m != H.order or not N <= H or not pg.is_normal_in(N, H):
                 continue
-            HG, mem = pg.as_group(H)
-            kernel = Subgroup(HG, pg.mask_image({x: i for i, x in enumerate(mem)}, N.mask))
-            quotient, _ = pg.quotient_group(HG, kernel)
+            quotient, _ = pg.quotient_group(H, N)
             if pg.isomorphisms_between(quotient.full_subgroup(), target):
                 return False
     return True

@@ -18,6 +18,7 @@ from fuskit.errors import (
     InvariantViolation,
     NotAHomomorphism,
     NotAPermutation,
+    NotASubgroup,
     NotInjective,
     NotNormal,
     OrderCapExceeded,
@@ -484,6 +485,54 @@ def test_quotient_order_product(groups):
                 assert q.order * N.order == G.order
 
 
+def _composed_table(H):
+    """H's table from products of its permutations, made without a Group,
+    which would be interned and hand back the very table under test."""
+    idx = {p.images: i for i, p in enumerate(H.elements)}
+    return tuple(tuple(idx[tuple(b.images[i] for i in a.images)] for b in H.elements)
+                 for a in H.elements)
+
+
+def test_quotient_of_a_subgroup(groups):
+    # S/N is read off the rows of S's parent, with no group made for S
+    for name in ("s4", "qd3", "d8xc2"):
+        G = groups[name]
+        for S in pg.subgroups(G)[1::7]:
+            pos = {x: i for i, x in enumerate(S.members)}
+            for N in pg.subgroups_of(S):
+                if not pg.is_normal_in(N, S):
+                    continue
+                Q, proj = pg.quotient_group(S, N)
+                assert Q.name == f"{G.name}|{S.order}/{N.order}"
+                assert Q.order * N.order == S.order
+                assert Q._mul == _composed_table(Q), (name, S.mask, N.mask)
+                # the projection, aligned with S.members, is a surjective hom
+                # with kernel exactly N
+                assert len(proj) == S.order and set(proj) == set(range(Q.order))
+                assert [x for x, q in zip(S.members, proj) if q == 0] == list(N.members)
+                for a in S.members:
+                    for b in S.members:
+                        assert proj[pos[G.mul(a, b)]] == Q.mul(proj[pos[a]], proj[pos[b]])
+                assert Q.generators == tuple(Q.elements[proj[pos[g]]] for g in S.generating_ids())
+    trivial = groups["s4"].trivial_subgroup()
+    Q, proj = pg.quotient_group(trivial, trivial)
+    assert (Q.name, Q.order, proj) == ("S4|1/1", 1, (0,))
+    assert Q.generators == (pg.Perm.identity(1),)
+
+
+def test_quotient_of_a_subgroup_rejects_bad_kernels(groups):
+    s4 = groups["s4"]
+    P = pg.sylow(s4, 2)
+    outside = next(N for N in pg.subgroups(s4) if N.order == 2 and not N <= P)
+    with pytest.raises(NotASubgroup):
+        pg.quotient_group(P, outside)
+    with pytest.raises(NotASubgroup):
+        pg.quotient_group(P, groups["d8"].trivial_subgroup())
+    not_normal = next(N for N in pg.subgroups_of(P) if N.order == 2 and not pg.is_normal_in(N, P))
+    with pytest.raises(NotNormal):
+        pg.quotient_group(P, not_normal)
+
+
 # -- homomorphisms ------------------------------------------------------------------------
 
 def test_hom_build_identity(groups):
@@ -786,23 +835,13 @@ def test_characteristic_subgroups_match_the_filter_over_all_of_aut(groups):
 
 
 def test_tables_read_through_parent_match_composition(groups):
-    # as_group and quotient_group take their tables from the parent's; the
-    # reference composes the permutations here, without a Group, which would
-    # be interned and hand back the very table under test
-    def composed(H):
-        idx = {p.images: i for i, p in enumerate(H.elements)}
-        return tuple(tuple(idx[tuple(b.images[i] for i in a.images)] for b in H.elements)
-                     for a in H.elements)
-
+    # quotient_group takes the quotient's table from the parent's rows (its
+    # quotients of subgroups: test_quotient_of_a_subgroup)
     for name in ("s4", "qd3"):
         G = groups[name]
-        G.mul(0, 0)  # the parent's table exists
-        for S in pg.subgroups(G)[1::7]:
-            HG, _ = pg.as_group(S)
-            assert HG._mul == composed(HG)
         for N in pg.normal_subgroups(G):
             Q, _ = pg.quotient_group(G, N)
-            assert Q._mul == composed(Q)
+            assert Q._mul == _composed_table(Q)
 
 
 def _assert_tables_match_perm_products(G, step=1):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -234,6 +236,45 @@ def test_cli_quotient_modes(tmp_path, capsys):
     assert out["closure"]["is_fusion"] is True
 
 
+# sha256 of the whole `fuskit quotient` output: e16 with its first corpus
+# seeds by A (the carrier is the whole group, so the quotient is named
+# E16|16/2) and s4@2 by V4 (the carrier is a Sylow subgroup: S4|8/4)
+_QUOTIENT_DIGESTS = {
+    ("e16", "factor"): "9f231f0e1d9b6616330735060f284d7a687627de1ee6e97c26e0c2c4e3547a44",
+    ("e16", "bar"): "05d1a30360d145c06ad5e1c8efb85a1e441c30d7a92509cd9d4da714e23dacec",
+    ("e16", "generated-bar"): "ad5a7bbe51e897229706bbc21b5d49c45292ffeb1b4eceb45c9c7fdbbd3b6e26",
+    ("s4", "factor"): "67e07d29b17c7a08b89e63d806bd1cef4c2cc80461cc927d0a980c7dd926170d",
+    ("s4", "bar"): "07841e86ad9cfd468c8ceafcc9315a99805ae756d4d8bb146352b773791e02d2",
+    ("s4", "generated-bar"): "cd049d484670e2d699ec70d55398b5e1f9863cedd3cfe205ba63f29114ff22d4",
+}
+
+
+@pytest.mark.parametrize("system, mode", sorted(_QUOTIENT_DIGESTS))
+def test_cli_quotient_output_is_pinned(tmp_path, system, mode):
+    # in a fresh interpreter: a system shares its quotient memo with the
+    # live systems of equal content, and the quotient's name is that of the
+    # first to ask (after Qd(2), whose elements are S4's, s4@2 by V4 reads
+    # Qd(2)|8/4)
+    if system == "e16":
+        e16_entry = json.loads((CORPUS / "e16.json").read_text())
+        doc = {"group": "e16", "p": 2, "mode": "generated",
+               "seed_morphisms": e16_entry["generated_systems"][0]["seed_morphisms"]}
+        by = e16_entry["named_subgroups"]["A"]
+    else:
+        doc = {"group": "s4", "p": 2, "mode": "from-group"}
+        by = [[1, 0, 3, 2], [2, 3, 0, 1]]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "fuskit.cli", "quotient", str(spec),
+                           "--by", json.dumps(by), "--mode", mode],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == _QUOTIENT_DIGESTS[system, mode]
+
+
 def test_cli_quotient_output_feeds_back_into_check(tmp_path, capsys):
     e16_entry = json.loads((CORPUS / "e16.json").read_text())
     spec = tmp_path / "spec.json"
@@ -283,10 +324,12 @@ def _system_doc(group_name, prime, **changes):
     (("fusion", "check"), _system_doc("c3", 3, isos=[
         {"domain": [0, 1], "codomain": [0, 1], "map": [[0, 0], [1, 1]]}])),
     (("fusion", "check"), _system_doc("s4", 2, carrier=list(pg.core_p(builtin_group("s4"), 2).members))),
+    (("fusion", "check"), {"group": "e16", "p": 2, "mode": "generated", "seed_morphisms": 5}),
+    (("fusion", "check"), {"group": "e16", "p": 2, "mode": "generated", "seed_morphisms": None}),
 ], ids=["system-without-ambient", "system-p-not-prime", "spec-p-not-prime",
         "string-in-generator", "bool-in-generator", "bool-degree",
         "subgroup-spec-not-a-list", "carrier-not-subgroup", "domain-not-subgroup",
-        "iso-outside-carrier"])
+        "iso-outside-carrier", "seed-morphisms-not-a-list", "seed-morphisms-null"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, doc):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
