@@ -61,9 +61,12 @@ class PreFusionSystem:
     registry: it adopts the memo of any live twin, or registers a fresh one.
     The registry holds memos weakly, so it keeps no system alive, and a memo
     lives as long as one of its systems does.
-    Groups compare by content, so twins may sit on distinct equal ambient
-    groups; a memoized subgroup then lives in the first twin's group, which
-    compares equal to the others'.
+    Groups compare by content, not by name, so twins may sit on distinct
+    equal ambient groups; a memoized subgroup then lives in the first twin's
+    group, which compares equal to the others'.  A quotient group is named
+    after the ambient group, so ``quotient_parts``, ``factor_system``,
+    ``bar_system`` and ``generated_bar`` also key each entry by that name
+    (``memo(..., named=True)``): each twin gets quotients of its own name.
     """
 
     kind = "prefusion"
@@ -129,7 +132,11 @@ class PreFusionSystem:
         return out
 
     def contains_iso(self, h: GroupHom) -> bool:
-        return h in self.table.get((h.domain, h.image()), frozenset())
+        """Whether h is a stored iso: h lives in the ambient group and its
+        images are filed under its masks in ``images_by_key``."""
+        parent = self.parent
+        return (h.domain.parent == parent and h.codomain.parent == parent
+                and h.images in images_by_key(self).get((h.domain.mask, h.image_mask), ()))
 
     def iso_count(self) -> int:
         return sum(len(v) for v in self.table.values())
@@ -151,6 +158,13 @@ class FusionSystem(PreFusionSystem):
 
 
 # -- hom derivation ----------------------------------------------------------
+
+@memo("images_by_key")
+def images_by_key(F: PreFusionSystem) -> dict[tuple[int, int], frozenset[tuple[int, ...]]]:
+    """The images of F's isos, by the masks of their domain and image: the
+    index a membership test reads, so that it builds no hom to hash."""
+    return {(q.mask, r.mask): frozenset(h.images for h in homs) for (q, r), homs in F.table.items()}
+
 
 def hom_set(F: PreFusionSystem, Q: Subgroup, R: Subgroup) -> list[GroupHom]:
     """Hom_F(Q, R): isos from Q onto subgroups of R, viewed into R."""
@@ -357,10 +371,15 @@ def is_strongly_closed(F: PreFusionSystem, Q: Subgroup) -> bool:
 def n_phi(F: PreFusionSystem, phi: GroupHom) -> Subgroup:
     """The subgroup of N_P(Q) whose induced automorphisms transfer through phi
     into carrier-conjugation automorphisms of the image."""
-    Q = phi.domain
-    R = phi.image()
     if not F.contains_iso(phi):
         raise MorphismNotInSystem("phi is not an isomorphism of the system")
+    return _n_phi(F, phi)
+
+
+def _n_phi(F: PreFusionSystem, phi: GroupHom) -> Subgroup:
+    """N_phi for an iso phi of F, unchecked."""
+    Q = phi.domain
+    R = phi.image()
     G = F.parent
     NQ = F.normalizer_in_carrier(Q)
     NR = F.normalizer_in_carrier(R)
@@ -399,7 +418,7 @@ def is_saturated(F: FusionSystem) -> bool:
         if not is_fully_normalized(F, r):
             continue
         for phi in homs:
-            n_sub = n_phi(F, phi)
+            n_sub = _n_phi(F, phi)
             if n_sub.mask != q.mask and next(extensions(F, phi, n_sub), None) is None:
                 return False
     return True
@@ -407,9 +426,12 @@ def is_saturated(F: FusionSystem) -> bool:
 
 def extensions(F: PreFusionSystem, phi: GroupHom, over: Subgroup) -> Iterator[GroupHom]:
     """The isos of F out of `over` whose restriction to the domain of phi is phi."""
-    dom, imgs = phi.domain.members, phi.images
+    omask = over.mask  # x sits in over.members after the members below it
+    at = itemgetter(*[(omask & ((1 << x) - 1)).bit_count() for x in phi.domain.members])
+    imgs = phi.images
+    want = imgs if len(imgs) > 1 else imgs[0]  # one item is read bare
     for psi in F.isos_from(over):
-        if tuple(map(psi.mapping.__getitem__, dom)) == imgs:
+        if at(psi.images) == want:
             yield psi
 
 

@@ -76,15 +76,18 @@ def cached(owner, name: str, key, build, *args):
     return got
 
 
-def memo(name: str):
+def memo(name: str, named: bool = False):
     """Memoize a function in the table ``name`` of its owner's ``_caches``.
 
     The owner is the first argument, or its parent group when that is a
     Subgroup.  The key is the tuple of the other arguments with each Subgroup
     replaced by its mask, after the first argument's mask when that is a
-    Subgroup.  The body runs only on a miss, so it may check only what
-    follows from the owner's content and the key; a build that raises stores
-    nothing.  Positional arguments only.
+    Subgroup.  When ``named``, the key ends with the name of the first
+    argument's ``parent``: groups compare by content, not by name, so a
+    value that carries that name (a quotient group's) is kept per name.  The
+    body runs only on a miss, so it may check only what follows from the
+    owner's content and the key; a build that raises stores nothing.
+    Positional arguments only.
     """
     def deco(fn):
         def wrapper(first, *rest):
@@ -94,6 +97,8 @@ def memo(name: str):
                 owner, key = first, ()
             for a in rest:
                 key += (a.mask if a.__class__ is Subgroup else a,)
+            if named:
+                key += (first.parent.name,)
             try:  # inline: the hottest tables see 100,000 lookups per verify
                 return owner._caches[name][key]
             except KeyError:
@@ -197,8 +202,9 @@ class _ComposedRows:
         return _ComposedRows(self.G, i) if self.a is None else self.G.mul(self.a, i)
 
 
-# (degree, name, generator images, element images) -> the live group, and
-# (degree, name, generator images) -> the live group group_from_generators made
+# (degree, name, generator images, element images) -> the live group,
+# (degree, name, generator images) -> the live group group_from_generators
+# made, and (degree, element images) -> the live group last made with them
 _GROUPS: "weakref.WeakValueDictionary[tuple, Group]" = weakref.WeakValueDictionary()
 
 
@@ -215,6 +221,8 @@ class Group:
     is the group that first asked, cannot be told apart from a later asker.
     Equality and hashing stay by content (degree and elements), so renamed
     twins, distinct objects, still share the memos of equal fusion systems.
+    The multiplication, inverse and order tables and the conjugation maps
+    depend on the elements alone, so a new group takes those of a live twin.
     """
 
     __slots__ = (
@@ -249,8 +257,12 @@ class Group:
         self._hash = hash((degree, images))
         self._mul = self._inv = self._orders = None
         self._conj = {}
+        twin = _GROUPS.get((degree, images))
+        if twin is not None:  # the same elements: the same tables
+            self._mul, self._inv, self._orders = twin._mul, twin._inv, twin._orders
+            self._conj = twin._conj
         self._caches = {}
-        _GROUPS[key] = self
+        _GROUPS[key] = _GROUPS[(degree, images)] = self
         return self
 
     def __reduce__(self):  # copy and pickle go through __new__, so they intern too
@@ -727,14 +739,19 @@ def centralizer(ambient: Subgroup, Q: Subgroup) -> Subgroup:
 
 
 def normalizer(ambient: Subgroup, Q: Subgroup) -> Subgroup:
+    """The g in ambient that conjugate every generating id x of Q into Q,
+    reading g^-1 x g off the table rows as ``conj_images`` does; Q^g is
+    generated by those conjugates, so Q^g <= Q, and Q^g = Q by order."""
     _check_same_parent(ambient, Q)
     G = ambient.parent
+    rows = G.rows()
     qmask = Q.mask
+    gens = Q.generating_ids()
     mask = 0
     for g in ambient.members:
-        cm = G.conj_map(g)
-        for x in Q.members:
-            if not (qmask >> cm[x]) & 1:
+        row_inv = rows[G.inv(g)]
+        for x in gens:
+            if not (qmask >> rows[row_inv[x]][g]) & 1:
                 break
         else:
             mask |= 1 << g
@@ -1168,16 +1185,25 @@ def conjugation_hom(g: int, Q: Subgroup, R: Subgroup) -> GroupHom:
     return GroupHom(Q, R, images)
 
 
-def induced_hom(h: GroupHom, m, G: Group) -> GroupHom:
-    """The hom m(domain) -> m(image) in G that h induces under the element
-    map m (a dict or table defined on the domain and image of h): the one
-    push of a hom through an element map."""
+def pushed_images(xs: Sequence[int], ys: Sequence[int], m) -> tuple[int, int, tuple[int, ...]]:
+    """The push of the map xs[i] -> ys[i] through the element map m (a dict
+    or table defined on xs and ys): the map m(x) -> m(y), as the masks of its
+    domain and image and the images of the domain's members in order.
+    Raises InvariantViolation when two x with one m(x) have different m(y)."""
     get = m.__getitem__
-    xs, ys = h.domain.members, h.images
     out = dict(zip(map(get, xs), map(get, ys)))
     if len(out) < len(ys) and any(out[get(x)] != get(y) for x, y in zip(xs, ys)):
         raise InvariantViolation("the induced map is not well defined")
-    return _hom_onto(Subgroup(G, mask_of(out)), G, map(out.__getitem__, sorted(out)))
+    images = tuple(map(out.__getitem__, sorted(out)))
+    return mask_of(out), mask_of(images), images
+
+
+def induced_hom(h: GroupHom, m, G: Group) -> GroupHom:
+    """The hom m(domain) -> m(image) in G that h induces under the element
+    map m: the push of a hom through an element map, for the builders of a
+    system; a membership test pushes images alone (``pushed_images``)."""
+    dom, img, images = pushed_images(h.domain.members, h.images, m)
+    return GroupHom(Subgroup(G, dom), Subgroup(G, img), images, img)
 
 
 # -- isomorphism search ------------------------------------------------------

@@ -26,6 +26,7 @@ from .fusion import (
     FusionSystem,
     PreFusionSystem,
     generated_on,
+    images_by_key,
     is_saturated,
     is_strongly_closed,
     is_weakly_closed,
@@ -44,7 +45,7 @@ class _QuotientParts:
     proj: dict[int, int]            # carrier member id (ambient) -> quotient id
 
 
-@memo("quotient_parts")
+@memo("quotient_parts", named=True)
 def _quotient_parts(F: PreFusionSystem, Q: Subgroup) -> _QuotientParts:
     if not Q <= F.carrier:
         raise NotNormalInP("Q must lie inside the carrier")
@@ -70,7 +71,7 @@ def factor_parts(F: PreFusionSystem, Q: Subgroup) -> tuple[FusionSystem, dict[in
     return factor_system(F, Q), _quotient_parts(F, Q).proj
 
 
-@memo("factor_system")
+@memo("factor_system", named=True)
 def factor_system(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
     """The factor system on P/Q: morphisms between overgroups of Q fixing Q."""
     parts = _quotient_parts(F, Q)
@@ -80,7 +81,7 @@ def factor_system(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
     return FusionSystem(parts.group.full_subgroup(), F.p, table, provenance="factor")
 
 
-@memo("bar_system")
+@memo("bar_system", named=True)
 def bar_system(F: PreFusionSystem, Q: Subgroup) -> PreFusionSystem:
     """The prefusion system on P/Q induced by ALL morphisms of F."""
     if not is_strongly_closed(F, Q):
@@ -92,7 +93,7 @@ def bar_system(F: PreFusionSystem, Q: Subgroup) -> PreFusionSystem:
     return PreFusionSystem(parts.group.full_subgroup(), F.p, table, provenance="bar")
 
 
-@memo("generated_bar")
+@memo("generated_bar", named=True)
 def generated_bar(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
     """The fusion closure of the bar system."""
     bar = bar_system(F, Q)
@@ -114,28 +115,35 @@ class PrefusionWitness:
 def prefusion_is_fusion(pre: PreFusionSystem) -> tuple[bool, Optional[PrefusionWitness]]:
     """Do the stored isos satisfy the fusion-system axioms (with hom-sets
     derived as iso-then-inclusion)?  Returns the first failure in canonical
-    iteration order as a witness."""
+    iteration order as a witness.
+
+    Every map checked is made from the stored isos, so it lives in the
+    ambient group, and it is in the system when its images are filed under
+    its masks in ``images_by_key``; a hom is built only for the witness."""
     carrier = pre.carrier
+    index = images_by_key(pre)
+
+    def missing(q: int, imgs: tuple[int, ...]) -> bool:
+        return imgs not in index.get((q, pg.mask_of(imgs)), ())
+
+    G = pre.parent
     for A in pg.subgroups_of(carrier):
         for g in carrier.members:
-            theta = pg.conjugation_hom(g, A, A.conjugate(g))
-            if not pre.contains_iso(theta):
+            if missing(A.mask, tuple(map(G.conj_map(g).__getitem__, A.members))):
+                theta = pg.conjugation_hom(g, A, A.conjugate(g))
                 return False, PrefusionWitness("missing-conjugation", (theta,))
     isos = pre.all_isos()
-    for h in isos:
-        if not pre.contains_iso(h.inverse()):
+    for h in isos:  # h^-1 sends h(x) to x: its images sorted by h(x)
+        if missing(h.image_mask, tuple(x for _, x in sorted(zip(h.images, h.domain.members)))):
             return False, PrefusionWitness("missing-inverse", (h,))
     for h in isos:
-        for A in pg.subgroups_of(h.domain):
-            if A.mask == h.domain.mask:
-                continue
-            res = h.restriction(A)
-            if not pre.contains_iso(res):
-                return False, PrefusionWitness("missing-restriction", (h, res))
+        get = h.mapping.__getitem__
+        for A in pg.subgroups_of(h.domain)[:-1]:  # the proper subgroups
+            if missing(A.mask, tuple(map(get, A.members))):
+                return False, PrefusionWitness("missing-restriction", (h, h.restriction(A)))
     for phi in isos:
         for psi in pre.isos_from(phi.image()):
-            comp = phi.then(psi)
-            if not pre.contains_iso(comp):
+            if missing(phi.domain.mask, tuple(map(psi.mapping.__getitem__, phi.images))):
                 return False, PrefusionWitness("missing-composite", (phi, psi))
     return True, None
 
@@ -246,12 +254,23 @@ def _canonical_iso(A: Subgroup, B: Subgroup, xs, to_a, to_b) -> Optional[GroupHo
     return theta if theta.image_mask == B.mask else None
 
 
+def _pushed(E: PreFusionSystem, m) -> set[tuple[int, int, tuple[int, ...]]]:
+    """The push of every iso of E through the element map m, as (domain
+    mask, image mask, images) triples; InvariantViolation when one of them
+    induces no map."""
+    return {pg.pushed_images(phi.domain.members, phi.images, m)
+            for homs in E.table.values() for phi in homs}
+
+
+def _triples(F: PreFusionSystem) -> set[tuple[int, int, tuple[int, ...]]]:
+    """F's isos as the triples of ``_pushed``."""
+    return {(q, r, imgs) for (q, r), images in images_by_key(F).items() for imgs in images}
+
+
 @memo("pushes_to_factor")
 def _pushes_to_factor(E: PreFusionSystem, K: Subgroup) -> bool:
     """Is the push of all of E through the projection of E/K equal to E/K?"""
-    parts = _quotient_parts(E, K)
-    return iso_table(pg.induced_hom(phi, parts.proj, parts.group)
-                     for homs in E.table.values() for phi in homs) == factor_system(E, K).table
+    return _pushed(E, _quotient_parts(E, K).proj) == _triples(factor_system(E, K))
 
 
 def verify_second_iso(F: FusionSystem, Q: Subgroup, E: FusionSystem) -> bool:
@@ -291,9 +310,7 @@ def verify_third_iso(F: FusionSystem, Q: Subgroup, R: Subgroup) -> bool:
     members = F.carrier.members
     theta = _canonical_iso(f2.carrier, fr.carrier, members,
                            {x: proj2[proj1[x]] for x in members}, proj3)
-    return theta is not None and iso_table(
-        pg.induced_hom(phi, theta.mapping, fr.parent)
-        for homs in f2.table.values() for phi in homs) == fr.table
+    return theta is not None and _pushed(f2, theta.mapping) == _triples(fr)
 
 
 def local_determination_holds(F: FusionSystem, Q: Subgroup) -> bool:

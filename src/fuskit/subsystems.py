@@ -17,6 +17,7 @@ from .fusion import (
     _conjugation_table,
     aut_realization,
     extensions,
+    images_by_key,
     is_saturated,
     is_strongly_closed,
     same_system,
@@ -96,29 +97,25 @@ def is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
     return cached(E, "invariant", id(f_memo), lambda: (f_memo, _is_invariant(F, E)))[1]
 
 
+def _in_push(index: dict, phi: GroupHom, m) -> bool:
+    """Whether the push of phi through the element map m has its images
+    filed under its masks in the ``images_by_key`` index."""
+    dom, img, imgs = pg.pushed_images(phi.domain.members, phi.images, m)
+    return imgs in index.get((dom, img), ())
+
+
 def _is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
     Q = E.carrier
     _require_strongly_closed(F, Q)
-    e_images = _images_by_key(E)
-    G = F.parent
+    e_images = images_by_key(E)
     for S in pg.subgroups_of(Q):
         for psi in F.isos_from(S):
             pm = psi.mapping
             for R in pg.subgroups_of(S):
                 for phi in E.isos_from(R):
-                    if phi.image_mask & ~S.mask:
-                        continue
-                    bar = pg.induced_hom(phi, pm, G)
-                    key = (bar.domain.mask, bar.image_mask)
-                    if bar.images not in e_images.get(key, ()):
+                    if not (phi.image_mask & ~S.mask or _in_push(e_images, phi, pm)):
                         return False
     return True
-
-
-@memo("images_by_key")
-def _images_by_key(E: PreFusionSystem) -> dict[tuple[int, int], frozenset]:
-    """The images of E's isos, by the masks of their domain and image."""
-    return {(q.mask, r.mask): frozenset(h.images for h in homs) for (q, r), homs in E.table.items()}
 
 
 def is_frattini(F: FusionSystem, E: PreFusionSystem) -> bool:
@@ -126,14 +123,13 @@ def is_frattini(F: FusionSystem, E: PreFusionSystem) -> bool:
     F-automorphism of the carrier followed by a morphism of E."""
     Q = E.carrier
     _require_strongly_closed(F, Q)
-    G = F.parent
+    e_images = images_by_key(E)
     auts = [a.mapping for a in sorted(F.aut(Q), key=pg.hom_key)]
     for R in pg.subgroups_of(Q):
         for phi in F.isos_from(R):
-            # beta = alpha^-1 phi : alpha(R) -> phi(R)
-            if not any(E.contains_iso(GroupHom.from_map(
-                    Subgroup(G, pg.mask_image(am, R.mask)), phi.image(),
-                    zip(map(am.__getitem__, R.members), phi.images)))
+            # beta = alpha^-1 phi : alpha(R) -> phi(R) sends alpha(x) to phi(x)
+            if not any(tuple(y for _, y in sorted(zip(map(am.__getitem__, R.members), phi.images)))
+                       in e_images.get((pg.mask_image(am, R.mask), phi.image_mask), ())
                        for am in auts):
                 return False
     return True
@@ -141,8 +137,8 @@ def is_frattini(F: FusionSystem, E: PreFusionSystem) -> bool:
 
 def aut_f_acts_on(E: PreFusionSystem, alphas: Iterable[GroupHom]) -> bool:
     """Each alpha must send every morphism of E to a morphism of E."""
-    G = E.parent
-    return all(E.contains_iso(pg.induced_hom(phi, alpha.mapping, G))
+    e_images = images_by_key(E)
+    return all(_in_push(e_images, phi, alpha.mapping)
                for alpha in alphas for homs in E.table.values() for phi in homs)
 
 

@@ -70,3 +70,32 @@ def test_only_the_output_boundary_and_the_oracles_read_pairs():
             if isinstance(node, ast.Attribute) and node.attr == "pairs":
                 readers.append(path.name)
     assert set(readers) <= {"serialization.py", "oracles.py"}, readers
+
+
+def _called(node):
+    """The name a call calls: f for f(...) and x.f(...), else None."""
+    f = node.func
+    return f.attr if isinstance(f, ast.Attribute) else f.id if isinstance(f, ast.Name) else None
+
+
+def test_homs_are_pushed_and_built_only_to_make_a_system():
+    # a membership test reads image tuples under masks (fusion.images_by_key,
+    # permgroup.pushed_images): induced_hom builds the homs of a new system
+    # only, and no contains_iso argument is a hom built for the test
+    built = {"GroupHom", "from_map", "induced_hom", "inverse", "restriction", "then"}
+    pushes, tests = set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        func = {id(n): f.name for f in ast.walk(tree)
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if _called(node) == "induced_hom":
+                pushes.add((path.name, func.get(id(node))))
+            elif _called(node) == "contains_iso":
+                tests += [f"{path.name}:{node.lineno}" for arg in node.args for n in ast.walk(arg)
+                          if isinstance(n, ast.Call) and _called(n) in built]
+    assert pushes == {("quotients.py", "factor_system"), ("quotients.py", "bar_system"),
+                      ("fusion.py", "transport"), ("quotients.py", "apply")}, pushes
+    assert tests == []

@@ -426,6 +426,21 @@ def test_centralizer_matches_the_conjugation_maps(groups):
                 assert pg.center(Q).mask == fixing, name
 
 
+def test_normalizer_and_normality_match_the_conjugation_maps(groups):
+    # N_S(Q) conjugates Q's generating ids on the table rows, and "Q is
+    # normal in S" conjugates Q by S's generating ids; the definition is the
+    # g whose conjugation map sends every member of Q into Q.  Every (S, Q)
+    # pair of each corpus group, and S = G for A6
+    for name, G in groups.items():
+        subs = pg.subgroups(G)
+        for Q in subs:
+            keeping = pg.mask_of(g for g in range(G.order)
+                                 if all((Q.mask >> G.conj_map(g)[x]) & 1 for x in Q.members))
+            for S in (subs if name != "a6" else [G.full_subgroup()]):
+                assert pg.normalizer(S, Q).mask == S.mask & keeping, (name, S.mask, Q.mask)
+                assert pg.is_normal_in(Q, S) == (S.mask & ~keeping == 0), (name, S.mask, Q.mask)
+
+
 # -- upper central series ------------------------------------------------------------
 
 def test_upper_central_series(groups):

@@ -297,3 +297,41 @@ def test_derived_constructions_stay_closed(s4_system, v4, groups):
     for F in candidates:
         ok, wit = qt.prefusion_is_fusion(F)
         assert ok, wit
+
+
+_TWIN_NAMES = """
+import json, sys
+from fuskit import fusion as fz, permgroup as pg, quotients as qt, solubility as sol
+from fuskit.corpus import load_corpus, shipped_corpus_dir
+from fuskit.serialization import system_to_dict
+s4 = next(e for e in load_corpus(shipped_corpus_dir()) if e.name == "s4").load_group()
+groups = {"qd2": sol.qd_group(2), "s4": s4}
+names, alive = {}, []  # a live system keeps the shared memo alive
+for key in sys.argv[1:]:
+    F = fz.fusion_from_group(groups[key], 2)
+    alive.append(F)
+    V = pg.core_p(groups[key], 2)
+    names[key] = [system_to_dict(build(F, V))["ambient"]["name"]
+                  for build in (qt.factor_system, qt.bar_system, qt.generated_bar)]
+print(json.dumps(names))
+"""
+
+
+@pytest.mark.parametrize("order", [("qd2", "s4"), ("s4", "qd2")])
+def test_twin_systems_keep_their_own_quotient_names(order):
+    # Qd(2) has S4's elements, so its system at 2 and S4's share one memo;
+    # the quotients by V4 must still carry the name of the group that asks,
+    # whichever asks first.  In a fresh interpreter, so no earlier test has
+    # asked already
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(qt.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _TWIN_NAMES, *order],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"qd2": ["Qd(2)|8/4"] * 3, "s4": ["S4|8/4"] * 3}

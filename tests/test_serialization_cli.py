@@ -251,10 +251,8 @@ _QUOTIENT_DIGESTS = {
 
 @pytest.mark.parametrize("system, mode", sorted(_QUOTIENT_DIGESTS))
 def test_cli_quotient_output_is_pinned(tmp_path, system, mode):
-    # in a fresh interpreter: a system shares its quotient memo with the
-    # live systems of equal content, and the quotient's name is that of the
-    # first to ask (after Qd(2), whose elements are S4's, s4@2 by V4 reads
-    # Qd(2)|8/4)
+    # in a fresh interpreter, as the command runs; the name of a twin's
+    # quotient is tested by test_twin_systems_keep_their_own_quotient_names
     if system == "e16":
         e16_entry = json.loads((CORPUS / "e16.json").read_text())
         doc = {"group": "e16", "p": 2, "mode": "generated",
