@@ -26,14 +26,14 @@ from .fusion import (
     FusionSystem,
     aut_realization,
     check_in_carrier,
-    extensions,
+    extensions_on,
     is_fully_normalized,
     is_saturated,
     is_strongly_closed,
     is_weakly_closed,
     same_system,
 )
-from .permgroup import GroupHom, Subgroup, cached, hom_key, memo
+from .permgroup import GroupHom, Subgroup, cached, memo
 
 
 @dataclass(frozen=True)
@@ -106,13 +106,8 @@ def definitional_normal(F: FusionSystem, Q: Subgroup) -> bool:
     normalizes Q and every iso extends over Q to one fixing Q setwise."""
     if F.normalizer_in_carrier(Q).mask != F.carrier.mask:
         return False
-    for (r, _), homs in F.table.items():
-        qr = pg.join(Q, r)
-        for phi in homs:
-            if not any(pg.mask_image(psi.mapping, Q.mask) == Q.mask
-                       for psi in extensions(F, phi, qr)):
-                return False
-    return True
+    on_q = extensions_on(F, Q)
+    return all(any(pg.mask_of(x) == Q.mask for x in on_q(r, imgs)) for r, _, imgs in F.triples())
 
 
 @memo("o_p")
@@ -154,8 +149,7 @@ def _closed_join(F: FusionSystem, subs: list[Subgroup], mask: int, closed) -> Su
 
 
 def _centralizes_system(F: FusionSystem, Z: Subgroup) -> bool:
-    ident = GroupHom.identity(Z)
-    return same_system(subsys.k_normalizer_system(F, Z, [ident]), F)
+    return same_system(subsys.centralizer_system(F, Z), F)
 
 
 def strongly_closed_central_series(F: FusionSystem, Q: Subgroup, mode: str = "strong"):
@@ -205,34 +199,33 @@ def alperin_decompose(F: FusionSystem, phi: GroupHom) -> list[tuple[Subgroup, Gr
         raise NotSaturated("the fusion theorem requires a saturated system")
     if not F.contains_iso(phi):
         raise MorphismNotInSystem("phi is not an isomorphism of the system")
-    # every word is defined on phi's domain, so its images key it
+    # every word is defined on phi's domain, so its images key it; the
+    # generators are the automorphisms of the conjugation family, as maps
     target = phi.images
-    gens = alperin_generators(F)
-    start = GroupHom.identity(phi.domain)
-    if start.images == target:
+    start = phi.domain.members
+    if start == target:
         return []
-    seen = {start.images: None}
+    gens = [(S, a, dict(zip(S.members, a)).__getitem__)
+            for S in fnrc_subgroups(F) for a in sorted(F.images(S.mask, S.mask))]
+    seen = {start: None}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        cur_img = cur.image()
-        for S, auts in gens:
-            if cur_img.mask & ~S.mask:
+        cur_img = pg.mask_of(cur)
+        for S, a, get in gens:
+            if cur_img & ~S.mask:
                 continue
-            for alpha in sorted(auts, key=hom_key):
-                nxt = cur.then(alpha.restriction(cur_img))
-                if nxt.images in seen:
-                    continue
-                seen[nxt.images] = (cur.images, S, alpha)
-                if nxt.images == target:
-                    steps = []
-                    key = nxt.images
-                    while seen[key] is not None:
-                        prev, s_i, a_i = seen[key]
-                        steps.append((s_i, a_i))
-                        key = prev
-                    steps.reverse()
-                    return steps
-                queue.append(nxt)
+            nxt = tuple(map(get, cur))
+            if nxt in seen:
+                continue
+            seen[nxt] = (cur, S, a)
+            if nxt == target:
+                steps = []
+                while seen[nxt] is not None:
+                    nxt, s_i, a_i = seen[nxt]
+                    steps.append((s_i, F.hom(s_i.mask, s_i.mask, a_i)))
+                steps.reverse()
+                return steps
+            queue.append(nxt)
     raise DecompositionNotFound("no decomposition found; the system is not saturated "
                                 "or its table is not closed")

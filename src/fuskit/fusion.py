@@ -1,10 +1,13 @@
 """Fusion systems on finite p-groups.
 
-A fusion system is stored by its isomorphisms only: a table mapping pairs of
-equal-order subgroups (Q, R) of the carrier to the set of isomorphisms Q -> R
-present in the system.  General hom-sets are derived (every morphism factors
-as an iso onto its image followed by an inclusion), which keeps the tables
-small and makes closure checks exact.
+A fusion system is stored by its isomorphisms only: ``store[q][r]`` holds
+the isos from the subgroup with mask q onto the one with mask r, each as the
+tuple of the images of the domain's members, in canonical (order, mask)
+order of q and r.  General hom-sets are derived (every morphism factors as
+an iso onto its image followed by an inclusion), which keeps the store small
+and makes closure checks exact.  Checks read the store and builders file
+(domain mask, image mask, images) triples; ``GroupHom`` is the output type
+of the public API, built on demand (``table`` is a view of the store).
 
 The carrier of a system is a Subgroup of some ambient group; subsystems of a
 system share its ambient group, so their morphism sets are literally subsets.
@@ -15,8 +18,9 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import permgroup as pg
 from .errors import (
@@ -29,17 +33,20 @@ from .errors import (
     NotInjective,
     OrderCapExceeded,
 )
-from .permgroup import Group, GroupHom, Subgroup, cached, hom_key, memo, subgroup_key
+from .permgroup import Group, GroupHom, Subgroup, cached, hom_key, memo
 
-TablePair = tuple[Subgroup, Subgroup]
-IsoTable = dict[TablePair, frozenset[GroupHom]]
+Images = tuple[int, ...]            # the images of a domain's members, in order
+Triple = tuple[int, int, Images]    # (domain mask, image mask, images)
+
+_NO_ROW: dict[int, frozenset[Images]] = {}
+_NO_ISOS: frozenset[Images] = frozenset()
 
 
 class _Memo(dict):
     """The named memo tables of a system (a dict subclass, so it can be held weakly)."""
 
 
-# (kind, p, carrier, table items) -> the memo of the live systems with that content
+# (kind, p, carrier, store items) -> the memo of the live systems with that content
 _MEMOS: "weakref.WeakValueDictionary[tuple, _Memo]" = weakref.WeakValueDictionary()
 
 
@@ -47,15 +54,18 @@ class PreFusionSystem:
     """Subgroups of a carrier plus arbitrary sets of isomorphisms between them.
 
     No closure properties are assumed; composition stays partial and is never
-    completed implicitly.  The table must not be mutated after construction.
+    completed implicitly.  The store must not be mutated after construction.
+    ``PreFusionSystem(carrier, p, table)`` takes a table of GroupHoms and
+    files each hom under its own domain and image; the builders of this
+    package pass (domain mask, image mask, images) ``triples`` instead.
 
     Equal systems share one memo.  Every memo table a system owns (``norm``,
-    ``cent``, ``by_domain``, ``class``, ``fully_normalized``,
+    ``cent``, ``class``, ``fully_normalized``,
     ``strongly_closed``, ``saturated``, ``aut_real``, ``centric``,
     ``radical``, ``fnrc``, ``normal_subgroup``, ``o_p``, ``z_f``,
     ``quotient_parts``, ``factor_system``, ``bar_system``, ``generated_bar``,
-    ``pushes_to_factor``, ``is_fusion``, ``k_normalizer``, ``images_by_key``,
-    ``invariant``) holds a function of ``(kind, p, carrier, table)`` alone:
+    ``pushes_to_factor``, ``is_fusion``, ``k_normalizer``,
+    ``invariant``) holds a function of ``(kind, p, carrier, store)`` alone:
     none reads ``provenance`` or depends on which object asks.  So on its
     first memo lookup a system finds its memo by that content key in a weak
     registry: it adopts the memo of any live twin, or registers a fresh one.
@@ -71,23 +81,26 @@ class PreFusionSystem:
 
     kind = "prefusion"
 
-    def __init__(self, carrier: Subgroup, p: int, table: Iterable, provenance: str = "derived"):
+    def __init__(self, carrier: Subgroup, p: int, table: Iterable = (),
+                 provenance: str = "derived", triples: Iterable[Triple] = ()):
         pg._check_prime(p)
         self.carrier = carrier
         self.p = p
         self.provenance = provenance
-        norm: IsoTable = {}
-        items = table.items() if isinstance(table, dict) else table
-        for (q, r), homs in items:
-            homs = frozenset(homs)
-            if homs:
-                norm[(q, r)] = homs
-        self.table = {k: norm[k] for k in sorted(norm, key=lambda k: (subgroup_key(k[0]), subgroup_key(k[1])))}
+        items = table.items() if isinstance(table, dict) else table  # the one conversion of homs
+        homs = ((h.domain.mask, h.image_mask, h.images) for _, hs in items for h in hs)
+        rows: dict[int, dict[int, set[Images]]] = {}
+        for q, r, imgs in chain(homs, triples):
+            rows.setdefault(q, {}).setdefault(r, set()).add(imgs)
+        by_key = lambda mask: (mask.bit_count(), mask)  # subgroup_key's order
+        self.store = {q: {r: frozenset(rows[q][r]) for r in sorted(rows[q], key=by_key)}
+                      for q in sorted(rows, key=by_key)}
 
     @cached_property
     def _caches(self) -> _Memo:
         # resolved lazily: most derived systems are only compared, never queried
-        key = (self.kind, self.p, self.carrier, tuple(self.table.items()))
+        key = (self.kind, self.p, self.carrier,
+               tuple((q, tuple(row.items())) for q, row in self.store.items()))
         memo = _MEMOS.get(key)
         if memo is None:
             memo = _MEMOS[key] = _Memo()
@@ -109,41 +122,69 @@ class PreFusionSystem:
     def centralizer_in_carrier(self, Q: Subgroup) -> Subgroup:
         return cached(self, "cent", Q.mask, pg.centralizer, self.carrier, Q)
 
-    # -- iso access ------------------------------------------------------
+    # -- the store -------------------------------------------------------
+
+    def images(self, q: int, r: int) -> frozenset[Images]:
+        """The stored isos from the subgroup mask q onto the mask r."""
+        return self.store.get(q, _NO_ROW).get(r, _NO_ISOS)
+
+    def triples(self) -> Iterator[Triple]:
+        """Every stored iso as (domain mask, image mask, images), the masks
+        in canonical order."""
+        return ((q, r, imgs) for q, row in self.store.items()
+                for r, images in row.items() for imgs in images)
+
+    def iso_count(self) -> int:
+        return sum(len(images) for row in self.store.values() for images in row.values())
+
+    @memo("class")
+    def iso_class(self, Q: Subgroup) -> frozenset[Subgroup]:
+        G = self.parent
+        return frozenset([Q] + [Subgroup(G, r) for r in self.store.get(Q.mask, _NO_ROW)])
+
+    def contains_iso(self, h: GroupHom) -> bool:
+        """Whether h is a stored iso: h lives in the ambient group and its
+        images are filed under its masks."""
+        parent = self.parent
+        return (h.domain.parent == parent and h.codomain.parent == parent
+                and h.images in self.images(h.domain.mask, h.image_mask))
+
+    # -- GroupHoms at the API boundary -------------------------------------
+
+    def hom(self, q: int, r: int, imgs: Images) -> GroupHom:
+        """The stored iso with these masks and images, as a GroupHom onto its image."""
+        G = self.parent
+        return GroupHom(Subgroup(G, q), Subgroup(G, r), imgs, r)
+
+    @cached_property
+    def table(self) -> dict[tuple[Subgroup, Subgroup], frozenset[GroupHom]]:
+        """The stored isos as GroupHoms onto their images, by (domain, image)
+        pairs in canonical order: a view of the store, built on first read."""
+        G = self.parent
+        out = {}
+        for q, row in self.store.items():
+            Q = Subgroup(G, q)
+            for r, images in row.items():
+                R = Subgroup(G, r)
+                out[(Q, R)] = frozenset([GroupHom(Q, R, imgs, r) for imgs in images])
+        return out
 
     def isos(self, Q: Subgroup, R: Subgroup) -> frozenset[GroupHom]:
-        return self.table.get((Q, R), frozenset())
+        if Q.parent != self.parent or R.parent != self.parent:
+            return frozenset()
+        return frozenset([GroupHom(Q, R, imgs, R.mask) for imgs in self.images(Q.mask, R.mask)])
 
     def aut(self, Q: Subgroup) -> frozenset[GroupHom]:
         return self.isos(Q, Q)
 
-    @memo("by_domain")
     def isos_from(self, Q: Subgroup) -> tuple[GroupHom, ...]:
-        acc = []
-        for (a, _), homs in self.table.items():
-            if a.mask == Q.mask:
-                acc.extend(homs)
-        return tuple(sorted(acc, key=hom_key))
+        """The stored isos out of Q, in ``hom_key`` order."""
+        return tuple(self.hom(Q.mask, r, imgs)
+                     for r, images in self.store.get(Q.mask, _NO_ROW).items()
+                     for imgs in sorted(images))
 
     def all_isos(self) -> list[GroupHom]:
-        out = []
-        for key in self.table:
-            out.extend(sorted(self.table[key], key=hom_key))
-        return out
-
-    def contains_iso(self, h: GroupHom) -> bool:
-        """Whether h is a stored iso: h lives in the ambient group and its
-        images are filed under its masks in ``images_by_key``."""
-        parent = self.parent
-        return (h.domain.parent == parent and h.codomain.parent == parent
-                and h.images in images_by_key(self).get((h.domain.mask, h.image_mask), ()))
-
-    def iso_count(self) -> int:
-        return sum(len(v) for v in self.table.values())
-
-    @memo("class")
-    def iso_class(self, Q: Subgroup) -> frozenset[Subgroup]:
-        return frozenset([Q] + [b for (a, b) in self.table if a.mask == Q.mask])
+        return [h for homs in self.table.values() for h in sorted(homs, key=hom_key)]
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(p={self.p}, |P|={self.carrier.order}, "
@@ -157,45 +198,59 @@ class FusionSystem(PreFusionSystem):
     kind = "fusion"
 
 
-# -- hom derivation ----------------------------------------------------------
-
-@memo("images_by_key")
-def images_by_key(F: PreFusionSystem) -> dict[tuple[int, int], frozenset[tuple[int, ...]]]:
-    """The images of F's isos, by the masks of their domain and image: the
-    index a membership test reads, so that it builds no hom to hash."""
-    return {(q.mask, r.mask): frozenset(h.images for h in homs) for (q, r), homs in F.table.items()}
-
-
 def hom_set(F: PreFusionSystem, Q: Subgroup, R: Subgroup) -> list[GroupHom]:
     """Hom_F(Q, R): isos from Q onto subgroups of R, viewed into R."""
     if Q.parent != F.parent or R.parent != F.parent:
         raise NotASubgroup("hom_set arguments must live in the ambient group")
     if not (Q <= F.carrier and R <= F.carrier):
         raise NotASubgroup("hom_set arguments must lie in the carrier")
-    out = [h.with_codomain(R) for h in F.isos_from(Q) if h.image_mask & ~R.mask == 0]
-    out.sort(key=hom_key)
-    return out
+    return [GroupHom(Q, R, imgs, r) for r, images in F.store.get(Q.mask, _NO_ROW).items()
+            if r & ~R.mask == 0 for imgs in sorted(images)]
+
+
+def stored_in(E: PreFusionSystem, F: PreFusionSystem) -> bool:
+    """Whether every stored iso of E is stored in F (both in one ambient group)."""
+    return all(images <= F.images(q, r) for q, row in E.store.items() for r, images in row.items())
+
+
+def pushed(F: PreFusionSystem, m) -> Iterator[Triple]:
+    """The push of every stored iso of F through the element map m, as the
+    triples of ``permgroup.pushed_images``; InvariantViolation when one of
+    them induces no map."""
+    members = {q: Subgroup(F.parent, q).members for q in F.store}
+    return (pg.pushed_images(members[q], imgs, m) for q, _, imgs in F.triples())
+
+
+def restrictor(over: int, xs: Sequence[int]) -> Callable[[Images], Images]:
+    """The map from the images of a map out of the subgroup mask ``over``
+    to the images of its restriction to xs, members of it in order."""
+    at = [(over & ((1 << x) - 1)).bit_count() for x in xs]  # x's position in over
+    if len(at) == 1:
+        i = at[0]
+        return lambda imgs: (imgs[i],)
+    return itemgetter(*at)
 
 
 # -- constructors ------------------------------------------------------------
 
-def _conjugation_table(carrier: Subgroup, acting_ids: Iterable[int]) -> dict[TablePair, set[GroupHom]]:
+def _conjugation_table(carrier: Subgroup, acting_ids: Iterable[int]) -> list[Triple]:
     """The conjugation maps by the acting ids between subgroups of the
-    carrier.  Conjugation is read on the carrier's members only, and each
-    distinct restriction to the carrier is walked over the subgroups once."""
+    carrier, as triples.  Conjugation is read on the carrier's members only,
+    and each distinct restriction to the carrier is walked over the
+    subgroups once."""
     G = carrier.parent
     subs = pg.subgroups_of(carrier)
     cmask = carrier.mask
     mem = carrier.members
-    homs = []
+    triples = []
     for imgs in dict.fromkeys(pg.conj_images(G, g, mem) for g in acting_ids):
         get = dict(zip(mem, imgs)).__getitem__
         for Q in subs:
             q_imgs = tuple(map(get, Q.members))
             img = pg.mask_of(q_imgs)
             if not img & ~cmask:
-                homs.append(GroupHom(Q, Subgroup(G, img), q_imgs, img))
-    return iso_table(homs)
+                triples.append((Q.mask, img, q_imgs))
+    return triples
 
 
 def fusion_from_group(G: Group, p: int) -> FusionSystem:
@@ -203,8 +258,8 @@ def fusion_from_group(G: Group, p: int) -> FusionSystem:
     if G.order > pg.order_cap():
         raise OrderCapExceeded(f"group of order {G.order} exceeds cap")
     P = pg.sylow(G, p)
-    table = _conjugation_table(P, range(G.order))
-    return FusionSystem(P, p, table, provenance="from-group")
+    return FusionSystem(P, p, triples=_conjugation_table(P, range(G.order)),
+                        provenance="from-group")
 
 
 def validate_hom(h: GroupHom):
@@ -224,11 +279,13 @@ def validate_hom(h: GroupHom):
         raise NotAHomomorphism("image escapes the codomain")
 
 
-def generated_on(carrier: Subgroup, p: int, seeds: Sequence[GroupHom],
-                 base: Optional[dict[TablePair, Iterable[GroupHom]]] = None,
-                 provenance: str = "generated") -> FusionSystem:
+def generated_on(carrier: Subgroup, p: int, seeds: Sequence[GroupHom] = (),
+                 base: Optional[dict] = None,
+                 provenance: str = "generated", triples: Iterable[Triple] = ()) -> FusionSystem:
     """Smallest fusion system on the carrier containing its conjugation maps,
-    the seed isomorphisms (as isos onto their images) and the base maps.
+    the seed isomorphisms (as isos onto their images), the base maps (a
+    table of GroupHoms) and the isos given as (domain mask, image mask,
+    images) triples.
 
     That system is the set of composites of restrictions of the given maps and
     of their inverses (Aschbacher, Kessar and Oliver, Part I, I.1).  A
@@ -240,15 +297,20 @@ def generated_on(carrier: Subgroup, p: int, seeds: Sequence[GroupHom],
 
     A generator is a plain {x: y} dict over its domain, filed under the
     domain's mask with the mask of its image, and kept once per image tuple.
-    A word Q -> R is the ``images`` of the hom it stands for, the images of
-    Q.members in order; a generator on R extends it by one lookup per
-    member, and the extension's image is the generator's.  The search starts
-    from the identity of every subgroup and extends each new word by every
-    generator on its image.  Each word found becomes a hom as it is.  The
-    trivial subgroup has only its identity, so no generator is filed for it."""
+    A word Q -> R is the images of Q.members in order; a generator on R
+    extends it by one lookup per member, and the extension's image is the
+    generator's.  The search starts from the identity of every subgroup and
+    extends each new word by every generator on its image.  The words found
+    are the new system's store.  The trivial subgroup has only its identity,
+    so no generator is filed for it."""
+    seeds = sorted(seeds, key=hom_key)
+    for seed in seeds:
+        if not (seed.domain <= carrier) or seed.image_mask & ~carrier.mask:
+            raise NotASubgroup("seed morphism does not lie inside the carrier")
+        validate_hom(seed)
     G = carrier.parent
     subs = pg.subgroups_of(carrier)
-    gens: dict[int, dict[tuple[int, ...], tuple[dict[int, int], int]]] = {}
+    gens: dict[int, dict[Images, tuple[dict[int, int], int]]] = {}
 
     def add(q: int, m: dict[int, int], r: int):  # m lists q's members in order
         gens.setdefault(q, {})[tuple(m.values())] = (m, r)
@@ -259,37 +321,29 @@ def generated_on(carrier: Subgroup, p: int, seeds: Sequence[GroupHom],
             m = {x: cm[x] for x in Q.members}
             add(Q.mask, m, pg.mask_of(m.values()))
 
-    def insert(h: GroupHom):  # with its inverse, restricted to every subgroup
-        hm = h.mapping
-        for Q in pg.subgroups_of(h.domain)[1:]:
+    seeded = [(h.domain.mask, h.image_mask, h.images) for h in seeds]
+    for q, _, imgs in chain(PreFusionSystem(carrier, p, base or {}).triples(), seeded, triples):
+        # with its inverse, restricted to every subgroup
+        D = Subgroup(G, q)
+        hm = dict(zip(D.members, imgs))
+        for Q in pg.subgroups_of(D)[1:]:
             m = {x: hm[x] for x in Q.members}
             r = pg.mask_of(m.values())
             add(Q.mask, m, r)
             add(r, dict(sorted(zip(m.values(), m))), Q.mask)
 
-    for homs in (base or {}).values():
-        for h in homs:
-            insert(h)
-    for seed in sorted(seeds, key=hom_key):
-        if not (seed.domain <= carrier) or seed.image_mask & ~carrier.mask:
-            raise NotASubgroup("seed morphism does not lie inside the carrier")
-        validate_hom(seed)
-        insert(seed)
-
     steps = {q: list(d.values()) for q, d in gens.items()}
-    words = [(Q.mask, Q.members, Q.mask) for Q in subs]
-    seen = {(q, imgs) for q, imgs, _ in words}
-    for q, imgs, r in words:  # words grows while we walk it
+    words = [(Q.mask, Q.mask, Q.members) for Q in subs]
+    seen = {(q, imgs) for q, _, imgs in words}
+    for q, r, imgs in words:  # words grows while we walk it
         if r in steps:
             get = itemgetter(*imgs)
             for m, s in steps[r]:
                 w = get(m)
                 if (q, w) not in seen:
                     seen.add((q, w))
-                    words.append((q, w, s))
-    sub = {Q.mask: Q for Q in subs}
-    table = iso_table(GroupHom(sub[q], sub[r], imgs, r) for q, imgs, r in words)
-    return FusionSystem(carrier, p, table, provenance=provenance)
+                    words.append((q, s, w))
+    return FusionSystem(carrier, p, triples=words, provenance=provenance)
 
 
 def fusion_generated(P: Group, p: int, seeds: Sequence[GroupHom] = ()) -> FusionSystem:
@@ -303,34 +357,21 @@ def restricted_to(F: PreFusionSystem, T: Subgroup) -> FusionSystem:
     """The full subsystem of F on a subgroup T of its carrier."""
     if not T <= F.carrier:
         raise NotASubgroup("T must lie inside the carrier")
-    table = {(q, r): homs for (q, r), homs in F.table.items()
-             if q <= T and r <= T}
-    return FusionSystem(T, F.p, table, provenance="derived")
+    outside = ~T.mask
+    return FusionSystem(T, F.p, triples=(t for t in F.triples() if not (t[0] | t[1]) & outside))
 
 
 def fusion_intersect(F1: PreFusionSystem, F2: PreFusionSystem) -> FusionSystem:
     """Entrywise intersection of two systems on the same carrier."""
     if F1.carrier != F2.carrier:
         raise DifferentCarrier("systems live on different carriers")
-    table = {}
-    for key, homs in F1.table.items():
-        both = homs & F2.table.get(key, frozenset())
-        if both:
-            table[key] = both
-    return FusionSystem(F1.carrier, F1.p, table, provenance="derived")
+    return FusionSystem(F1.carrier, F1.p,
+                        triples=(t for t in F1.triples() if t[2] in F2.images(t[0], t[1])))
 
 
 def same_system(F1: PreFusionSystem, F2: PreFusionSystem) -> bool:
-    """Equality of carriers and iso tables."""
-    return F1.carrier == F2.carrier and F1.table == F2.table
-
-
-def iso_table(homs: Iterable[GroupHom]) -> dict[TablePair, set[GroupHom]]:
-    """The homs, each onto its codomain, filed by their domain and codomain."""
-    table: dict[TablePair, set[GroupHom]] = {}
-    for h in homs:
-        table.setdefault((h.domain, h.codomain), set()).add(h)
-    return table
+    """Equality of carriers and stores."""
+    return F1.carrier == F2.carrier and F1.store == F2.store
 
 
 def transport(F: PreFusionSystem, theta: GroupHom) -> FusionSystem:
@@ -341,9 +382,7 @@ def transport(F: PreFusionSystem, theta: GroupHom) -> FusionSystem:
         validate_hom(theta)
     except (NotAHomomorphism, NotInjective) as exc:
         raise NotAnIsomorphism(str(exc)) from exc
-    m, G = theta.mapping, theta.codomain.parent
-    table = iso_table(pg.induced_hom(h, m, G) for homs in F.table.values() for h in homs)
-    return FusionSystem(theta.image(), F.p, table, provenance="derived")
+    return FusionSystem(theta.image(), F.p, triples=pushed(F, theta.mapping))
 
 
 # -- closure predicates --------------------------------------------------------
@@ -362,8 +401,9 @@ def is_weakly_closed(F: PreFusionSystem, Q: Subgroup) -> bool:
 @memo("strongly_closed")
 def is_strongly_closed(F: PreFusionSystem, Q: Subgroup) -> bool:
     """No F-morphism carries a subgroup of Q outside Q."""
-    return all(h.image_mask & ~Q.mask == 0
-               for R in pg.subgroups_of(Q) for h in F.isos_from(R))
+    outside = ~Q.mask
+    return all(r & outside == 0
+               for R in pg.subgroups_of(Q) for r in F.store.get(R.mask, _NO_ROW))
 
 
 # -- N_phi and saturation ------------------------------------------------------
@@ -373,21 +413,19 @@ def n_phi(F: PreFusionSystem, phi: GroupHom) -> Subgroup:
     into carrier-conjugation automorphisms of the image."""
     if not F.contains_iso(phi):
         raise MorphismNotInSystem("phi is not an isomorphism of the system")
-    return _n_phi(F, phi)
+    return _n_phi(F, phi.domain.mask, phi.image_mask, phi.images)
 
 
-def _n_phi(F: PreFusionSystem, phi: GroupHom) -> Subgroup:
-    """N_phi for an iso phi of F, unchecked."""
-    Q = phi.domain
-    R = phi.image()
+def _n_phi(F: PreFusionSystem, q: int, r: int, imgs: Images) -> Subgroup:
+    """N_phi for the stored iso phi with these masks and images, unchecked."""
     G = F.parent
+    Q = Subgroup(G, q)
     NQ = F.normalizer_in_carrier(Q)
-    NR = F.normalizer_in_carrier(R)
+    NR = F.normalizer_in_carrier(Subgroup(G, r))
     # phi c_x phi^-1 = c_y on R exactly when phi(c_x(q)) = c_y(phi(q)) for
     # every q in Q: both sides are read as tuples over Q.members
-    imgs = phi.images
     aut_p_r = {tuple(map(G.conj_map(y).__getitem__, imgs)) for y in NR.members}
-    fm = phi.mapping.__getitem__
+    fm = dict(zip(Q.members, imgs)).__getitem__
     mask = 0
     for x in NQ.members:
         if tuple(map(fm, map(G.conj_map(x).__getitem__, Q.members))) in aut_p_r:
@@ -404,35 +442,48 @@ def is_saturated(F: FusionSystem) -> bool:
     (2) every iso with fully normalized image extends to its N_phi.
     """
     P = F.carrier
-    aut_f = F.aut(P)
-    if not aut_f:  # not even the identity of P: the Sylow axiom fails
+    n = len(F.images(P.mask, P.mask))
+    if not n:  # not even the identity of P: the Sylow axiom fails
         return False
-    n = len(aut_f)
     p_part = 1
     while n % F.p == 0:
         p_part *= F.p
         n //= F.p
     if p_part != P.order // pg.center(P).order:  # |Inn(P)| = |P : Z(P)|
         return False
-    for (q, r), homs in F.table.items():
-        if not is_fully_normalized(F, r):
-            continue
-        for phi in homs:
-            n_sub = _n_phi(F, phi)
-            if n_sub.mask != q.mask and next(extensions(F, phi, n_sub), None) is None:
+    G = F.parent
+    for q, r, imgs in F.triples():
+        if is_fully_normalized(F, Subgroup(G, r)):
+            n_sub = _n_phi(F, q, r, imgs).mask
+            if n_sub != q and next(extensions(F, Subgroup(G, q).members, imgs, n_sub), None) is None:
                 return False
     return True
 
 
-def extensions(F: PreFusionSystem, phi: GroupHom, over: Subgroup) -> Iterator[GroupHom]:
-    """The isos of F out of `over` whose restriction to the domain of phi is phi."""
-    omask = over.mask  # x sits in over.members after the members below it
-    at = itemgetter(*[(omask & ((1 << x) - 1)).bit_count() for x in phi.domain.members])
-    imgs = phi.images
-    want = imgs if len(imgs) > 1 else imgs[0]  # one item is read bare
-    for psi in F.isos_from(over):
-        if at(psi.images) == want:
-            yield psi
+def extensions(F: PreFusionSystem, xs: Sequence[int], imgs: Images, over: int) -> Iterator[Images]:
+    """The images of the stored isos out of the subgroup mask ``over`` that
+    send xs, members of it in order, to imgs."""
+    at = restrictor(over, xs)
+    for images in F.store.get(over, _NO_ROW).values():
+        for psi in images:
+            if at(psi) == imgs:
+                yield psi
+
+
+def extensions_on(F: PreFusionSystem, Q: Subgroup) -> Callable[[int, Images], Iterator[Images]]:
+    """The function of a stored iso phi, given by its domain mask and images,
+    whose values are the images of Q.members under the stored isos out of
+    Q joined with phi's domain that extend phi."""
+    over: dict[int, tuple] = {}  # a domain mask -> its members, its join with Q, and Q's part
+
+    def on_q(r: int, imgs: Images) -> Iterator[Images]:
+        if r not in over:
+            R = Subgroup(F.parent, r)
+            qr = pg.join(Q, R).mask
+            over[r] = (R.members, qr, restrictor(qr, Q.members))
+        xs, qr, at = over[r]
+        return map(at, extensions(F, xs, imgs, qr))
+    return on_q
 
 
 # -- Aut_F(Q) as an abstract group ----------------------------------------------
@@ -442,29 +493,25 @@ class AutRealization:
     """Aut_F(Q) realized as a permutation group on the members of Q."""
 
     group: Group
-    members: tuple[int, ...]          # parent element ids of Q, ascending
-    homs: tuple[GroupHom, ...]        # indexed by realized element id
+    domain: Subgroup                  # Q
+    images: tuple[Images, ...]        # indexed by realized element id
     inn: Subgroup                     # the conjugation automorphisms from Q
 
     def __post_init__(self):
-        self._index = {h.images: i for i, h in enumerate(self.homs)}
+        self._index = {imgs: i for i, imgs in enumerate(self.images)}
 
     def id_of(self, h: GroupHom) -> int:
         i = self._index.get(h.images)
-        if i is None or h.domain.members != self.members:
+        if i is None or h.domain.mask != self.domain.mask:
             raise NotASubgroupOfAut("automorphism is not in Aut_F(Q)")
         return i
 
     def subgroup_for(self, homs: Iterable[GroupHom]) -> Subgroup:
         """The realized subgroup for a closed set of automorphisms."""
         mask = 1 | pg.mask_of(self.id_of(h) for h in homs)
-        sub = Subgroup(self.group, mask)
         if pg._closure_mask(self.group, mask) != mask:
             raise NotASubgroupOfAut("the given automorphisms are not a subgroup")
-        return sub
-
-    def homs_for(self, sub: Subgroup) -> frozenset[GroupHom]:
-        return frozenset(self.homs[i] for i in sub.members)
+        return Subgroup(self.group, mask)
 
 
 def check_in_carrier(F: PreFusionSystem, Q: Subgroup):
@@ -480,15 +527,13 @@ def aut_realization(F: PreFusionSystem, Q: Subgroup) -> AutRealization:
 def _aut_realization(F: PreFusionSystem, Q: Subgroup) -> AutRealization:
     members = Q.members
     pos = {x: i for i, x in enumerate(members)}
-    auts = sorted(F.aut(Q), key=hom_key)
-    perms = {}
-    for h in auts:
-        perms[h] = pg.Perm(tuple(map(pos.__getitem__, h.images)))
-    grp = Group._from_elements(max(len(members), 1), perms.values(),
-                               f"Aut({Q.order})")
-    homs: list[Optional[GroupHom]] = [None] * grp.order
-    for h, perm in perms.items():
-        homs[grp.index_of(perm)] = h
-    inner = (pg.conjugation_hom(g, Q, Q) for g in members)
-    inn_mask = 1 | pg.mask_of(grp.index_of(perms[h]) for h in inner if h in perms)
-    return AutRealization(grp, members, tuple(homs), Subgroup(grp, inn_mask))
+    perms = {imgs: pg.Perm(tuple(map(pos.__getitem__, imgs)))
+             for imgs in sorted(F.images(Q.mask, Q.mask))}
+    grp = Group._from_elements(max(len(members), 1), perms.values(), f"Aut({Q.order})")
+    images: list[Optional[Images]] = [None] * grp.order
+    for imgs, perm in perms.items():
+        images[grp.index_of(perm)] = imgs
+    G = F.parent
+    inner = (tuple(map(G.conj_map(g).__getitem__, members)) for g in members)
+    inn_mask = 1 | pg.mask_of(grp.index_of(perms[c]) for c in inner if c in perms)
+    return AutRealization(grp, Q, tuple(images), Subgroup(grp, inn_mask))

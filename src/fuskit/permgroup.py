@@ -960,7 +960,7 @@ class GroupHom:
     a typing envelope.
     """
 
-    __slots__ = ("domain", "codomain", "images", "_map", "_img_mask", "_hash")
+    __slots__ = ("domain", "codomain", "images", "_map", "_img_mask")
 
     def __init__(self, domain: Subgroup, codomain: Subgroup, images: Iterable[int],
                  image_mask: Optional[int] = None):
@@ -971,7 +971,6 @@ class GroupHom:
         self.images = tuple(images)
         self._map = None
         self._img_mask = image_mask
-        self._hash = None
 
     @classmethod
     def from_map(cls, domain: Subgroup, codomain: Subgroup, m) -> "GroupHom":
@@ -1032,11 +1031,6 @@ class GroupHom:
         return _hom_onto(self.domain, other.codomain.parent,
                          map(other.mapping.__getitem__, self.images))
 
-    def with_codomain(self, R: Subgroup) -> "GroupHom":
-        if self.image_mask & ~R.mask:
-            raise ImageEscapesCodomain("image does not lie in the requested codomain")
-        return GroupHom(self.domain, R, self.images, self._img_mask)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupHom):
             return NotImplemented
@@ -1044,10 +1038,8 @@ class GroupHom:
                 and self.codomain.parent == other.codomain.parent)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.domain.mask, hash(self.domain.parent),
-                               hash(self.codomain.parent), self.images))
-        return self._hash
+        return hash((self.domain.mask, hash(self.domain.parent), hash(self.codomain.parent),
+                     self.images))
 
     def __repr__(self) -> str:
         return (f"GroupHom({self.domain.order}->{self.image_mask.bit_count()}"
@@ -1097,12 +1089,14 @@ def hom_build(domain: Subgroup, codomain: Subgroup,
     return GroupHom(domain, codomain, map(img.__getitem__, domain.members), used)
 
 
+@memo("cayley_columns")
 def cayley_columns(S: Subgroup) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The Cayley edges (x, x*g) of S for its generating ids g, as positions
     in S.members: one (position of g, positions of x*g for x in members) per
     g.  Raises NotASubgroup when S's mask is not a subgroup: a set holding 1
     and closed under right multiplication by the generating ids, which are
-    picked so that they generate every member, is the group they generate."""
+    picked so that they generate every member, is the group they generate.
+    Cached; a mask that is not a subgroup raises again on every call."""
     if not S.mask & 1:
         raise NotASubgroup("the domain is not a subgroup")
     mul = S.parent.mul
@@ -1200,8 +1194,7 @@ def pushed_images(xs: Sequence[int], ys: Sequence[int], m) -> tuple[int, int, tu
 
 def induced_hom(h: GroupHom, m, G: Group) -> GroupHom:
     """The hom m(domain) -> m(image) in G that h induces under the element
-    map m: the push of a hom through an element map, for the builders of a
-    system; a membership test pushes images alone (``pushed_images``)."""
+    map m; systems push image tuples alone (``pushed_images``)."""
     dom, img, images = pushed_images(h.domain.members, h.images, m)
     return GroupHom(Subgroup(G, dom), Subgroup(G, img), images, img)
 

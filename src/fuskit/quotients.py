@@ -15,8 +15,6 @@ from typing import Optional
 from . import permgroup as pg
 from .errors import (
     ImageNotAFusionSystem,
-    NotAHomomorphism,
-    NotInjective,
     NotNormal,
     NotNormalInP,
     NotSaturated,
@@ -26,13 +24,13 @@ from .fusion import (
     FusionSystem,
     PreFusionSystem,
     generated_on,
-    images_by_key,
     is_saturated,
     is_strongly_closed,
     is_weakly_closed,
-    iso_table,
+    pushed,
+    restrictor,
     same_system,
-    validate_hom,
+    stored_in,
 )
 from .permgroup import Group, GroupHom, Subgroup, memo
 
@@ -75,10 +73,11 @@ def factor_parts(F: PreFusionSystem, Q: Subgroup) -> tuple[FusionSystem, dict[in
 def factor_system(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
     """The factor system on P/Q: morphisms between overgroups of Q fixing Q."""
     parts = _quotient_parts(F, Q)
-    table = iso_table(pg.induced_hom(phi, parts.proj, parts.group)
-                      for (r, s), homs in F.table.items() if Q <= r and Q <= s
-                      for phi in homs if pg.mask_image(phi.mapping, Q.mask) == Q.mask)
-    return FusionSystem(parts.group.full_subgroup(), F.p, table, provenance="factor")
+    over = {r: (Subgroup(F.parent, r).members, restrictor(r, Q.members))  # the overgroups of Q
+            for r in F.store if not Q.mask & ~r}
+    fixing = (pg.pushed_images(over[r][0], imgs, parts.proj) for r, _, imgs in F.triples()
+              if r in over and pg.mask_of(over[r][1](imgs)) == Q.mask)  # Q onto Q
+    return FusionSystem(parts.group.full_subgroup(), F.p, triples=fixing, provenance="factor")
 
 
 @memo("bar_system", named=True)
@@ -88,16 +87,15 @@ def bar_system(F: PreFusionSystem, Q: Subgroup) -> PreFusionSystem:
         raise NotStronglyClosed("the bar construction needs a strongly closed kernel")
     parts = _quotient_parts(F, Q)
     # phi: R' -> S' induces QR'/Q -> QS'/Q, well defined as Q is strongly closed
-    table = iso_table(pg.induced_hom(phi, parts.proj, parts.group)
-                      for homs in F.table.values() for phi in homs)
-    return PreFusionSystem(parts.group.full_subgroup(), F.p, table, provenance="bar")
+    return PreFusionSystem(parts.group.full_subgroup(), F.p, triples=pushed(F, parts.proj),
+                           provenance="bar")
 
 
 @memo("generated_bar", named=True)
 def generated_bar(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
     """The fusion closure of the bar system."""
     bar = bar_system(F, Q)
-    return generated_on(bar.carrier, F.p, [], base=bar.table, provenance="generated-bar")
+    return generated_on(bar.carrier, F.p, triples=bar.triples(), provenance="generated-bar")
 
 
 # -- the prefusion axiom checker ----------------------------------------------
@@ -118,33 +116,37 @@ def prefusion_is_fusion(pre: PreFusionSystem) -> tuple[bool, Optional[PrefusionW
     iteration order as a witness.
 
     Every map checked is made from the stored isos, so it lives in the
-    ambient group, and it is in the system when its images are filed under
-    its masks in ``images_by_key``; a hom is built only for the witness."""
+    ambient group, and it is in the system when its images are stored under
+    its masks; a hom is built only for the witness."""
     carrier = pre.carrier
-    index = images_by_key(pre)
+    G = pre.parent
 
     def missing(q: int, imgs: tuple[int, ...]) -> bool:
-        return imgs not in index.get((q, pg.mask_of(imgs)), ())
+        return imgs not in pre.images(q, pg.mask_of(imgs))
 
-    G = pre.parent
     for A in pg.subgroups_of(carrier):
         for g in carrier.members:
             if missing(A.mask, tuple(map(G.conj_map(g).__getitem__, A.members))):
                 theta = pg.conjugation_hom(g, A, A.conjugate(g))
                 return False, PrefusionWitness("missing-conjugation", (theta,))
-    isos = pre.all_isos()
-    for h in isos:  # h^-1 sends h(x) to x: its images sorted by h(x)
-        if missing(h.image_mask, tuple(x for _, x in sorted(zip(h.images, h.domain.members)))):
-            return False, PrefusionWitness("missing-inverse", (h,))
-    for h in isos:
-        get = h.mapping.__getitem__
-        for A in pg.subgroups_of(h.domain)[:-1]:  # the proper subgroups
+    # (domain, its members, image mask, images) in hom_key order
+    isos = [(D, D.members, r, imgs) for q, row in pre.store.items() for D in [Subgroup(G, q)]
+            for r, images in row.items() for imgs in sorted(images)]
+    for D, xs, r, imgs in isos:  # h^-1 sends h(x) to x: its images sorted by h(x)
+        if missing(r, tuple(x for _, x in sorted(zip(imgs, xs)))):
+            return False, PrefusionWitness("missing-inverse", (pre.hom(D.mask, r, imgs),))
+    for D, xs, r, imgs in isos:
+        get = dict(zip(xs, imgs)).__getitem__
+        for A in pg.subgroups_of(D)[:-1]:  # the proper subgroups
             if missing(A.mask, tuple(map(get, A.members))):
+                h = pre.hom(D.mask, r, imgs)
                 return False, PrefusionWitness("missing-restriction", (h, h.restriction(A)))
-    for phi in isos:
-        for psi in pre.isos_from(phi.image()):
-            if missing(phi.domain.mask, tuple(map(psi.mapping.__getitem__, phi.images))):
-                return False, PrefusionWitness("missing-composite", (phi, psi))
+    for D, xs, r, imgs in isos:
+        for s, images in pre.store.get(r, {}).items():
+            for psi in sorted(images):  # phi then psi: psi read on phi's images
+                if missing(D.mask, tuple(map(dict(zip(pg._bits(r), psi)).__getitem__, imgs))):
+                    return False, PrefusionWitness(
+                        "missing-composite", (pre.hom(D.mask, r, imgs), pre.hom(r, s, psi)))
     return True, None
 
 
@@ -188,7 +190,7 @@ def quotient_morphism(F: FusionSystem, Q: Subgroup) -> FusionSystemMorphism:
                 f"bar image is not the factor system (witness: {witness})")
     else:
         tgt = generated_bar(F, Q)
-    if any(not homs <= tgt.table.get(key, frozenset()) for key, homs in bar.table.items()):
+    if not stored_in(bar, tgt):
         raise ImageNotAFusionSystem("functor condition failed on a morphism")
     parts = _quotient_parts(F, Q)
     kernel = _preimage_subgroup(F, parts, parts.group.trivial_subgroup())
@@ -240,37 +242,24 @@ def closure_transfer(F: FusionSystem, Q: Subgroup) -> ClosureTransferReport:
 
 # -- isomorphism theorems ---------------------------------------------------------
 
-def _canonical_iso(A: Subgroup, B: Subgroup, xs, to_a, to_b) -> Optional[GroupHom]:
-    """The map to_a(x) -> to_b(x), x in xs, as an isomorphism of A onto B; None
-    (a failed comparison, not an error) unless it is a well-defined bijective hom."""
+def _canonical_iso(A: Subgroup, B: Subgroup, xs, to_a, to_b) -> Optional[dict[int, int]]:
+    """The map to_a(x) -> to_b(x), x in xs, when it is an isomorphism of A
+    onto B; None (a failed comparison, not an error) unless it is well
+    defined, total on A, bijective onto B and multiplicative on A's Cayley
+    edges (``permgroup.maps_cayley_edges``)."""
     m = {to_a[x]: to_b[x] for x in xs}
-    if any(m[to_a[x]] != to_b[x] for x in xs):
+    imgs = tuple(map(m.get, A.members))  # None where m is not defined
+    if any(m[to_a[x]] != to_b[x] for x in xs) or len(m) != A.order or None in imgs:
         return None
-    try:
-        theta = GroupHom.from_map(A, B, m)  # total on A
-        validate_hom(theta)  # multiplicative, injective, into B
-    except (NotAHomomorphism, NotInjective):
-        return None
-    return theta if theta.image_mask == B.mask else None
-
-
-def _pushed(E: PreFusionSystem, m) -> set[tuple[int, int, tuple[int, ...]]]:
-    """The push of every iso of E through the element map m, as (domain
-    mask, image mask, images) triples; InvariantViolation when one of them
-    induces no map."""
-    return {pg.pushed_images(phi.domain.members, phi.images, m)
-            for homs in E.table.values() for phi in homs}
-
-
-def _triples(F: PreFusionSystem) -> set[tuple[int, int, tuple[int, ...]]]:
-    """F's isos as the triples of ``_pushed``."""
-    return {(q, r, imgs) for (q, r), images in images_by_key(F).items() for imgs in images}
+    iso = (imgs[0] == 0 and pg.mask_of(imgs) == B.mask and len(imgs) == B.order
+           and pg.maps_cayley_edges(pg.cayley_columns(A), imgs, B.parent))
+    return m if iso else None
 
 
 @memo("pushes_to_factor")
 def _pushes_to_factor(E: PreFusionSystem, K: Subgroup) -> bool:
     """Is the push of all of E through the projection of E/K equal to E/K?"""
-    return _pushed(E, _quotient_parts(E, K).proj) == _triples(factor_system(E, K))
+    return set(pushed(E, _quotient_parts(E, K).proj)) == set(factor_system(E, K).triples())
 
 
 def verify_second_iso(F: FusionSystem, Q: Subgroup, E: FusionSystem) -> bool:
@@ -297,7 +286,7 @@ def verify_second_iso(F: FusionSystem, Q: Subgroup, E: FusionSystem) -> bool:
 def verify_third_iso(F: FusionSystem, Q: Subgroup, R: Subgroup) -> bool:
     """(F/Q)/(R/Q) is isomorphic to F/R along the canonical map theta.  Once
     theta is checked to be an isomorphism onto F/R's carrier, the check is that
-    the push of (F/Q)/(R/Q)'s table through theta is F/R's table."""
+    the push of (F/Q)/(R/Q)'s isos through theta is F/R's isos."""
     if not is_saturated(F):
         raise NotSaturated("the third isomorphism theorem assumes saturation")
     if not (is_strongly_closed(F, Q) and is_strongly_closed(F, R)):
@@ -310,7 +299,7 @@ def verify_third_iso(F: FusionSystem, Q: Subgroup, R: Subgroup) -> bool:
     members = F.carrier.members
     theta = _canonical_iso(f2.carrier, fr.carrier, members,
                            {x: proj2[proj1[x]] for x in members}, proj3)
-    return theta is not None and _pushed(f2, theta.mapping) == _triples(fr)
+    return theta is not None and set(pushed(f2, theta)) == set(fr.triples())
 
 
 def local_determination_holds(F: FusionSystem, Q: Subgroup) -> bool:

@@ -18,7 +18,6 @@ from .fusion import (
     PreFusionSystem,
     fusion_from_group,
     fusion_generated,
-    iso_table,
 )
 from .permgroup import Group, GroupHom, Subgroup
 
@@ -156,13 +155,15 @@ def load_fusion_spec(path: Union[str, Path],
 
 def system_to_dict(F: PreFusionSystem) -> dict:
     """The document of a computed system; the stored isos of one (domain,
-    codomain) pair share their two member lists."""
+    image) pair share their two member lists."""
+    G = F.parent
     isos = []
-    for (q, r), homs in F.table.items():
-        # every hom under one key has domain q and image r: images alone sort them
-        dom, cod = list(q.members), list(r.members)
-        isos.extend({"domain": dom, "codomain": cod, "map": list(map(list, zip(dom, imgs)))}
-                    for imgs in sorted(h.images for h in homs))
+    for q, row in F.store.items():
+        dom = list(Subgroup(G, q).members)
+        for r, images in row.items():
+            cod = list(Subgroup(G, r).members)
+            isos.extend({"domain": dom, "codomain": cod, "map": list(map(list, zip(dom, imgs)))}
+                        for imgs in sorted(images))
     return {
         "format": "fusion-system",
         "version": 1,
@@ -200,33 +201,33 @@ def system_from_dict(d: dict) -> PreFusionSystem:
     carrier = Subgroup(G, _member_mask(G, d["carrier"]))
     _require(G.subgroup_of(carrier.members).mask == carrier.mask, "the carrier is not a subgroup")
     _require(isinstance(d["isos"], list), "field 'isos' must be a list")
-    # a member list -> (its subgroup, its members, its Cayley columns)
-    parsed: dict[tuple[int, ...], tuple[Subgroup, list[int], tuple]] = {}
+    subgroups: dict[tuple[int, ...], Subgroup] = {}  # a member list -> its subgroup
 
-    def subgroup(ids) -> tuple[Subgroup, list[int], tuple]:
+    def subgroup(ids) -> Subgroup:
         # True == 1 and hash(True) == hash(1): only a list of ints may hit
         if isinstance(ids, list) and {*map(type, ids)} == _INT:
-            got = parsed.get(tuple(ids))
+            got = subgroups.get(tuple(ids))
             if got is not None:
                 return got
         S = Subgroup(G, _member_mask(G, ids))
         if not S <= carrier:
             raise ValidationError("stored morphism does not lie inside the carrier")
         try:
-            got = parsed[tuple(ids)] = (S, list(S.members), pg.cayley_columns(S))
+            pg.cayley_columns(S)
         except FuskitError as exc:
             raise ValidationError(f"invalid stored morphism: {exc}") from exc
-        return got
+        subgroups[tuple(ids)] = S
+        return S
 
     def invalid(msg: str):
         raise ValidationError(f"invalid stored morphism: {msg}")
 
-    homs = []
+    triples = []
     for iso in d["isos"]:
         _require(isinstance(iso, dict), "a stored morphism must be an object")
         _require_fields(iso, "stored morphism", ("domain", "codomain", "map"))
-        dom, dom_members, cols = subgroup(iso["domain"])
-        cod, cod_members, _ = subgroup(iso["codomain"])
+        dom = subgroup(iso["domain"])
+        cod = subgroup(iso["codomain"])
         pairs = iso["map"]
         _require(isinstance(pairs, list) and all(map(isinstance, pairs, repeat(list)))
                  and {*map(len, pairs)} <= _TWO,
@@ -234,22 +235,22 @@ def system_from_dict(d: dict) -> PreFusionSystem:
         srcs, imgs = zip(*pairs) if pairs else ((), ())
         if {*map(type, srcs), *map(type, imgs)} != _INT:
             _element_ids(G, srcs + imgs)
-        if list(srcs) != dom_members:
-            if sorted(srcs) != dom_members:
+        if srcs != dom.members:
+            if tuple(sorted(srcs)) != dom.members:
                 invalid("map is not total on the domain")
             srcs, imgs = zip(*sorted(pairs))
         if imgs[0] != 0:
             invalid("identity must map to identity")
-        if sorted(imgs) != cod_members:
+        if tuple(sorted(imgs)) != cod.members:
             _element_ids(G, imgs)
             if len(set(imgs)) != len(imgs):
                 invalid("map is not injective")
             raise ValidationError("stored morphism is not onto its codomain")
-        if not pg.maps_cayley_edges(cols, imgs, G):
+        if not pg.maps_cayley_edges(pg.cayley_columns(dom), imgs, G):
             invalid("map is not multiplicative")
-        homs.append(GroupHom(dom, cod, imgs, cod.mask))
+        triples.append((dom.mask, cod.mask, tuple(imgs)))
     cls = FusionSystem if d.get("kind", "fusion") == "fusion" else PreFusionSystem
-    return cls(carrier, p, iso_table(homs), provenance=str(d.get("provenance", "parsed")))
+    return cls(carrier, p, triples=triples, provenance=str(d.get("provenance", "parsed")))
 
 
 def _element_ids(G: Group, ids):

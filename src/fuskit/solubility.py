@@ -135,22 +135,18 @@ def thompson_factorization_holds(F: FusionSystem) -> bool:
     the socle of the centre together generate the whole system."""
     if not is_saturated(F):
         raise NotSaturated("Thompson factorization is about saturated systems")
-    gen = generated_on(F.carrier, F.p, [], base=thompson_base(F), provenance="generated")
-    return same_system(gen, F)
+    return same_system(generated_on(F.carrier, F.p, triples=thompson_base(F)), F)
 
 
-def thompson_base(F: FusionSystem) -> dict:
-    """The iso table of N_F(J(P)) and C_F(Omega_1(Z(P))) together."""
+def thompson_base(F: FusionSystem) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The isos of N_F(J(P)) and C_F(Omega_1(Z(P))) together, as (domain
+    mask, image mask, images) triples."""
     P = F.carrier
     nj = normalizer_system(F, pg.thompson_subgroup(P))
     comega = centralizer_system(F, pg.omega1(pg.center(P), F.p))
     if nj.carrier != P or comega.carrier != P:
         raise InvariantViolation("a normalizer or centralizer system is not on the carrier")
-    base: dict = {}
-    for sys in (nj, comega):
-        for key, homs in sys.table.items():
-            base.setdefault(key, set()).update(homs)
-    return base
+    return [*nj.triples(), *comega.triples()]
 
 
 @memo("p_soluble")

@@ -2,11 +2,12 @@
 
 A subsystem shares the ambient group of its parent system and lives on a
 subgroup of the parent's carrier, so morphism containment is a literal
-subset check on the iso tables.
+subset check on the stores of isos.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from . import permgroup as pg
@@ -16,11 +17,13 @@ from .fusion import (
     PreFusionSystem,
     _conjugation_table,
     aut_realization,
-    extensions,
-    images_by_key,
+    extensions_on,
     is_saturated,
     is_strongly_closed,
+    pushed,
+    restricted_to,
     same_system,
+    stored_in,
     transport,
 )
 from .permgroup import GroupHom, Subgroup, cached, memo
@@ -28,15 +31,13 @@ from .permgroup import GroupHom, Subgroup, cached, memo
 
 def is_subsystem_of(E: PreFusionSystem, F: PreFusionSystem) -> bool:
     """Every iso of E is an iso of F with domain and image inside E's carrier."""
-    if E.parent != F.parent or not E.carrier <= F.carrier:
-        return False
-    return all(homs <= F.table.get(key, frozenset()) for key, homs in E.table.items())
+    return E.parent == F.parent and E.carrier <= F.carrier and stored_in(E, F)
 
 
 @memo("inner_system")
 def inner_system(Q: Subgroup, p: int) -> FusionSystem:
     """The fusion system of Q on itself: conjugation maps by elements of Q."""
-    return FusionSystem(Q, p, _conjugation_table(Q, Q.members), provenance="inner")
+    return FusionSystem(Q, p, triples=_conjugation_table(Q, Q.members), provenance="inner")
 
 
 def k_normalizer_system(F: FusionSystem, Q: Subgroup, K: Iterable[GroupHom]) -> FusionSystem:
@@ -46,36 +47,28 @@ def k_normalizer_system(F: FusionSystem, Q: Subgroup, K: Iterable[GroupHom]) -> 
     Morphisms: those extending over Q to a morphism restricting into K.
     K = Aut_F(Q) yields the normalizer system, K = {id} the centralizer.
     """
+    return _k_normalizer(F, Q, aut_realization(F, Q).subgroup_for(K))  # validates K
+
+
+@memo("k_normalizer")
+def _k_normalizer(F: FusionSystem, Q: Subgroup, K: Subgroup) -> FusionSystem:
+    """The K-normalizer for K a subgroup of the realization of Aut_F(Q),
+    which F's memo holds: so K's mask keys the entry."""
     real = aut_realization(F, Q)
-    K = list(K)
-    real.subgroup_for(K)  # validates membership and closure under products
-    key = (Q.mask, tuple(sorted(h.images for h in K)))  # K's homs are all on Q
-    return cached(F, "k_normalizer", key, _k_normalizer_system, F, Q, K)
-
-
-def _k_normalizer_system(F: FusionSystem, Q: Subgroup, K: list[GroupHom]) -> FusionSystem:
     qmem = Q.members
-    k_images = {h.images for h in K}
-    k_images.add(qmem)  # the identity
+    k_images = {real.images[i] for i in K.members} | {qmem}  # with the identity
     G = F.parent
     n_mask = pg.mask_of(g for g in F.normalizer_in_carrier(Q).members
                         if tuple(map(G.conj_map(g).__getitem__, qmem)) in k_images)
 
-    table = {}
-    for (r, s), homs in F.table.items():
-        if r.mask & ~n_mask or s.mask & ~n_mask:
-            continue
-        qr = pg.join(Q, r)
-        kept = {phi for phi in homs
-                if any(tuple(map(psi.mapping.__getitem__, qmem)) in k_images
-                       for psi in extensions(F, phi, qr))}
-        if kept:
-            table[(r, s)] = kept
-    return FusionSystem(Subgroup(G, n_mask), F.p, table, provenance="derived")
+    on_q = extensions_on(F, Q)
+    kept = ((r, s, imgs) for r, s, imgs in F.triples()  # inside N_K(Q), extending over Q into K
+            if not (r | s) & ~n_mask and any(x in k_images for x in on_q(r, imgs)))
+    return FusionSystem(Subgroup(G, n_mask), F.p, triples=kept)
 
 
 def normalizer_system(F: FusionSystem, Q: Subgroup) -> FusionSystem:
-    return k_normalizer_system(F, Q, F.aut(Q))
+    return _k_normalizer(F, Q, aut_realization(F, Q).group.full_subgroup())
 
 
 def centralizer_system(F: FusionSystem, Q: Subgroup) -> FusionSystem:
@@ -97,24 +90,20 @@ def is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
     return cached(E, "invariant", id(f_memo), lambda: (f_memo, _is_invariant(F, E)))[1]
 
 
-def _in_push(index: dict, phi: GroupHom, m) -> bool:
-    """Whether the push of phi through the element map m has its images
-    filed under its masks in the ``images_by_key`` index."""
-    dom, img, imgs = pg.pushed_images(phi.domain.members, phi.images, m)
-    return imgs in index.get((dom, img), ())
+def _moves_into(E: PreFusionSystem, D: PreFusionSystem, m) -> bool:
+    """Whether the push of every stored iso of D through the element map m
+    is stored in E."""
+    return all(imgs in E.images(q, r) for q, r, imgs in pushed(D, m))
 
 
 def _is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
     Q = E.carrier
     _require_strongly_closed(F, Q)
-    e_images = images_by_key(E)
     for S in pg.subgroups_of(Q):
-        for psi in F.isos_from(S):
-            pm = psi.mapping
-            for R in pg.subgroups_of(S):
-                for phi in E.isos_from(R):
-                    if not (phi.image_mask & ~S.mask or _in_push(e_images, phi, pm)):
-                        return False
+        inside = restricted_to(E, S)  # the isos of E inside S
+        for psi in chain(*F.store.get(S.mask, {}).values()):
+            if not _moves_into(E, inside, dict(zip(S.members, psi))):
+                return False
     return True
 
 
@@ -123,23 +112,21 @@ def is_frattini(F: FusionSystem, E: PreFusionSystem) -> bool:
     F-automorphism of the carrier followed by a morphism of E."""
     Q = E.carrier
     _require_strongly_closed(F, Q)
-    e_images = images_by_key(E)
-    auts = [a.mapping for a in sorted(F.aut(Q), key=pg.hom_key)]
+    auts = [dict(zip(Q.members, a)) for a in sorted(F.images(Q.mask, Q.mask))]
     for R in pg.subgroups_of(Q):
-        for phi in F.isos_from(R):
-            # beta = alpha^-1 phi : alpha(R) -> phi(R) sends alpha(x) to phi(x)
-            if not any(tuple(y for _, y in sorted(zip(map(am.__getitem__, R.members), phi.images)))
-                       in e_images.get((pg.mask_image(am, R.mask), phi.image_mask), ())
-                       for am in auts):
-                return False
+        for r, images in F.store.get(R.mask, {}).items():
+            for phi in images:
+                # beta = alpha^-1 phi : alpha(R) -> phi(R) sends alpha(x) to phi(x)
+                if not any(tuple(y for _, y in sorted(zip(map(am.__getitem__, R.members), phi)))
+                           in E.images(pg.mask_image(am, R.mask), r)
+                           for am in auts):
+                    return False
     return True
 
 
 def aut_f_acts_on(E: PreFusionSystem, alphas: Iterable[GroupHom]) -> bool:
     """Each alpha must send every morphism of E to a morphism of E."""
-    e_images = images_by_key(E)
-    return all(_in_push(e_images, phi, alpha.mapping)
-               for alpha in alphas for homs in E.table.values() for phi in homs)
+    return all(_moves_into(E, E, alpha.mapping) for alpha in alphas)
 
 
 def is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:

@@ -146,7 +146,7 @@ class _Ctx:
         return self.named_ids(rec, name, i + 1)[i]
 
     def knorm_instances(self, rec: SystemRecord):
-        """(Q, K-homs, N_F(Q), N_F^K(Q)) for fully normalized Q and K normal
+        """(Q, K, N_F(Q), N_F^K(Q)) for fully normalized Q and K normal
         in Aut_F(Q); shared between several suites."""
         return cached(self, "knorm", rec.key, _knorm_instances, rec.system)
 
@@ -166,9 +166,7 @@ def _knorm_instances(F: FusionSystem) -> list:
         real = cl.aut_realization(F, Q)
         nq = ss.normalizer_system(F, Q)
         for K in pg.normal_subgroups(real.group):
-            homs = real.homs_for(K)
-            nk = ss.k_normalizer_system(F, Q, homs)
-            got.append((Q, homs, nq, nk))
+            got.append((Q, K, nq, ss._k_normalizer(F, Q, K)))
     return got
 
 
@@ -394,18 +392,18 @@ def _s_invariant_iff_frattini(ctx: _Ctx) -> Check:
         "K-normalizers for normal K are normal subsystems of the normalizer")
 def _s_knorm_normal(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
-        for Q, homs, nq, nk in ctx.knorm_instances(rec):
-            yield (f"{rec.key}/|Q|={Q.order}/|K|={len(homs)}",
-                   _holds(lambda: ss.is_normal_subsystem(nq, nk)), {"Q": Q, "K_order": len(homs)})
+        for Q, K, nq, nk in ctx.knorm_instances(rec):
+            yield (f"{rec.key}/|Q|={Q.order}/|K|={K.order}",
+                   _holds(lambda: ss.is_normal_subsystem(nq, nk)), {"Q": Q, "K_order": K.order})
 
 
 @_suite("knormalizer-saturated",
         "K-normalizers at fully normalized subgroups for normal K are saturated")
 def _s_knorm_saturated(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
-        for Q, homs, _, nk in ctx.knorm_instances(rec):
-            yield (f"{rec.key}/|Q|={Q.order}/|K|={len(homs)}", is_saturated(nk),
-                   {"Q": Q, "K_order": len(homs)})
+        for Q, K, _, nk in ctx.knorm_instances(rec):
+            yield (f"{rec.key}/|Q|={Q.order}/|K|={K.order}", is_saturated(nk),
+                   {"Q": Q, "K_order": K.order})
 
 
 @_suite("central-kernel-normality",
@@ -437,11 +435,11 @@ def _s_normalop(ctx: _Ctx) -> Check:
             if cl.is_normal_subgroup(F, Q):
                 yield (f"{rec.key}/inner/|Q|={Q.order}",
                        pg.meet(cl.o_p(F), Q) == cl.o_p(ss.inner_system(Q, F.p)), {"Q": Q})
-        for Q, homs, nq, nk in ctx.knorm_instances(rec):
+        for Q, K, nq, nk in ctx.knorm_instances(rec):
             if is_saturated(nq) and is_saturated(nk):
-                yield (f"{rec.key}/knorm/|Q|={Q.order}/|K|={len(homs)}",
+                yield (f"{rec.key}/knorm/|Q|={Q.order}/|K|={K.order}",
                        pg.meet(cl.o_p(nq), nk.carrier) == cl.o_p(nk),
-                       {"Q": Q, "K_order": len(homs)})
+                       {"Q": Q, "K_order": K.order})
 
 
 @_suite("subnormal-core-containment",
@@ -535,10 +533,10 @@ def _s_psoluble_closure(ctx: _Ctx) -> Check:
             quot = qt.factor_system(F, Q)
             yield (f"{rec.key}/quotient/|Q|={Q.order}",
                    is_saturated(quot) and sol.o_p_tower(quot).p_soluble, {"Q": Q})
-        for Q, homs, _, nk in ctx.knorm_instances(rec):
+        for Q, K, _, nk in ctx.knorm_instances(rec):
             if is_saturated(nk):
-                yield (f"{rec.key}/subsystem/|Q|={Q.order}/|K|={len(homs)}",
-                       sol.o_p_tower(nk).p_soluble, {"Q": Q, "K_order": len(homs)})
+                yield (f"{rec.key}/subsystem/|Q|={Q.order}/|K|={K.order}",
+                       sol.o_p_tower(nk).p_soluble, {"Q": Q, "K_order": K.order})
 
 
 @_suite("psoluble-extension",
@@ -592,22 +590,19 @@ def _s_alperin_gen(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         F = rec.system
         gens = cl.alperin_generators(F)
-        base: dict = {}
-        for S, auts in gens:
-            base.setdefault((S, S), set()).update(auts)
-        regen = generated_on(F.carrier, F.p, [], base=base)
+        regen = generated_on(F.carrier, F.p, [], base={(S, S): auts for S, auts in gens})
         yield rec.key, same_system(regen, F), {"generators": [s.order for s, _ in gens]}
 
 
 def _recomposes(F: FusionSystem, phi: GroupHom) -> bool:
     """Do the steps of phi's Alperin decomposition compose back to phi, each
     intermediate image inside the subgroup of its step?"""
-    cur = GroupHom.identity(phi.domain)
+    cur = phi.domain.members  # the images of the composite so far
     for S, alpha in cl.alperin_decompose(F, phi):
-        if cur.image_mask & ~S.mask:
+        if pg.mask_of(cur) & ~S.mask:
             return False
-        cur = cur.then(alpha.restriction(cur.image()))
-    return cur.images == phi.images  # cur is defined on phi's domain
+        cur = tuple(map(alpha.mapping.__getitem__, cur))
+    return cur == phi.images
 
 
 @_suite("alperin-decomposition",

@@ -1,0 +1,51 @@
+"""Run one fusion-generate pass of the benchmark and print its work as JSON.
+
+    python tests/generate_work.py [SEED]
+
+The pass is the benchmark's own (``perfbench/workloads.py``, seed 41 unless
+given) on a fresh import of fuskit.  GroupHom builds are counted apart while
+an operation is timed, that is between the two clock readings that bracket
+it, and while its output is checked untimed.  It prints whether every
+operation passed, the two GroupHom counts and the builds per memo table
+over the pass.
+"""
+
+import json
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def main() -> None:
+    seed = int(sys.argv[1]) if len(sys.argv) > 1 else 41
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    fk = workloads.fresh_import()
+    work = workloads.FusionGenerate()
+    specs = work.setup(fk, seed)
+
+    builds = Counter()
+    timed = [False]  # the clock is read once as an operation starts and once as it ends
+    init = fk.permgroup.GroupHom.__init__
+
+    def counted(self, *args):
+        builds["timed" if timed[0] else "untimed"] += 1
+        init(self, *args)
+
+    def clock() -> float:
+        timed[0] = not timed[0]
+        return time.perf_counter()
+
+    fk.permgroup.GroupHom.__init__ = counted
+    before = Counter(fk.permgroup.BUILDS)
+    result = work.run_pass(fk, specs, clock)
+    json.dump({"ok": result.failed == 0, "ops": result.attempted,
+               "GroupHom": builds["timed"], "GroupHom_untimed": builds["untimed"],
+               "builds": fk.permgroup.BUILDS - before}, sys.stdout, sort_keys=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -79,16 +79,22 @@ def _called(node):
 
 
 def test_homs_are_pushed_and_built_only_to_make_a_system():
-    # a membership test reads image tuples under masks (fusion.images_by_key,
-    # permgroup.pushed_images): induced_hom builds the homs of a new system
-    # only, and no contains_iso argument is a hom built for the test
+    # a system stores image tuples under masks, and every check and builder
+    # reads and files those (permgroup.pushed_images): the GroupHom view of a
+    # system's store (.table) is read by the module that defines it and by
+    # the independent reference implementations only, induced_hom builds
+    # the image of one hom under a morphism of systems
+    # (FusionSystemMorphism.apply), and no contains_iso argument is a hom
+    # built for the test
     built = {"GroupHom", "from_map", "induced_hom", "inverse", "restriction", "then"}
-    pushes, tests = set(), []
+    pushes, tests, views = set(), [], set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         func = {id(n): f.name for f in ast.walk(tree)
                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in ast.walk(f)}
         for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "table":
+                views.add(path.name)
             if not isinstance(node, ast.Call):
                 continue
             if _called(node) == "induced_hom":
@@ -96,6 +102,6 @@ def test_homs_are_pushed_and_built_only_to_make_a_system():
             elif _called(node) == "contains_iso":
                 tests += [f"{path.name}:{node.lineno}" for arg in node.args for n in ast.walk(arg)
                           if isinstance(n, ast.Call) and _called(n) in built]
-    assert pushes == {("quotients.py", "factor_system"), ("quotients.py", "bar_system"),
-                      ("fusion.py", "transport"), ("quotients.py", "apply")}, pushes
+    assert views <= {"fusion.py", "oracles.py"}, views
+    assert pushes == {("quotients.py", "apply")}, pushes
     assert tests == []

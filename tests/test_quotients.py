@@ -249,8 +249,7 @@ def test_second_iso_rejects_a_system_that_induces_no_map(s4_system, v4):
 def test_canonical_iso_rejects_what_is_not_an_isomorphism(s4_system, v4):
     P = s4_system.carrier
     same = {x: x for x in P.members}
-    theta = qt._canonical_iso(P, P, P.members, same, same)
-    assert theta is not None and theta.is_identity_map()
+    assert qt._canonical_iso(P, P, P.members, same, same) == same  # the element map
     # not well defined: every x goes to one point but to different images
     assert qt._canonical_iso(P, P, P.members, {x: 0 for x in P.members}, same) is None
     # not bijective: V4 into D8 is an injective hom but not onto, and the
