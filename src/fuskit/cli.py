@@ -34,7 +34,7 @@ from .verify import report_emit, run_verification, theorem_ids
 def _subgroup_from_arg(F, text: str):
     try:
         gens = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer longer than Python reads
         raise ParseError(f"subgroup spec is not valid JSON: {exc}") from exc
     if not isinstance(gens, list):
         raise ParseError("subgroup spec must be a JSON list of generator images")

@@ -33,7 +33,7 @@ from .fusion import (
     is_weakly_closed,
     same_system,
 )
-from .permgroup import GroupHom, Subgroup, cached, memo
+from .permgroup import GroupHom, Subgroup, memo
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,11 @@ class SubgroupClassification:
     normal_in_F: bool
 
 
-@memo("centric")
 def is_centric(F: FusionSystem, Q: Subgroup) -> bool:
     """Every F-conjugate of Q contains its carrier-centralizer."""
     return all(F.centralizer_in_carrier(R) <= R for R in F.iso_class(Q))
 
 
-@memo("radical")
 def is_radical(F: FusionSystem, Q: Subgroup) -> bool:
     """O_p(Aut_F(Q)) equals the inner automorphisms of Q."""
     real = aut_realization(F, Q)
@@ -94,9 +92,10 @@ def is_normal_subgroup(F: FusionSystem, Q: Subgroup) -> bool:
         warnings.warn("system is not saturated; using the definitional normality check",
                       stacklevel=2)
         return definitional_normal(F, Q)
-    return cached(F, "normal_subgroup", Q.mask, _normal_by_criterion, F, Q)
+    return _normal_by_criterion(F, Q)
 
 
+@memo("normal_subgroup")
 def _normal_by_criterion(F: FusionSystem, Q: Subgroup) -> bool:
     return is_strongly_closed(F, Q) and all(Q <= T for T in fnrc_subgroups(F))
 

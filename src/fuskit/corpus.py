@@ -7,7 +7,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .errors import ParseError
+from .errors import OrderCapExceeded, ParseError
 from .fusion import FusionSystem, fusion_from_group, fusion_generated
 from .permgroup import Group, is_prime
 from .serialization import _seed_from_dict, load_group, load_json
@@ -106,7 +106,11 @@ def load_corpus(corpus_dir) -> list[CorpusEntry]:
         raise ParseError(f"{corpus_dir} is not a directory")
     entries = []
     for path in sorted(corpus_dir.glob("*.json")):
-        entries.append(entry_from_dict(load_json(path), path))
+        try:
+            entries.append(entry_from_dict(load_json(path), path))
+        except (ValueError, OrderCapExceeded) as exc:
+            # a prime key longer than int() reads, or a prime too large to decide
+            raise ParseError(f"{path}: {exc}") from exc
     entries.sort(key=lambda e: e.name)
     return entries
 

@@ -33,7 +33,7 @@ from .errors import (
     NotInjective,
     OrderCapExceeded,
 )
-from .permgroup import Group, GroupHom, Subgroup, cached, hom_key, memo
+from .permgroup import Group, GroupHom, Subgroup, hom_key, memo
 
 Images = tuple[int, ...]            # the images of a domain's members, in order
 Triple = tuple[int, int, Images]    # (domain mask, image mask, images)
@@ -60,15 +60,15 @@ class PreFusionSystem:
     package pass (domain mask, image mask, images) ``triples`` instead.
 
     Equal systems share one memo.  Every memo table a system owns (``norm``,
-    ``cent``, ``class``, ``fully_normalized``,
-    ``strongly_closed``, ``saturated``, ``aut_real``, ``centric``,
-    ``radical``, ``fnrc``, ``normal_subgroup``, ``o_p``, ``z_f``,
-    ``quotient_parts``, ``factor_system``, ``bar_system``, ``generated_bar``,
-    ``pushes_to_factor``, ``is_fusion``, ``k_normalizer``,
-    ``invariant``) holds a function of ``(kind, p, carrier, store)`` alone:
-    none reads ``provenance`` or depends on which object asks.  So on its
-    first memo lookup a system finds its memo by that content key in a weak
-    registry: it adopts the memo of any live twin, or registers a fresh one.
+    ``cent``, ``class``, ``fully_normalized``, ``strongly_closed``,
+    ``saturated``, ``aut_real``, ``fnrc``, ``normal_subgroup``, ``o_p``,
+    ``z_f``, ``quotient_parts``, ``factor_system``, ``bar_system``,
+    ``generated_bar``, ``pushes_to_factor``, ``is_fusion``, ``k_normalizer``,
+    ``knorm``, ``invariant``) holds a function of ``(kind, p, carrier,
+    store)`` alone: none reads ``provenance`` or depends on which object
+    asks.  So on its first memo lookup a system finds its memo by that
+    content key in a weak registry: it adopts the memo of any live twin, or
+    registers a fresh one.
     The registry holds memos weakly, so it keeps no system alive, and a memo
     lives as long as one of its systems does.
     Groups compare by content, not by name, so twins may sit on distinct
@@ -116,11 +116,13 @@ class PreFusionSystem:
         """All subgroups of the carrier, canonically ordered."""
         return pg.subgroups_of(self.carrier)
 
+    @memo("norm")
     def normalizer_in_carrier(self, Q: Subgroup) -> Subgroup:
-        return cached(self, "norm", Q.mask, pg.normalizer, self.carrier, Q)
+        return pg.normalizer(self.carrier, Q)
 
+    @memo("cent")
     def centralizer_in_carrier(self, Q: Subgroup) -> Subgroup:
-        return cached(self, "cent", Q.mask, pg.centralizer, self.carrier, Q)
+        return pg.centralizer(self.carrier, Q)
 
     # -- the store -------------------------------------------------------
 
@@ -176,12 +178,6 @@ class PreFusionSystem:
 
     def aut(self, Q: Subgroup) -> frozenset[GroupHom]:
         return self.isos(Q, Q)
-
-    def isos_from(self, Q: Subgroup) -> tuple[GroupHom, ...]:
-        """The stored isos out of Q, in ``hom_key`` order."""
-        return tuple(self.hom(Q.mask, r, imgs)
-                     for r, images in self.store.get(Q.mask, _NO_ROW).items()
-                     for imgs in sorted(images))
 
     def all_isos(self) -> list[GroupHom]:
         return [h for homs in self.table.values() for h in sorted(homs, key=hom_key)]
@@ -521,9 +517,10 @@ def check_in_carrier(F: PreFusionSystem, Q: Subgroup):
 
 def aut_realization(F: PreFusionSystem, Q: Subgroup) -> AutRealization:
     check_in_carrier(F, Q)  # reads Q.parent, which the memo key omits
-    return cached(F, "aut_real", Q.mask, _aut_realization, F, Q)
+    return _aut_realization(F, Q)
 
 
+@memo("aut_real")
 def _aut_realization(F: PreFusionSystem, Q: Subgroup) -> AutRealization:
     members = Q.members
     pos = {x: i for i, x in enumerate(members)}

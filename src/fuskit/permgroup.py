@@ -59,13 +59,7 @@ def cached(owner, name: str, key, build, *args):
     identity is one object (see ``Group``); a fusion system's is shared with
     its twins, the live systems with the same kind, prime, carrier and table
     (see ``fusion.PreFusionSystem``).  So a table built here must depend on
-    the group's identity or the system's content alone.  Most tables are
-    declared with ``memo``.  A site calls ``cached`` itself when a check it
-    runs on every call reads more than the owner and the key (the parent of a
-    subgroup the key holds as a mask, an order cap, a warning), when the key
-    is not the one ``memo`` builds (a list of homs, a corpus record, another
-    system's memo), or when the build is a function defined elsewhere
-    (``norm``, ``cent``).
+    the group's identity or the system's content alone.
     """
     try:
         return owner._caches[name][key]
@@ -115,11 +109,10 @@ def memo(name: str, named: bool = False):
 class Perm:
     """A permutation of {0..degree-1}, stored as its one-line image tuple."""
 
-    __slots__ = ("images", "_hash")
+    __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
         self.images = tuple(images)
-        self._hash = None
 
     @classmethod
     def checked(cls, images: Sequence[int], degree: Optional[int] = None) -> "Perm":
@@ -178,9 +171,7 @@ class Perm:
         return isinstance(other, Perm) and self.images == other.images
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.images)
-        return self._hash
+        return hash(self.images)
 
     def __repr__(self) -> str:
         cyc = self.cycles()
@@ -1340,9 +1331,8 @@ def _aut_chain(Q: Subgroup) -> tuple[tuple[GroupHom, ...], ...]:
     return tuple(chain)
 
 
-@memo("automorphisms")
 def automorphisms(Q: Subgroup) -> list[GroupHom]:
-    """All automorphisms of Q, sorted by hom_key.  Cached.
+    """All automorphisms of Q, sorted by hom_key.
 
     Listed bottom-up from the stabilizer chain (see _aut_chain): each
     element of A_i is "a then t" for exactly one a in A_{i+1} and one t in
@@ -1359,12 +1349,11 @@ def automorphisms(Q: Subgroup) -> list[GroupHom]:
     return [GroupHom(Q, Q, a, Q.mask) for a in auts]
 
 
-@memo("aut_generators")
 def automorphism_generators(Q: Subgroup) -> list[GroupHom]:
     """A generating set of Aut(Q), found without listing Aut(Q): the
     transversal elements of its stabilizer chain (see _aut_chain), which
     generate it since A_i is A_{i+1} followed by T_i or the identity, and
-    A_k = 1.  Cached."""
+    A_k = 1."""
     return [t for T in _aut_chain(Q) for t in T]
 
 
@@ -1391,8 +1380,27 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality below this
+# bound, the least strong pseudoprime to all of them (Sorenson and Webster,
+# Math. Comp. 86, 2017)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+    """Whether p is prime, by deterministic Miller-Rabin: exact for every p
+    below PRIME_LIMIT; raises OrderCapExceeded at or above it."""
+    if p >= PRIME_LIMIT:
+        raise OrderCapExceeded(f"primes are decided only below {PRIME_LIMIT}")
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # 2^s exactly divides p - 1
+    d = (p - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x != 1 and p - 1 not in (pow(x, 1 << r, p) for r in range(s)):
+            return False
+    return True
 
 
 def _check_prime(p: int):

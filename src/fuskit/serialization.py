@@ -53,7 +53,8 @@ def _require_fields(d: dict, what: str, fields: tuple[str, ...]):
 
 def _prime_field(d: dict) -> int:
     p = d["p"]
-    _require(isinstance(p, int) and pg.is_prime(p), "field 'p' must be a prime")
+    _require(isinstance(p, int) and p < pg.PRIME_LIMIT and pg.is_prime(p),
+             f"field 'p' must be a prime below {pg.PRIME_LIMIT}")
     return p
 
 
@@ -89,6 +90,8 @@ def load_json(path: Union[str, Path]) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than Python reads
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_group(path: Union[str, Path]) -> Group:

@@ -11,7 +11,7 @@ from . import permgroup as pg
 from .closure import o_p
 from .errors import InvariantViolation, NotSaturated, OrderCapExceeded, SylowMismatch
 from .fusion import FusionSystem, fusion_from_group, generated_on, is_saturated, same_system, transport
-from .permgroup import Group, Subgroup, cached, memo
+from .permgroup import Group, Subgroup, memo
 from .quotients import _preimage_subgroup, _quotient_parts, factor_parts
 from .subsystems import centralizer_system, normalizer_system
 
@@ -108,10 +108,6 @@ def is_qdp_free_group(G: Group, p: int) -> bool:
     pg._check_prime(p)
     if G.order > pg.order_cap():
         raise OrderCapExceeded(f"group of order {G.order} exceeds cap")
-    return cached(G, "qdp_free", p, _qdp_free, G, p)
-
-
-def _qdp_free(G: Group, p: int) -> bool:
     m = p ** 3 * (p * p - 1)
     if G.order % m:
         return True

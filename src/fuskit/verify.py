@@ -35,7 +35,7 @@ from .fusion import (
     restricted_to,
     same_system,
 )
-from .permgroup import GroupHom, Subgroup, cached, memo
+from .permgroup import GroupHom, Subgroup, memo
 from .serialization import canonical_json, payload
 
 
@@ -123,10 +123,6 @@ class _Ctx:
                 if where(F, Q):
                     yield rec, F, Q
 
-    def closed(self, rec: SystemRecord) -> list[Subgroup]:
-        """The strongly closed subgroups of the record's carrier, in lattice order."""
-        return cached(self, "closed", rec.key, _strongly_closed, rec.system)
-
     def named_ids(self, rec: SystemRecord, name: str, need: int = 1) -> list[int]:
         """The element ids of the generators ``named_subgroups[name]`` of the
         record's entry, which must list at least ``need`` of them."""
@@ -145,20 +141,16 @@ class _Ctx:
         """The i-th generator of the named subgroup."""
         return self.named_ids(rec, name, i + 1)[i]
 
-    def knorm_instances(self, rec: SystemRecord):
-        """(Q, K, N_F(Q), N_F^K(Q)) for fully normalized Q and K normal
-        in Aut_F(Q); shared between several suites."""
-        return cached(self, "knorm", rec.key, _knorm_instances, rec.system)
-
-    def model(self, rec: SystemRecord):
-        return cached(self, "models", (rec.entry.name, rec.p), rec.entry.load_model, rec.p)
-
 
 def _strongly_closed(F: FusionSystem) -> list[Subgroup]:
+    """The strongly closed subgroups of F's carrier, in lattice order."""
     return [Q for Q in F.subgroups() if is_strongly_closed(F, Q)]
 
 
+@memo("knorm")
 def _knorm_instances(F: FusionSystem) -> list:
+    """(Q, K, N_F(Q), N_F^K(Q)) for fully normalized Q and K normal in
+    Aut_F(Q); shared between several suites."""
     got = []
     for Q in F.subgroups():
         if not is_fully_normalized(F, Q):
@@ -297,7 +289,7 @@ def _s_five_way(ctx: _Ctx) -> Check:
 def _s_product(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         F = rec.system
-        for A, B in combinations_with_replacement(ctx.closed(rec), 2):
+        for A, B in combinations_with_replacement(_strongly_closed(F), 2):
             yield (f"{rec.key}/{A.order}x{B.order}",
                    _holds(lambda: is_strongly_closed(F, pg.set_product(A, B))), {"A": A, "B": B})
 
@@ -324,7 +316,7 @@ def _s_factor_equals_bar(ctx: _Ctx) -> Check:
 def _s_second_iso(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         F = rec.system
-        for Q in ctx.closed(rec):
+        for Q in _strongly_closed(F):
             for R in F.subgroups():
                 yield (f"{rec.key}/|Q|={Q.order}/|R|={R.order}",
                        qt.verify_second_iso(F, Q, ss.inner_system(R, F.p)), {"Q": Q, "R": R})
@@ -335,7 +327,7 @@ def _s_second_iso(ctx: _Ctx) -> Check:
 def _s_third_iso(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         F = rec.system
-        closed = ctx.closed(rec)
+        closed = _strongly_closed(F)
         for Q in closed:
             for R in closed:
                 if Q <= R:
@@ -392,7 +384,7 @@ def _s_invariant_iff_frattini(ctx: _Ctx) -> Check:
         "K-normalizers for normal K are normal subsystems of the normalizer")
 def _s_knorm_normal(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
-        for Q, K, nq, nk in ctx.knorm_instances(rec):
+        for Q, K, nq, nk in _knorm_instances(rec.system):
             yield (f"{rec.key}/|Q|={Q.order}/|K|={K.order}",
                    _holds(lambda: ss.is_normal_subsystem(nq, nk)), {"Q": Q, "K_order": K.order})
 
@@ -401,7 +393,7 @@ def _s_knorm_normal(ctx: _Ctx) -> Check:
         "K-normalizers at fully normalized subgroups for normal K are saturated")
 def _s_knorm_saturated(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
-        for Q, K, _, nk in ctx.knorm_instances(rec):
+        for Q, K, _, nk in _knorm_instances(rec.system):
             yield (f"{rec.key}/|Q|={Q.order}/|K|={K.order}", is_saturated(nk),
                    {"Q": Q, "K_order": K.order})
 
@@ -435,7 +427,7 @@ def _s_normalop(ctx: _Ctx) -> Check:
             if cl.is_normal_subgroup(F, Q):
                 yield (f"{rec.key}/inner/|Q|={Q.order}",
                        pg.meet(cl.o_p(F), Q) == cl.o_p(ss.inner_system(Q, F.p)), {"Q": Q})
-        for Q, K, nq, nk in ctx.knorm_instances(rec):
+        for Q, K, nq, nk in _knorm_instances(rec.system):
             if is_saturated(nq) and is_saturated(nk):
                 yield (f"{rec.key}/knorm/|Q|={Q.order}/|K|={K.order}",
                        pg.meet(cl.o_p(nq), nk.carrier) == cl.o_p(nk),
@@ -510,7 +502,7 @@ def _s_psoluble_constrained(ctx: _Ctx) -> Check:
 def _s_model(ctx: _Ctx) -> Check:
     for rec in ctx.saturated:
         F = rec.system
-        model = ctx.model(rec) if rec.label == "conj" else None
+        model = rec.entry.load_model(rec.p) if rec.label == "conj" else None
         if model is None or not sol.is_constrained(F):
             continue
         yield f"{rec.key}/model", _holds(lambda: sol.is_model(model, F)), {"model": model.name}
@@ -529,11 +521,11 @@ def _s_psoluble_closure(ctx: _Ctx) -> Check:
         F = rec.system
         if not sol.o_p_tower(F).p_soluble:
             continue
-        for Q in ctx.closed(rec):
+        for Q in _strongly_closed(F):
             quot = qt.factor_system(F, Q)
             yield (f"{rec.key}/quotient/|Q|={Q.order}",
                    is_saturated(quot) and sol.o_p_tower(quot).p_soluble, {"Q": Q})
-        for Q, K, _, nk in ctx.knorm_instances(rec):
+        for Q, K, _, nk in _knorm_instances(rec.system):
             if is_saturated(nk):
                 yield (f"{rec.key}/subsystem/|Q|={Q.order}/|K|={K.order}",
                        sol.o_p_tower(nk).p_soluble, {"Q": Q, "K_order": K.order})
@@ -627,7 +619,7 @@ def _kernel_ok(F: FusionSystem, Q: Subgroup) -> bool:
         "kernels of quotient morphisms are strongly closed")
 def _s_kernels(ctx: _Ctx) -> Check:
     for rec in ctx.records:
-        for Q in ctx.closed(rec):
+        for Q in _strongly_closed(rec.system):
             yield f"{rec.key}/|Q|={Q.order}", _holds(lambda: _kernel_ok(rec.system, Q)), {"Q": Q}
 
 

@@ -594,11 +594,15 @@ def test_verify_work_bound(verify_run):
     # builds, against 1,622 lattices with one memo per group object
     assert builds["sylow"] <= 100
     assert builds["subgroups_of"] <= 1_300
-    # characteristic subgroups are tested against a generating set of Aut(Q):
-    # no verify suite lists all of Aut(Q) (128 lists before), and the
-    # generating sets are built 128 times
-    assert builds["automorphisms"] == 0
-    assert builds["aut_generators"] <= 200
+    # characteristic subgroups are tested against a generating set of Aut(Q),
+    # read off its stabilizer chain: no verify suite lists all of Aut(Q)
+    # (128 lists before), and the chains are built 128 times
+    assert calls["automorphisms"] == 0
+    assert builds["aut_chain"] <= 200
+    # the invariance table is keyed by the memo of F and kept on E's, so
+    # twin systems share its entries: 419 builds (643 when keyed by the
+    # subsystem object, 671 when keyed by F)
+    assert builds["invariant"] <= 450
     # an interned group builds its multiplication table once, and a group
     # made while a group with the same elements is live takes that group's
     # tables: 45 are composed, and 49 quotient tables are read off a
@@ -609,6 +613,10 @@ def test_verify_work_bound(verify_run):
     # the Cayley columns of a subgroup are built once: validate_hom rebuilt
     # them on every call (6,249 builds on 1,053 subgroups)
     assert builds["cayley_columns"] <= 1_200
+    # no memo table that no workload reads again: 17,214 builds in all
+    # (19,102 with the centric, radical, qdp_free and aut_generators tables
+    # and the verify's per-record lists)
+    assert sum(builds.values()) <= 17_500
 
 
 def test_verify_quotient_work_bound(verify_run):

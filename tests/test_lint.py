@@ -105,3 +105,25 @@ def test_homs_are_pushed_and_built_only_to_make_a_system():
     assert views <= {"fusion.py", "oracles.py"}, views
     assert pushes == {("quotients.py", "apply")}, pushes
     assert tests == []
+
+
+def test_every_memo_table_is_declared_once_through_memo():
+    # a table is declared with permgroup.memo, which alone calls cached;
+    # subsystems.is_invariant calls it too, as its key is another system's
+    # memo.  One path counts each table's builds by its name, so no two
+    # tables share one
+    callers, names = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        top = {id(n): f.name for f in tree.body
+               if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or _called(node) not in ("memo", "cached"):
+                continue
+            if _called(node) == "cached":
+                callers.append((path.name, top.get(id(node))))
+            at = 0 if _called(node) == "memo" else 1
+            if len(node.args) > at and isinstance(node.args[at], ast.Constant):
+                names.append(node.args[at].value)
+    assert sorted(callers) == [("permgroup.py", "memo"), ("subsystems.py", "is_invariant")]
+    assert len(names) > 30 and len(set(names)) == len(names), sorted(names)

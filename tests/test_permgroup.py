@@ -917,6 +917,18 @@ def test_induced_hom(groups):
         pg.induced_hom(swap, collapse, s4)
 
 
+def test_is_prime_matches_sympy():
+    # 561 is a Carmichael number, 3,215,031,751 the least strong pseudoprime
+    # to the bases 2, 3, 5, 7 and 3,825,123,056,546,413,051 one to the primes
+    # up to 23; trial division up to the root of 2^61 - 1 did not end
+    from sympy import isprime
+    for n in (*range(2000), 561, 3_215_031_751, 3_825_123_056_546_413_051, 2**61 - 1,
+              (2**31 - 1) ** 2, pg.PRIME_LIMIT - 1):
+        assert pg.is_prime(n) == isprime(n), n
+    with pytest.raises(OrderCapExceeded):
+        pg.is_prime(pg.PRIME_LIMIT)
+
+
 # -- property-based checks ---------------------------------------------------------------------
 
 perm_images = st.permutations(range(5)).map(tuple)

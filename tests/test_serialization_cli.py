@@ -324,13 +324,20 @@ def _system_doc(group_name, prime, **changes):
     (("fusion", "check"), _system_doc("s4", 2, carrier=list(pg.core_p(builtin_group("s4"), 2).members))),
     (("fusion", "check"), {"group": "e16", "p": 2, "mode": "generated", "seed_morphisms": 5}),
     (("fusion", "check"), {"group": "e16", "p": 2, "mode": "generated", "seed_morphisms": None}),
+    (("fusion", "check"), '{"group": "s4", "mode": "from-group", "p": 1' + "0" * 4999 + "}"),
+    (("fusion", "check"), {"group": "s4", "p": pg.PRIME_LIMIT, "mode": "from-group"}),
+    (("fusion", "check", "--normal", "[1" + "0" * 4999 + "]"),
+     {"group": "s4", "p": 2, "mode": "from-group"}),
 ], ids=["system-without-ambient", "system-p-not-prime", "spec-p-not-prime",
         "string-in-generator", "bool-in-generator", "bool-degree",
         "subgroup-spec-not-a-list", "carrier-not-subgroup", "domain-not-subgroup",
-        "iso-outside-carrier", "seed-morphisms-not-a-list", "seed-morphisms-null"])
+        "iso-outside-carrier", "seed-morphisms-not-a-list", "seed-morphisms-null",
+        "spec-p-of-5000-digits", "spec-p-past-the-prime-limit", "subgroup-spec-of-5000-digits"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, doc):
+    # a doc given as text is written as it is: json.dumps cannot write an
+    # int of 5,000 digits, and json.loads cannot read one
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert run_cli(*argv[:2], str(path), *argv[2:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -434,11 +441,12 @@ def test_system_from_dict_parses_each_member_list_once(e16_seeded, monkeypatch):
     ("expected", {"order": 5}),
     ("group", 5), ("models", {"3": 5}), ("named_subgroups", 5),
     ("generated_systems", [{"p": 3, "seed_morphisms": 5}]),
+    ("models", {"1" + "0" * 4999: "groups/c3.json"}), ("primes", [pg.PRIME_LIMIT]),
 ], ids=["primes-string", "primes-composite", "primes-bool", "primes-not-a-list",
         "model-key-not-prime", "generated-not-an-object", "generated-without-p",
         "expected-block-not-an-object", "expected-leaf-not-an-object", "expected-order-not-an-object",
         "group-not-a-path", "model-not-a-path", "named-subgroups-not-an-object",
-        "seeds-not-a-list"])
+        "seeds-not-a-list", "model-key-of-5000-digits", "primes-past-the-prime-limit"])
 def test_verify_malformed_corpus_entry_exit_code(tmp_path, capsys, field, value):
     import shutil
     corpus = tmp_path / "corpus"
@@ -472,6 +480,28 @@ def test_verify_missing_named_subgroup_exit_code(tmp_path, capsys, entry, theore
     assert run_cli("verify", str(corpus), "--theorem", theorem) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and f"{entry}.json" in err
+
+
+def test_large_primes_finish(tmp_path):
+    # 2^61 - 1 is prime; trial division up to its root did not end.  In a
+    # subprocess with a timeout, so that a hang fails the test
+    p = 2**61 - 1
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"group": "s4", "p": p, "mode": "from-group"}))
+    corpus = tmp_path / "corpus"
+    (corpus / "groups").mkdir(parents=True)
+    (corpus / "groups" / "c3.json").write_text((CORPUS / "groups" / "c3.json").read_text())
+    doc = json.loads((CORPUS / "c3.json").read_text())
+    doc["primes"].append(p)
+    (corpus / "c3.json").write_text(json.dumps(doc))
+    out = []
+    for argv in (["fusion", "check", str(spec)], ["verify", str(corpus)]):
+        proc = subprocess.run([sys.executable, "-m", "fuskit.cli", *argv],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert json.loads(out[0])["p"] == p
+    assert out[1].endswith(" 0 failures\n")
 
 
 def test_cli_check_without_automorphisms_of_the_carrier(tmp_path):
