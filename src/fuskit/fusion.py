@@ -217,6 +217,13 @@ def pushed(F: PreFusionSystem, m) -> Iterator[Triple]:
     return (pg.pushed_images(members[q], imgs, m) for q, _, imgs in F.triples())
 
 
+def carries(D: PreFusionSystem, m, E: PreFusionSystem) -> bool:
+    """Whether the push of D's stored isos through the element map m is
+    exactly E's; every iso is pushed first, so one that induces no map raises."""
+    got = set(pushed(D, m))
+    return len(got) == E.iso_count() and all(imgs in E.images(q, r) for q, r, imgs in got)
+
+
 def restrictor(over: int, xs: Sequence[int]) -> Callable[[Images], Images]:
     """The map from the images of a map out of the subgroup mask ``over``
     to the images of its restriction to xs, members of it in order."""
@@ -276,12 +283,10 @@ def validate_hom(h: GroupHom):
 
 
 def generated_on(carrier: Subgroup, p: int, seeds: Sequence[GroupHom] = (),
-                 base: Optional[dict] = None,
                  provenance: str = "generated", triples: Iterable[Triple] = ()) -> FusionSystem:
     """Smallest fusion system on the carrier containing its conjugation maps,
-    the seed isomorphisms (as isos onto their images), the base maps (a
-    table of GroupHoms) and the isos given as (domain mask, image mask,
-    images) triples.
+    the seed isomorphisms (as isos onto their images) and the isos given as
+    (domain mask, image mask, images) triples.
 
     That system is the set of composites of restrictions of the given maps and
     of their inverses (Aschbacher, Kessar and Oliver, Part I, I.1).  A
@@ -318,7 +323,7 @@ def generated_on(carrier: Subgroup, p: int, seeds: Sequence[GroupHom] = (),
             add(Q.mask, m, pg.mask_of(m.values()))
 
     seeded = [(h.domain.mask, h.image_mask, h.images) for h in seeds]
-    for q, _, imgs in chain(PreFusionSystem(carrier, p, base or {}).triples(), seeded, triples):
+    for q, _, imgs in chain(seeded, triples):
         # with its inverse, restricted to every subgroup
         D = Subgroup(G, q)
         hm = dict(zip(D.members, imgs))
@@ -523,6 +528,8 @@ def aut_realization(F: PreFusionSystem, Q: Subgroup) -> AutRealization:
 @memo("aut_real")
 def _aut_realization(F: PreFusionSystem, Q: Subgroup) -> AutRealization:
     members = Q.members
+    if members not in F.images(Q.mask, Q.mask):
+        raise MorphismNotInSystem(f"the identity of a subgroup of order {Q.order} is not stored")
     pos = {x: i for i, x in enumerate(members)}
     perms = {imgs: pg.Perm(tuple(map(pos.__getitem__, imgs)))
              for imgs in sorted(F.images(Q.mask, Q.mask))}

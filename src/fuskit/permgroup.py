@@ -424,6 +424,8 @@ def group_from_generators(degree: int, gens: Sequence, name: str = "G") -> Group
     if degree < 1:
         raise NotAPermutation("degree must be at least 1")
     cap = order_cap()
+    if degree > cap:  # before the identity of that degree is built
+        raise OrderCapExceeded(f"degree {degree} exceeds cap {cap}")
     perms = [Perm.checked(g.images if isinstance(g, Perm) else g, degree) for g in gens]
     key = (degree, name, tuple(g.images for g in perms))
     G = _GROUPS.get(key)
@@ -1203,7 +1205,7 @@ def isomorphisms_between(A: Subgroup, B: Subgroup) -> list[GroupHom]:
     if A.order != B.order or _order_histogram(A) != _order_histogram(B):
         return []
     got = _IsoSearch(A, B, A.generating_ids()).first(0, 1)
-    return [] if got is None else [got]
+    return [] if got is None else [GroupHom(A, B, got, B.mask)]
 
 
 class _IsoSearch:
@@ -1217,7 +1219,7 @@ class _IsoSearch:
 
     def __init__(self, A: Subgroup, B: Subgroup, gens: Sequence[int]):
         GA, GB = A.parent, B.parent
-        self.A, self.B, self.gens = A, B, gens
+        self.A, self.gens = A, gens
         self.levels = _cayley_levels(GA, gens)
         self.rows = GB.rows()
         self.img = list(range(GA.order))
@@ -1232,11 +1234,11 @@ class _IsoSearch:
         self.gen_img[k] = y
         return _extend_level(self.levels[k], self.img, self.gen_img, self.rows, used)
 
-    def first(self, k: int, used: int) -> Optional[GroupHom]:
-        """The first isomorphism found that agrees with img on <gens[:k]>,
-        whose images have the mask used."""
+    def first(self, k: int, used: int) -> Optional[tuple[int, ...]]:
+        """The images of A.members under the first isomorphism found that
+        agrees with img on <gens[:k]>, whose images have the mask used."""
         if k == len(self.gens):
-            return GroupHom(self.A, self.B, map(self.img.__getitem__, self.A.members), self.B.mask)
+            return tuple(map(self.img.__getitem__, self.A.members))
         for y in self.candidates[k]:
             if not (used >> y) & 1:
                 u = self.extend(k, y, used)
@@ -1247,10 +1249,10 @@ class _IsoSearch:
         return None
 
 
-def isomorphism_search(G: Group, H: Group, cap: int = DEFAULT_ISO_CAP) -> Optional[GroupHom]:
+def isomorphism_search(G: Group, H: Group) -> Optional[GroupHom]:
     """An isomorphism G -> H if one exists (deterministic), else None."""
-    if G.order > cap or H.order > cap:
-        raise OrderCapExceeded(f"isomorphism search capped at order {cap}")
+    if G.order > DEFAULT_ISO_CAP or H.order > DEFAULT_ISO_CAP:
+        raise OrderCapExceeded(f"isomorphism search capped at order {DEFAULT_ISO_CAP}")
     if G.order != H.order:
         return None
     res = isomorphisms_between(G.full_subgroup(), H.full_subgroup())
@@ -1298,7 +1300,7 @@ def _chain_gens(Q: Subgroup) -> tuple[int, ...]:
 
 
 @memo("aut_chain")
-def _aut_chain(Q: Subgroup) -> tuple[tuple[GroupHom, ...], ...]:
+def _aut_chain(Q: Subgroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The transversals T_0..T_{k-1} of the stabilizer chain of Aut(Q) along
     _chain_gens(Q).  Cached.
 
@@ -1331,22 +1333,26 @@ def _aut_chain(Q: Subgroup) -> tuple[tuple[GroupHom, ...], ...]:
     return tuple(chain)
 
 
-def automorphisms(Q: Subgroup) -> list[GroupHom]:
-    """All automorphisms of Q, sorted by hom_key.
+def aut_images(Q: Subgroup) -> list[tuple[int, ...]]:
+    """All automorphisms of Q as the images of Q.members, sorted.
 
     Listed bottom-up from the stabilizer chain (see _aut_chain): each
     element of A_i is "a then t" for exactly one a in A_{i+1} and one t in
     T_i or the identity, as the cosets of A_{i+1} in A_i match the images
     of g_i.  So no automorphism is searched for, and none is listed twice.
-    A product is one map of t over the images of a, in member space.  Every
-    hom has domain Q and image Q, so hom_key orders them as their images.
+    A product is one map of t over the images of a, in member space.
     """
     auts = [Q.members]
     for T in reversed(_aut_chain(Q)):
-        maps = [dict(zip(Q.members, t.images)).__getitem__ for t in T]
+        maps = [dict(zip(Q.members, t)).__getitem__ for t in T]
         auts += [tuple(map(m, a)) for m in maps for a in auts]  # the old auts: A_{i+1}
     auts.sort()
-    return [GroupHom(Q, Q, a, Q.mask) for a in auts]
+    return auts
+
+
+def automorphisms(Q: Subgroup) -> list[GroupHom]:
+    """All automorphisms of Q, sorted by hom_key, which orders them as their images."""
+    return [GroupHom(Q, Q, a, Q.mask) for a in aut_images(Q)]
 
 
 def automorphism_generators(Q: Subgroup) -> list[GroupHom]:
@@ -1354,7 +1360,7 @@ def automorphism_generators(Q: Subgroup) -> list[GroupHom]:
     transversal elements of its stabilizer chain (see _aut_chain), which
     generate it since A_i is A_{i+1} followed by T_i or the identity, and
     A_k = 1."""
-    return [t for T in _aut_chain(Q) for t in T]
+    return [GroupHom(Q, Q, t, Q.mask) for T in _aut_chain(Q) for t in T]
 
 
 def characteristic_subgroups(Q: Subgroup) -> list[Subgroup]:
@@ -1365,7 +1371,7 @@ def characteristic_subgroups(Q: Subgroup) -> list[Subgroup]:
     of S, so a(S) <= S gives a(S) = S, and the automorphisms that fix S form
     a subgroup of Aut(Q), which holds Aut(Q) once it holds its generators.
     """
-    auts = [a.mapping for a in automorphism_generators(Q)]
+    auts = [dict(zip(Q.members, t)) for T in _aut_chain(Q) for t in T]
     out = []
     for S in subgroups_of(Q):
         gens = S.generating_ids()

@@ -3,8 +3,8 @@ closure transfer to quotients, and the isomorphism-theorem verifiers.
 
 Quotient carriers are always realized explicitly by the coset action of the
 carrier, read off its parent's table, and every comparison between systems
-on quotients is made by transporting along an explicitly constructed group
-isomorphism; nothing is identified "by name".
+on quotients pushes isos along an explicitly constructed map of carriers
+(``fusion.carries``); nothing is identified "by name".
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import (
 from .fusion import (
     FusionSystem,
     PreFusionSystem,
+    carries,
     generated_on,
     is_saturated,
     is_strongly_closed,
@@ -259,7 +260,7 @@ def _canonical_iso(A: Subgroup, B: Subgroup, xs, to_a, to_b) -> Optional[dict[in
 @memo("pushes_to_factor")
 def _pushes_to_factor(E: PreFusionSystem, K: Subgroup) -> bool:
     """Is the push of all of E through the projection of E/K equal to E/K?"""
-    return set(pushed(E, _quotient_parts(E, K).proj)) == set(factor_system(E, K).triples())
+    return carries(E, _quotient_parts(E, K).proj, factor_system(E, K))
 
 
 def verify_second_iso(F: FusionSystem, Q: Subgroup, E: FusionSystem) -> bool:
@@ -299,7 +300,7 @@ def verify_third_iso(F: FusionSystem, Q: Subgroup, R: Subgroup) -> bool:
     members = F.carrier.members
     theta = _canonical_iso(f2.carrier, fr.carrier, members,
                            {x: proj2[proj1[x]] for x in members}, proj3)
-    return theta is not None and set(pushed(f2, theta)) == set(fr.triples())
+    return theta is not None and carries(f2, theta, fr)
 
 
 def local_determination_holds(F: FusionSystem, Q: Subgroup) -> bool:

@@ -203,6 +203,7 @@ def system_from_dict(d: dict) -> PreFusionSystem:
     G = group_from_dict(d["ambient"])
     carrier = Subgroup(G, _member_mask(G, d["carrier"]))
     _require(G.subgroup_of(carrier.members).mask == carrier.mask, "the carrier is not a subgroup")
+    _require(pg._is_p_power(carrier.order, p), f"the carrier's order is not a power of {p}")
     _require(isinstance(d["isos"], list), "field 'isos' must be a list")
     subgroups: dict[tuple[int, ...], Subgroup] = {}  # a member list -> its subgroup
 

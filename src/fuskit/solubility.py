@@ -10,7 +10,7 @@ from typing import Optional
 from . import permgroup as pg
 from .closure import o_p
 from .errors import InvariantViolation, NotSaturated, OrderCapExceeded, SylowMismatch
-from .fusion import FusionSystem, fusion_from_group, generated_on, is_saturated, same_system, transport
+from .fusion import FusionSystem, carries, fusion_from_group, generated_on, is_saturated, same_system
 from .permgroup import Group, Subgroup, memo
 from .quotients import _preimage_subgroup, _quotient_parts, factor_parts
 from .subsystems import centralizer_system, normalizer_system
@@ -73,16 +73,12 @@ def is_model(G: Group, F: FusionSystem) -> bool:
     if not pg.centralizer(G.full_subgroup(), core) <= core:
         return False
     FG = fusion_from_group(G, p)
-    if same_system(transport(FG, first[0]), F):
+    theta0 = first[0].mapping
+    if carries(FG, theta0, F):
         return True
-    theta0 = first[0]
-    for alpha in pg.automorphisms(P):
-        theta = alpha.then(theta0)
-        if theta.images == theta0.images:  # both are defined on P
-            continue
-        if same_system(transport(FG, theta), F):
-            return True
-    return False
+    # theta = alpha then theta0, for alpha in Aut(P) other than the identity
+    return any(carries(FG, dict(zip(P.members, map(theta0.__getitem__, a))), F)
+               for a in pg.aut_images(P) if a != P.members)
 
 
 def qd_group(p: int) -> Group:

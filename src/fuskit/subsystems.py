@@ -17,14 +17,13 @@ from .fusion import (
     PreFusionSystem,
     _conjugation_table,
     aut_realization,
+    carries,
     extensions_on,
     is_saturated,
     is_strongly_closed,
     pushed,
     restricted_to,
-    same_system,
     stored_in,
-    transport,
 )
 from .permgroup import GroupHom, Subgroup, cached, memo
 
@@ -72,7 +71,7 @@ def normalizer_system(F: FusionSystem, Q: Subgroup) -> FusionSystem:
 
 
 def centralizer_system(F: FusionSystem, Q: Subgroup) -> FusionSystem:
-    return k_normalizer_system(F, Q, [GroupHom.identity(Q)])
+    return _k_normalizer(F, Q, aut_realization(F, Q).group.trivial_subgroup())
 
 
 def _require_strongly_closed(F: FusionSystem, Q: Subgroup):
@@ -90,20 +89,14 @@ def is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
     return cached(E, "invariant", id(f_memo), lambda: (f_memo, _is_invariant(F, E)))[1]
 
 
-def _moves_into(E: PreFusionSystem, D: PreFusionSystem, m) -> bool:
-    """Whether the push of every stored iso of D through the element map m
-    is stored in E."""
-    return all(imgs in E.images(q, r) for q, r, imgs in pushed(D, m))
-
-
 def _is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
     Q = E.carrier
     _require_strongly_closed(F, Q)
     for S in pg.subgroups_of(Q):
         inside = restricted_to(E, S)  # the isos of E inside S
-        for psi in chain(*F.store.get(S.mask, {}).values()):
-            if not _moves_into(E, inside, dict(zip(S.members, psi))):
-                return False
+        if not all(imgs in E.images(q, r) for psi in chain(*F.store.get(S.mask, {}).values())
+                   for q, r, imgs in pushed(inside, dict(zip(S.members, psi)))):
+            return False
     return True
 
 
@@ -124,9 +117,11 @@ def is_frattini(F: FusionSystem, E: PreFusionSystem) -> bool:
     return True
 
 
-def aut_f_acts_on(E: PreFusionSystem, alphas: Iterable[GroupHom]) -> bool:
-    """Each alpha must send every morphism of E to a morphism of E."""
-    return all(_moves_into(E, E, alpha.mapping) for alpha in alphas)
+def aut_f_acts_on(F: PreFusionSystem, E: PreFusionSystem) -> bool:
+    """Whether each alpha in Aut_F(Q), Q the carrier of E, sends the isos of E
+    into those of E: being injective on isos, the push is then onto them."""
+    Q = E.carrier
+    return all(carries(E, dict(zip(Q.members, a)), E) for a in F.images(Q.mask, Q.mask))
 
 
 def is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:
@@ -139,11 +134,9 @@ def is_characteristic(F: FusionSystem, E: FusionSystem) -> bool:
     if not is_normal_subsystem(F, E):
         raise NotNormal("E is not a normal subsystem of F")
     P = F.carrier
-    for alpha in pg.automorphisms(P):
-        if not same_system(transport(F, alpha), F):
-            continue
-        if pg.mask_image(alpha.mapping, E.carrier.mask) != E.carrier.mask:
-            return False
-        if not same_system(transport(E, alpha.restriction(E.carrier)), E):
+    for a in pg.aut_images(P):
+        m = dict(zip(P.members, a))
+        # a moved carrier fails too: a saturated E stores its carrier's identity
+        if carries(F, m, F) and not carries(E, m, E):
             return False
     return True

@@ -43,8 +43,7 @@ def test_the_order_cap_is_the_only_environment_read():
 
 def test_the_order_cap_has_no_per_call_override():
     # FUSKIT_ORDER_CAP alone sets the cap: order_cap takes no parameter, and
-    # no function takes a cap but isomorphism_search, whose own cap guards a
-    # public entry point and is threaded nowhere
+    # no function takes a cap (isomorphism_search reads DEFAULT_ISO_CAP)
     with_cap = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -57,7 +56,7 @@ def test_the_order_cap_has_no_per_call_override():
                 assert names == [], f"{path.name}:{node.lineno}"
             if "cap" in names:
                 with_cap.append((path.name, getattr(node, "name", "<lambda>")))
-    assert with_cap == [("permgroup.py", "isomorphism_search")]
+    assert with_cap == []
 
 
 def test_only_the_output_boundary_and_the_oracles_read_pairs():
@@ -127,3 +126,26 @@ def test_every_memo_table_is_declared_once_through_memo():
                 names.append(node.args[at].value)
     assert sorted(callers) == [("permgroup.py", "memo"), ("subsystems.py", "is_invariant")]
     assert len(names) > 30 and len(set(names)) == len(names), sorted(names)
+
+
+def test_automorphisms_act_as_image_tuples():
+    # inside the package an automorphism or isomorphism is the tuple of its
+    # images, and a system is moved by pushing its isos (fusion.carries):
+    # the GroupHom lists of Aut(Q), Aut_F(Q) and Iso_F(Q, R) and the
+    # transported system are public answers, built inside the package only
+    # by PreFusionSystem.aut and closure.alperin_generators
+    homs = {"automorphisms", "automorphism_generators", "transport"}
+    callers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        func = {}  # the innermost function around each node
+        for f in ast.walk(tree):
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func.update((id(n), f.name) for n in ast.walk(f) if n is not f)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    _called(node) in homs or isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("aut", "isos")):
+                callers.add((path.name, func.get(id(node)), _called(node)))
+    assert callers == {("fusion.py", "aut", "isos"),
+                       ("closure.py", "alperin_generators", "aut")}, callers

@@ -671,13 +671,14 @@ def test_conjugation_hom(groups):
 
 # -- isomorphism search ----------------------------------------------------------------------
 
-def test_isomorphism_search(groups):
+def test_isomorphism_search(groups, monkeypatch):
     assert pg.isomorphism_search(groups["qd2"], groups["s4"]) is not None
     assert pg.isomorphism_search(groups["d8"], groups["q8"]) is None
     auto = pg.isomorphism_search(groups["s4"], groups["s4"])
     assert auto is not None and auto.is_identity_map()
+    monkeypatch.setattr(pg, "DEFAULT_ISO_CAP", 100)  # the guard reads it when called
     with pytest.raises(OrderCapExceeded):
-        pg.isomorphism_search(groups["a6"], groups["a6"], cap=100)
+        pg.isomorphism_search(groups["a6"], groups["a6"])
 
 
 def test_isomorphism_is_multiplicative(groups):

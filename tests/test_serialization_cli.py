@@ -310,6 +310,12 @@ def _system_doc(group_name, prime, **changes):
     return {k: v for k, v in doc.items() if v is not None}
 
 
+def _s4_doc_without_isos_on_the_carrier():
+    # a "fusion" document that does not store the identity of its carrier
+    doc = _system_doc("s4", 2)
+    return dict(doc, isos=[iso for iso in doc["isos"] if len(iso["domain"]) != 8])
+
+
 @pytest.mark.parametrize("argv, doc", [
     (("fusion", "check"), _system_doc("s4", 2, ambient=None)),
     (("fusion", "check"), _system_doc("s4", 2, p=4)),
@@ -328,11 +334,15 @@ def _system_doc(group_name, prime, **changes):
     (("fusion", "check"), {"group": "s4", "p": pg.PRIME_LIMIT, "mode": "from-group"}),
     (("fusion", "check", "--normal", "[1" + "0" * 4999 + "]"),
      {"group": "s4", "p": 2, "mode": "from-group"}),
+    (("fusion", "check", "--closure"), _s4_doc_without_isos_on_the_carrier()),
+    (("fusion", "check"), _system_doc("s4", 2, p=3)),
+    (("fusion", "check"), _system_doc("s4", 2, carrier=list(range(24)))),
 ], ids=["system-without-ambient", "system-p-not-prime", "spec-p-not-prime",
         "string-in-generator", "bool-in-generator", "bool-degree",
         "subgroup-spec-not-a-list", "carrier-not-subgroup", "domain-not-subgroup",
         "iso-outside-carrier", "seed-morphisms-not-a-list", "seed-morphisms-null",
-        "spec-p-of-5000-digits", "spec-p-past-the-prime-limit", "subgroup-spec-of-5000-digits"])
+        "spec-p-of-5000-digits", "spec-p-past-the-prime-limit", "subgroup-spec-of-5000-digits",
+        "carrier-identity-missing", "carrier-not-a-3-group", "carrier-not-a-2-group"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, doc):
     # a doc given as text is written as it is: json.dumps cannot write an
     # int of 5,000 digits, and json.loads cannot read one
@@ -341,6 +351,23 @@ def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, doc):
     assert run_cli(*argv[:2], str(path), *argv[2:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_huge_degree_is_refused_before_it_is_allocated(tmp_path):
+    # the identity permutation of 10^8 points would take several GB: the
+    # degree is checked against the order cap first, so under a 1 GiB
+    # address-space limit the CLI exits 2 with one line, not a MemoryError
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"name": "X", "degree": 100_000_000, "generators": []}))
+    proc = subprocess.run([sys.executable, "-m", "fuskit.cli", "group", "info", str(path)],
+                          capture_output=True, text=True, timeout=10, preexec_fn=limit)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_stored_iso_outside_the_carrier_is_rejected():

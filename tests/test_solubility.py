@@ -195,3 +195,40 @@ def test_theorem_f_instances(s4_system, groups):
     real3 = fz.aut_realization(F3, cl.o_p(F3))
     assert real3.group.order == 24
     assert sol.group_is_p_soluble(real3.group, 3)
+
+
+def _model_by_transport(G, F):
+    """is_model as it was written with a transported system per
+    identification of the Sylow subgroup with the carrier: the reference for
+    the push test."""
+    P = pg.sylow(G, F.p)
+    theta0 = pg.isomorphisms_between(P, F.carrier)[0]
+    if pg.core_pprime(G, F.p).order != 1:
+        return False
+    core = pg.core_p(G, F.p)
+    if not pg.centralizer(G.full_subgroup(), core) <= core:
+        return False
+    FG = fz.fusion_from_group(G, F.p)
+    return any(fz.same_system(fz.transport(FG, alpha.then(theta0)), F)
+               for alpha in pg.automorphisms(P))
+
+
+def test_is_model_agrees_with_transport(corpus_entries):
+    # every corpus model against every conjugation system whose carrier is
+    # isomorphic to its Sylow subgroup: the corpus pairs, and mismatched
+    # ones such as d8 against s4@2 and s4 against d8@2
+    systems = [(name, p, fz.fusion_from_group(entry.load_group(), p))
+               for name, entry in sorted(corpus_entries.items()) for p in entry.primes]
+    models = {(name, p): entry.load_model(p) for name, entry in sorted(corpus_entries.items())
+              for p in entry.models}
+    seen = {}
+    for (model_of, p), M in models.items():
+        for name, q, F in systems:
+            if q != p or not pg.isomorphisms_between(pg.sylow(M, p), F.carrier):
+                continue
+            got = sol.is_model(M, F)
+            assert got == _model_by_transport(M, F), (M.name, name, p)
+            seen[(model_of, name, p)] = got
+    assert all(seen[(name, name, p)] for name, p in models)  # each realizes its own system
+    assert seen[("d8", "s4", 2)] is False and seen[("s4", "d8", 2)] is False
+    assert len(seen) == 50 and sum(not v for v in seen.values()) == 21, seen

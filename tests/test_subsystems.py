@@ -4,7 +4,8 @@ from fuskit import closure as cl
 from fuskit import fusion as fz
 from fuskit import permgroup as pg
 from fuskit import subsystems as ss
-from fuskit.errors import CarrierNotStronglyClosed, NotASubgroupOfAut, NotNormal
+from fuskit.corpus import builtin_group
+from fuskit.errors import CarrierNotStronglyClosed, FuskitError, NotASubgroupOfAut, NotNormal
 
 
 def other_klein(F, v4):
@@ -103,14 +104,14 @@ def test_frattini_fails_for_inner_in_seeded(e16_seeded):
     # even though conjugating inclusions stays inside the inner system; the
     # invariance/Frattini equivalence genuinely needs saturation
     assert not ss.is_frattini(e16_seeded, inner)
-    assert ss.aut_f_acts_on(inner, e16_seeded.aut(P))
+    assert ss.aut_f_acts_on(e16_seeded, inner)
     assert ss.is_invariant(e16_seeded, inner)
 
 
 def test_aut_f_acts_on(s4_system, v4):
     inner = ss.inner_system(v4, 2)
-    assert ss.aut_f_acts_on(inner, s4_system.aut(v4))
-    assert ss.aut_f_acts_on(inner, inner.aut(v4))
+    assert ss.aut_f_acts_on(s4_system, inner)
+    assert ss.aut_f_acts_on(inner, inner)
 
 
 def test_invariant_iff_acts_and_frattini(s4_system, a6_system):
@@ -121,7 +122,7 @@ def test_invariant_iff_acts_and_frattini(s4_system, a6_system):
                 continue
             E = ss.inner_system(Q, 2)
             lhs = ss.is_invariant(F, E)
-            rhs = ss.aut_f_acts_on(E, F.aut(Q)) and ss.is_frattini(F, E)
+            rhs = ss.aut_f_acts_on(F, E) and ss.is_frattini(F, E)
             assert lhs == rhs
 
 
@@ -161,3 +162,41 @@ def test_characteristic_requires_normal(s4_system, v4):
     t = other_klein(s4_system, v4)
     with pytest.raises((NotNormal, CarrierNotStronglyClosed)):
         ss.is_characteristic(s4_system, ss.inner_system(t, 2))
+
+
+def _characteristic_by_transport(F, E):
+    """is_characteristic as it was written with a transported system per
+    automorphism of the carrier: the reference for the push test."""
+    if not ss.is_normal_subsystem(F, E):
+        raise NotNormal("E is not a normal subsystem of F")
+    for alpha in pg.automorphisms(F.carrier):
+        if not fz.same_system(fz.transport(F, alpha), F):
+            continue
+        if pg.mask_image(alpha.mapping, E.carrier.mask) != E.carrier.mask:
+            return False
+        if not fz.same_system(fz.transport(E, alpha.restriction(E.carrier)), E):
+            return False
+    return True
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except FuskitError as exc:
+        return type(exc)
+
+
+def test_characteristic_agrees_with_transport():
+    # every inner subsystem of ten systems, exceptions included: 111 pairs
+    systems = [("s4", 2), ("d8", 2), ("d8xc2", 2), ("q8", 2), ("c4xc2", 2), ("sl23", 2),
+               ("a6", 2), ("a4", 2), ("qd3", 3), ("s3", 3)]
+    outcomes = []
+    for name, p in systems:
+        F = fz.fusion_from_group(builtin_group(name), p)
+        for Q in F.subgroups():
+            E = ss.inner_system(Q, p)
+            got = _outcome(ss.is_characteristic, F, E)
+            assert got == _outcome(_characteristic_by_transport, F, E), (name, Q.order)
+            outcomes.append(got)
+    assert len(outcomes) == 111
+    assert {True, False, NotNormal, CarrierNotStronglyClosed} <= set(outcomes)
