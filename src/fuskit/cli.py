@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import closure as cl
@@ -125,10 +126,8 @@ def _cmd_fusion_check(args) -> int:
             out["thompson_factorization"] = sol.thompson_factorization_holds(F)
     except NotSaturated as exc:
         out["error"] = f"not saturated: {exc}"
-        print(canonical_json(out), end="")
-        return 1
     print(canonical_json(out), end="")
-    return 0
+    return 1 if "error" in out else 0
 
 
 def _cmd_quotient(args) -> int:
@@ -224,14 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FuskitError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:  # shown only if the command succeeds
+        try:
+            code = args.func(args)
+        except (ParseError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except FuskitError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
 
 
 if __name__ == "__main__":

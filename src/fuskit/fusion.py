@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import permgroup as pg
 from .errors import (
@@ -60,7 +60,7 @@ class PreFusionSystem:
     package pass (domain mask, image mask, images) ``triples`` instead.
 
     Equal systems share one memo.  Every memo table a system owns (``norm``,
-    ``cent``, ``class``, ``fully_normalized``, ``strongly_closed``,
+    ``cent``, ``aut_p``, ``class``, ``fully_normalized``, ``strongly_closed``,
     ``saturated``, ``aut_real``, ``fnrc``, ``normal_subgroup``, ``o_p``,
     ``z_f``, ``quotient_parts``, ``factor_system``, ``bar_system``,
     ``generated_bar``, ``pushes_to_factor``, ``is_fusion``, ``k_normalizer``,
@@ -417,40 +417,43 @@ def n_phi(F: PreFusionSystem, phi: GroupHom) -> Subgroup:
     return _n_phi(F, phi.domain.mask, phi.image_mask, phi.images)
 
 
+@memo("aut_p")
+def aut_p(F: PreFusionSystem, Q: Subgroup) -> dict[Images, int]:
+    """Aut_P(Q), P the carrier: each automorphism of Q by conjugation in P,
+    as the images of Q.members, mapped to the mask of the x in N_P(Q) that
+    induce it.  These masks are the fibres, the cosets of C_P(Q) in N_P(Q)."""
+    fibres: dict[Images, int] = {}
+    for x in F.normalizer_in_carrier(Q).members:
+        c = tuple(map(F.parent.conj_map(x).__getitem__, Q.members))
+        fibres[c] = fibres.get(c, 0) | 1 << x
+    return fibres
+
+
 def _n_phi(F: PreFusionSystem, q: int, r: int, imgs: Images) -> Subgroup:
-    """N_phi for the stored iso phi with these masks and images, unchecked."""
+    """N_phi for the stored iso phi with these masks and images, unchecked.
+
+    Whether phi c_x phi^-1 lies in Aut_P(R) depends only on c_x, so N_phi is
+    the sum of the fibres c of ``aut_p(F, Q)`` whose conjugate through phi,
+    phi(y) -> phi(c(y)) read over R.members, is a key of ``aut_p(F, R)``."""
     G = F.parent
-    Q = Subgroup(G, q)
-    NQ = F.normalizer_in_carrier(Q)
-    NR = F.normalizer_in_carrier(Subgroup(G, r))
-    # phi c_x phi^-1 = c_y on R exactly when phi(c_x(q)) = c_y(phi(q)) for
-    # every q in Q: both sides are read as tuples over Q.members
-    aut_p_r = {tuple(map(G.conj_map(y).__getitem__, imgs)) for y in NR.members}
-    fm = dict(zip(Q.members, imgs)).__getitem__
-    mask = 0
-    for x in NQ.members:
-        if tuple(map(fm, map(G.conj_map(x).__getitem__, Q.members))) in aut_p_r:
-            mask |= 1 << x
-    return Subgroup(G, mask)
+    fm = dict(zip(Subgroup(G, q).members, imgs)).__getitem__
+    back = sorted(range(len(imgs)), key=imgs.__getitem__)  # R.members = phi(Q.members[back])
+    aut_r = aut_p(F, Subgroup(G, r))
+    return Subgroup(G, sum(xs for c, xs in aut_p(F, Subgroup(G, q)).items()  # disjoint fibres
+                           if tuple([fm(c[i]) for i in back]) in aut_r))
 
 
 @memo("saturated")
 def is_saturated(F: FusionSystem) -> bool:
     """Both saturation axioms, checked exhaustively.
 
-    (1) the carrier-conjugation automorphisms of P form the full p-part of
-        Aut_F(P), and
+    (1) |Aut_P(P)|, a power of p, divides |Aut_F(P)| with a quotient
+        prime to p (0 is not): Aut_P(P) is a Sylow p-subgroup, and
     (2) every iso with fully normalized image extends to its N_phi.
     """
     P = F.carrier
-    n = len(F.images(P.mask, P.mask))
-    if not n:  # not even the identity of P: the Sylow axiom fails
-        return False
-    p_part = 1
-    while n % F.p == 0:
-        p_part *= F.p
-        n //= F.p
-    if p_part != P.order // pg.center(P).order:  # |Inn(P)| = |P : Z(P)|
+    n, m = len(F.images(P.mask, P.mask)), len(aut_p(F, P))
+    if n % m or n // m % F.p == 0:
         return False
     G = F.parent
     for q, r, imgs in F.triples():
@@ -530,14 +533,10 @@ def _aut_realization(F: PreFusionSystem, Q: Subgroup) -> AutRealization:
     members = Q.members
     if members not in F.images(Q.mask, Q.mask):
         raise MorphismNotInSystem(f"the identity of a subgroup of order {Q.order} is not stored")
-    pos = {x: i for i, x in enumerate(members)}
-    perms = {imgs: pg.Perm(tuple(map(pos.__getitem__, imgs)))
-             for imgs in sorted(F.images(Q.mask, Q.mask))}
-    grp = Group._from_elements(max(len(members), 1), perms.values(), f"Aut({Q.order})")
-    images: list[Optional[Images]] = [None] * grp.order
-    for imgs, perm in perms.items():
-        images[grp.index_of(perm)] = imgs
-    G = F.parent
-    inner = (tuple(map(G.conj_map(g).__getitem__, members)) for g in members)
-    inn_mask = 1 | pg.mask_of(grp.index_of(perms[c]) for c in inner if c in perms)
-    return AutRealization(grp, Q, tuple(images), Subgroup(grp, inn_mask))
+    pos = {x: i for i, x in enumerate(members)}  # monotone: Perms sort as their images
+    images = tuple(sorted(F.images(Q.mask, Q.mask)))  # so element id i of grp is images[i]
+    perms = [pg.Perm(tuple(map(pos.__getitem__, imgs))) for imgs in images]
+    grp = Group._from_elements(max(len(members), 1), perms, f"Aut({Q.order})")
+    fibres = aut_p(F, Q)
+    inn_mask = 1 | pg.mask_of(i for i, c in enumerate(images) if fibres.get(c, 0) & Q.mask)
+    return AutRealization(grp, Q, images, Subgroup(grp, inn_mask))

@@ -16,6 +16,7 @@ from .fusion import (
     FusionSystem,
     PreFusionSystem,
     _conjugation_table,
+    aut_p,
     aut_realization,
     carries,
     extensions_on,
@@ -54,16 +55,13 @@ def _k_normalizer(F: FusionSystem, Q: Subgroup, K: Subgroup) -> FusionSystem:
     """The K-normalizer for K a subgroup of the realization of Aut_F(Q),
     which F's memo holds: so K's mask keys the entry."""
     real = aut_realization(F, Q)
-    qmem = Q.members
-    k_images = {real.images[i] for i in K.members} | {qmem}  # with the identity
-    G = F.parent
-    n_mask = pg.mask_of(g for g in F.normalizer_in_carrier(Q).members
-                        if tuple(map(G.conj_map(g).__getitem__, qmem)) in k_images)
+    k_images = {real.images[i] for i in K.members} | {Q.members}  # with the identity
+    n_mask = sum(xs for c, xs in aut_p(F, Q).items() if c in k_images)  # disjoint fibres
 
     on_q = extensions_on(F, Q)
     kept = ((r, s, imgs) for r, s, imgs in F.triples()  # inside N_K(Q), extending over Q into K
             if not (r | s) & ~n_mask and any(x in k_images for x in on_q(r, imgs)))
-    return FusionSystem(Subgroup(G, n_mask), F.p, triples=kept)
+    return FusionSystem(Subgroup(F.parent, n_mask), F.p, triples=kept)
 
 
 def normalizer_system(F: FusionSystem, Q: Subgroup) -> FusionSystem:

@@ -353,6 +353,23 @@ def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_failed_command_prints_no_warning(tmp_path):
+    # --closure classifies from the trivial subgroup up: is_normal_subgroup
+    # warns that the system is not saturated before the carrier's missing
+    # identity raises.  Warnings wait for the command, so the error line is
+    # all of stderr; in a subprocess, where no test harness captures them
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_s4_doc_without_isos_on_the_carrier()))
+    argv = [sys.executable, "-m", "fuskit.cli", "fusion", "check", str(path)]
+    proc = subprocess.run([*argv, "--closure"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: MorphismNotInSystem") and proc.stderr.count("\n") == 1
+    # a command that succeeds still shows its warnings
+    proc = subprocess.run([*argv, "--normal", "[[0, 1, 2, 3]]"], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0 and "UserWarning: system is not saturated" in proc.stderr
+
+
 def test_huge_degree_is_refused_before_it_is_allocated(tmp_path):
     # the identity permutation of 10^8 points would take several GB: the
     # degree is checked against the order cap first, so under a 1 GiB
