@@ -64,11 +64,10 @@ class PreFusionSystem:
     ``saturated``, ``aut_real``, ``fnrc``, ``normal_subgroup``, ``o_p``,
     ``z_f``, ``quotient_parts``, ``factor_system``, ``bar_system``,
     ``generated_bar``, ``pushes_to_factor``, ``is_fusion``, ``k_normalizer``,
-    ``knorm``, ``invariant``) holds a function of ``(kind, p, carrier,
-    store)`` alone: none reads ``provenance`` or depends on which object
-    asks.  So on its first memo lookup a system finds its memo by that
-    content key in a weak registry: it adopts the memo of any live twin, or
-    registers a fresh one.
+    ``knorm``) holds a function of ``(kind, p, carrier, store)`` alone: none
+    reads ``provenance`` or depends on which object asks.  So on its first
+    memo lookup a system finds its memo by that content key in a weak
+    registry: it adopts the memo of any live twin, or registers a fresh one.
     The registry holds memos weakly, so it keeps no system alive, and a memo
     lives as long as one of its systems does.
     Groups compare by content, not by name, so twins may sit on distinct

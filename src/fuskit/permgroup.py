@@ -45,33 +45,21 @@ def order_cap() -> int:
     return int(env) if env else DEFAULT_ORDER_CAP
 
 
-# builds per memo table name: one on every miss of ``cached``, hits are not
+# builds per memo table name: one on every miss of ``memo``, hits are not
 # counted; also one per multiplication table composed (``mul_table``) or read
 # off another group's table (``mul_table_read``)
 BUILDS: Counter = Counter()
 
 
-def cached(owner, name: str, key, build, *args):
-    """The memo entry ``owner._caches[name][key]``, computed once as ``build(*args)``.
+def memo(name: str, named: bool = False):
+    """Memoize a function in the table ``name`` of its owner's ``_caches``.
 
     Groups, fusion systems and the verification context each own a
     ``_caches`` dict of named tables.  A group's is its own, since a live
     identity is one object (see ``Group``); a fusion system's is shared with
     its twins, the live systems with the same kind, prime, carrier and table
-    (see ``fusion.PreFusionSystem``).  So a table built here must depend on
-    the group's identity or the system's content alone.
-    """
-    try:
-        return owner._caches[name][key]
-    except KeyError:
-        pass
-    BUILDS[name] += 1
-    got = owner._caches.setdefault(name, {})[key] = build(*args)
-    return got
-
-
-def memo(name: str, named: bool = False):
-    """Memoize a function in the table ``name`` of its owner's ``_caches``.
+    (see ``fusion.PreFusionSystem``).  So a table must depend on the
+    group's identity or the system's content alone.
 
     The owner is the first argument, or its parent group when that is a
     Subgroup.  The key is the tuple of the other arguments with each Subgroup
@@ -93,10 +81,13 @@ def memo(name: str, named: bool = False):
                 key += (a.mask if a.__class__ is Subgroup else a,)
             if named:
                 key += (first.parent.name,)
-            try:  # inline: the hottest tables see 100,000 lookups per verify
+            try:
                 return owner._caches[name][key]
             except KeyError:
-                return cached(owner, name, key, fn, first, *rest)
+                pass
+            BUILDS[name] += 1
+            got = owner._caches.setdefault(name, {})[key] = fn(first, *rest)
+            return got
 
         # no functools.wraps: a __wrapped__ attribute marks a tracer's wrapper
         wrapper.__name__ = fn.__name__
@@ -1054,32 +1045,38 @@ def hom_key(h: GroupHom) -> tuple:
 
 def hom_build(domain: Subgroup, codomain: Subgroup,
               gen_images: Sequence[tuple[int, int]]) -> GroupHom:
-    """The unique multiplicative extension of generator images, validated."""
-    GA = domain.parent
+    """The unique multiplicative extension of generator images, validated.
+
+    x*s gets img(x)*t on the first visit of a breadth-first walk from 1 along
+    the (source s, image t) pairs, so each source gets its image.  The map on
+    the subgroup walked is a hom exactly when it sends that subgroup's Cayley
+    edges to Cayley edges."""
     given = {0: 0}
     for s, t in gen_images:
         if s not in domain:
             raise NotASubgroup("generator source outside the domain")
         if given.setdefault(s, t) != t:
             raise NotAHomomorphism("conflicting generator images")
-    gens = [s for s in given if s != 0]
-    gen_img = [given[s] for s in gens]
-    levels = _cayley_levels(GA, gens)
-    rows = codomain.parent.rows()
-    img = [0] * GA.order
-    used = 1
-    for level in levels:
-        used = _extend_level(level, img, gen_img, rows, used, injective=False)
-        if used is None:
-            raise NotAHomomorphism("generator images do not extend multiplicatively")
-    elts = [0] + [b for tree, _ in levels for b, _, _ in tree]
-    if len(elts) != domain.order:
+    mul, rows = domain.parent.mul, codomain.parent.rows()
+    img, walk = {0: 0}, [0]
+    for x in walk:  # walk grows while we walk it
+        for s, t in given.items():
+            y = mul(x, s)
+            if y not in img:
+                img[y] = rows[img[x]][t]
+                walk.append(y)
+    S = Subgroup(domain.parent, mask_of(walk))
+    images = tuple(map(img.__getitem__, S.members))
+    if not maps_cayley_edges(cayley_columns(S), images, codomain.parent):
+        raise NotAHomomorphism("generator images do not extend multiplicatively")
+    if S.mask != domain.mask:
         raise DoesNotGenerate("the listed sources do not generate the domain")
-    if used.bit_count() != len(elts):
+    used = mask_of(images)
+    if used.bit_count() != len(images):
         raise NotInjective("the extension is not injective")
     if used & ~codomain.mask:
         raise ImageEscapesCodomain("image is not contained in the codomain")
-    return GroupHom(domain, codomain, map(img.__getitem__, domain.members), used)
+    return GroupHom(domain, codomain, images, used)
 
 
 @memo("cayley_columns")
@@ -1144,15 +1141,15 @@ def _cayley_levels(G: Group, gens: Sequence[int]) -> list[tuple[list, list]]:
 
 
 def _extend_level(level: tuple[list, list], img: list[int], gen_img: Sequence[int], rows,
-                  used: int, injective: bool = True) -> Optional[int]:
+                  used: int) -> Optional[int]:
     """Extend img over one level of _cayley_levels, given the images of the
     generators, reading products off the codomain's ``rows()``.  Returns the
-    mask of all images so far, or None when a Cayley edge fails or, if
-    injective, an image repeats."""
+    mask of all images so far, or None when an image repeats or a Cayley
+    edge fails."""
     tree, edges = level
     for b, a, j in tree:
         y = img[b] = rows[img[a]][gen_img[j]]
-        if (used >> y) & 1 and injective:
+        if (used >> y) & 1:
             return None
         used |= 1 << y
     for a, j, c in edges:

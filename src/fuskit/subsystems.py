@@ -19,14 +19,13 @@ from .fusion import (
     aut_p,
     aut_realization,
     carries,
+    check_in_carrier,
     extensions_on,
     is_saturated,
     is_strongly_closed,
-    pushed,
-    restricted_to,
     stored_in,
 )
-from .permgroup import GroupHom, Subgroup, cached, memo
+from .permgroup import GroupHom, Subgroup, memo
 
 
 def is_subsystem_of(E: PreFusionSystem, F: PreFusionSystem) -> bool:
@@ -73,28 +72,28 @@ def centralizer_system(F: FusionSystem, Q: Subgroup) -> FusionSystem:
 
 
 def _require_strongly_closed(F: FusionSystem, Q: Subgroup):
+    check_in_carrier(F, Q)
     if not is_strongly_closed(F, Q):
         raise CarrierNotStronglyClosed("the subsystem carrier is not strongly closed")
 
 
 def is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
-    """Stability of E under F-conjugation, checked over all morphism pairs.
-
-    Cached in E's memo, keyed by the id of F's memo: the entry also holds F's
-    memo, so the id cannot pass to another object while the entry lives.  The
-    table sits with E, which is mostly the shorter-lived of the two."""
-    f_memo = F._caches
-    return cached(E, "invariant", id(f_memo), lambda: (f_memo, _is_invariant(F, E)))[1]
-
-
-def _is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
-    Q = E.carrier
-    _require_strongly_closed(F, Q)
-    for S in pg.subgroups_of(Q):
-        inside = restricted_to(E, S)  # the isos of E inside S
-        if not all(imgs in E.images(q, r) for psi in chain(*F.store.get(S.mask, {}).values())
-                   for q, r, imgs in pushed(inside, dict(zip(S.members, psi)))):
-            return False
+    """Stability of E under F-conjugation: every F-iso psi out of a subgroup
+    S of E's carrier sends the isos of E inside S into E.  F must be a fusion
+    system: psi phi psi^-1, for phi: A -> B, reads psi only on A v B, and F
+    holds the restriction to A v B of every psi out of S >= A v B, so each
+    phi is pushed through the isos of F out of A v B alone."""
+    _require_strongly_closed(F, E.carrier)
+    for a, row in E.store.items():
+        A = Subgroup(F.parent, a)
+        for b, images in row.items():
+            S = pg.join(A, Subgroup(F.parent, b))
+            for psi in chain(*F.store.get(S.mask, {}).values()):
+                if psi != S.members:  # the identity sends phi to itself
+                    m = dict(zip(S.members, psi))
+                    if not all(imgs in E.images(q, r) for q, r, imgs in
+                               (pg.pushed_images(A.members, phi, m) for phi in images)):
+                        return False
     return True
 
 
@@ -119,6 +118,7 @@ def aut_f_acts_on(F: PreFusionSystem, E: PreFusionSystem) -> bool:
     """Whether each alpha in Aut_F(Q), Q the carrier of E, sends the isos of E
     into those of E: being injective on isos, the push is then onto them."""
     Q = E.carrier
+    check_in_carrier(F, Q)
     return all(carries(E, dict(zip(Q.members, a)), E) for a in F.images(Q.mask, Q.mask))
 
 

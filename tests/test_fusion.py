@@ -677,10 +677,13 @@ def test_verify_work_bound(verify_run):
     assert calls["automorphisms"] == 0
     assert calls["transport"] == 0
     assert builds["aut_chain"] <= 200
-    # the invariance table is keyed by the memo of F and kept on E's, so
-    # twin systems share its entries: 419 builds (643 when keyed by the
-    # subsystem object, 671 when keyed by F)
-    assert builds["invariant"] <= 450
+    # invariance pushes each iso of E through the isos of F out of the join
+    # of its domain and image, with no system built per subgroup of E's
+    # carrier: one verify builds 1,895 systems and makes 53,108 pushes
+    # (3,807 and 58,253 when every subgroup S got restricted_to(E, S), whose
+    # answers an invariant table, 419 builds, kept per memo of F)
+    assert calls["PreFusionSystem"] <= 2_100
+    assert calls["pushed_images"] <= 58_253
     # an interned group builds its multiplication table once, and a group
     # made while a group with the same elements is live takes that group's
     # tables: 45 are composed, and 49 quotient tables are read off a
@@ -695,9 +698,10 @@ def test_verify_work_bound(verify_run):
     # (fusion.aut_p): 1,416 builds serve the 2,816 N_phi, 271 K-normalizers
     # and 466 Aut_F(Q) realizations, which each built their own tuples before
     assert builds["aut_p"] <= 1_600
-    # no memo table that no workload reads again: 18,620 builds in all,
-    # 17,204 before the aut_p table (19,102 with the centric, radical,
-    # qdp_free and aut_generators tables and the verify's per-record lists)
+    # no memo table that no workload reads again: 18,200 builds in all,
+    # 18,620 with the invariant table, 17,204 before the aut_p table (19,102
+    # with the centric, radical, qdp_free and aut_generators tables and the
+    # verify's per-record lists)
     assert sum(builds.values()) <= 19_000
 
 

@@ -107,24 +107,20 @@ def test_homs_are_pushed_and_built_only_to_make_a_system():
 
 
 def test_every_memo_table_is_declared_once_through_memo():
-    # a table is declared with permgroup.memo, which alone calls cached;
-    # subsystems.is_invariant calls it too, as its key is another system's
-    # memo.  One path counts each table's builds by its name, so no two
+    # a table is declared with permgroup.memo, whose wrapper alone fills it:
+    # no other memo helper (the former permgroup.cached) is defined, imported
+    # or called.  One path counts each table's builds by its name, so no two
     # tables share one
-    callers, names = [], []
+    others, names = [], []
     for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        top = {id(n): f.name for f in tree.body
-               if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in ast.walk(f)}
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or _called(node) not in ("memo", "cached"):
-                continue
-            if _called(node) == "cached":
-                callers.append((path.name, top.get(id(node))))
-            at = 0 if _called(node) == "memo" else 1
-            if len(node.args) > at and isinstance(node.args[at], ast.Constant):
-                names.append(node.args[at].value)
-    assert sorted(callers) == [("permgroup.py", "memo"), ("subsystems.py", "is_invariant")]
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # a def, an import, a name or an attribute called cached
+            if "cached" in (getattr(node, a, None) for a in ("name", "id", "attr")):
+                others.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and _called(node) == "memo":
+                if node.args and isinstance(node.args[0], ast.Constant):
+                    names.append(node.args[0].value)
+    assert others == []
     assert len(names) > 30 and len(set(names)) == len(names), sorted(names)
 
 

@@ -1,11 +1,20 @@
+from itertools import chain
+
 import pytest
 
 from fuskit import closure as cl
 from fuskit import fusion as fz
 from fuskit import permgroup as pg
 from fuskit import subsystems as ss
-from fuskit.corpus import builtin_group
-from fuskit.errors import CarrierNotStronglyClosed, FuskitError, NotASubgroupOfAut, NotNormal
+from fuskit import verify
+from fuskit.corpus import builtin_group, corpus_systems
+from fuskit.errors import (
+    CarrierNotStronglyClosed,
+    FuskitError,
+    NotASubgroup,
+    NotASubgroupOfAut,
+    NotNormal,
+)
 
 
 def other_klein(F, v4):
@@ -126,6 +135,70 @@ def test_invariant_iff_acts_and_frattini(s4_system, a6_system):
             assert lhs == rhs
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except FuskitError as exc:
+        return type(exc)
+
+
+def _invariant_by_subgroups(F, E):
+    """is_invariant as it was written with a system per subgroup S of E's
+    carrier: the isos of E inside S pushed through every F-iso out of S."""
+    Q = E.carrier
+    if not fz.is_strongly_closed(F, Q):
+        raise CarrierNotStronglyClosed("the subsystem carrier is not strongly closed")
+    for S in pg.subgroups_of(Q):
+        inside = fz.restricted_to(E, S)
+        for psi in chain(*F.store.get(S.mask, {}).values()):
+            if not all(imgs in E.images(q, r)
+                       for q, r, imgs in fz.pushed(inside, dict(zip(S.members, psi)))):
+                return False
+    return True
+
+
+def test_invariance_agrees_with_the_per_subgroup_route(corpus_entries):
+    # every shipped system F: the inner system and F's restriction on each
+    # strongly closed Q, and the verify's K-normalizers N_F^K(Q) in N_F(Q)
+    # and in F, where their carriers need not be strongly closed.  The
+    # system on the carrier holding only the identity of Q is invariant
+    # exactly when Q is weakly closed, which F's automorphisms of Q alone
+    # cannot tell
+    pairs = []
+    for rec in corpus_systems(list(corpus_entries.values())):
+        F = rec.system
+        for Q in F.subgroups():
+            only_id = fz.PreFusionSystem(F.carrier, F.p, triples=[(Q.mask, Q.mask, Q.members)])
+            assert ss.is_invariant(F, only_id) == fz.is_weakly_closed(F, Q)
+            pairs.append((F, only_id))
+            if fz.is_strongly_closed(F, Q):
+                pairs += [(F, ss.inner_system(Q, F.p)), (F, fz.restricted_to(F, Q))]
+        if fz.is_saturated(F):
+            pairs += [pair for _, _, nq, nk in verify._knorm_instances(F)
+                      for pair in ((nq, nk), (F, nk))]
+    outcomes = []
+    for F, E in pairs:
+        got = _outcome(ss.is_invariant, F, E)
+        assert got == _outcome(_invariant_by_subgroups, F, E), (F, E)
+        outcomes.append(got)
+    assert len(outcomes) == 1157
+    assert outcomes.count(False) >= 5 and CarrierNotStronglyClosed in outcomes
+
+
+def test_predicates_reject_a_subsystem_outside_the_carrier(s4_system):
+    # t is a transposition outside the Sylow 2-subgroup: <t> is not in the
+    # carrier, so E is no subsystem of F and no predicate may answer
+    F = s4_system
+    G = F.parent
+    t = next(x for x in range(G.order) if G.element_order(x) == 2 and x not in F.carrier)
+    E = ss.inner_system(G.subgroup_of([t]), 2)
+    assert not ss.is_subsystem_of(E, F)
+    for pred in (ss.is_invariant, ss.is_frattini, ss.aut_f_acts_on, ss.is_normal_subsystem,
+                 ss.is_characteristic):
+        with pytest.raises(NotASubgroup):
+            pred(F, E)
+
+
 # -- normal / characteristic --------------------------------------------------------
 
 def test_normal_subsystem(s4_system, v4):
@@ -177,13 +250,6 @@ def _characteristic_by_transport(F, E):
         if not fz.same_system(fz.transport(E, alpha.restriction(E.carrier)), E):
             return False
     return True
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except FuskitError as exc:
-        return type(exc)
 
 
 def test_characteristic_agrees_with_transport():
