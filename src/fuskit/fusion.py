@@ -18,7 +18,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -43,7 +43,13 @@ _NO_ISOS: frozenset[Images] = frozenset()
 
 
 class _Memo(dict):
-    """The named memo tables of a system (a dict subclass, so it can be held weakly)."""
+    """The named memo tables of a system (a dict subclass, so it can be held
+    weakly), numbered from a counter: no two memos get one serial."""
+
+    serials = count()
+
+    def __init__(self):
+        self.serial = next(self.serials)
 
 
 # (kind, p, carrier, store items) -> the memo of the live systems with that content
@@ -64,10 +70,13 @@ class PreFusionSystem:
     ``saturated``, ``aut_real``, ``fnrc``, ``normal_subgroup``, ``o_p``,
     ``z_f``, ``quotient_parts``, ``factor_system``, ``bar_system``,
     ``generated_bar``, ``pushes_to_factor``, ``is_fusion``, ``k_normalizer``,
-    ``knorm``) holds a function of ``(kind, p, carrier, store)`` alone: none
-    reads ``provenance`` or depends on which object asks.  So on its first
-    memo lookup a system finds its memo by that content key in a weak
-    registry: it adopts the memo of any live twin, or registers a fresh one.
+    ``knorm``, ``invariant``, ``aut_f_acts``) holds a function of ``(kind, p,
+    carrier, store)`` and the key alone: none reads ``provenance`` or
+    depends on which object asks.  ``invariant`` and ``aut_f_acts`` read the
+    stores and carriers of the system and of a second one, keyed by that
+    one's memo serial, which stands for its content.  So on its first memo
+    lookup a system finds its memo by that content key in a weak registry:
+    it adopts the memo of any live twin, or registers a fresh one.
     The registry holds memos weakly, so it keeps no system alive, and a memo
     lives as long as one of its systems does.
     Groups compare by content, not by name, so twins may sit on distinct
@@ -104,6 +113,10 @@ class PreFusionSystem:
         if memo is None:
             memo = _MEMOS[key] = _Memo()
         return memo
+
+    @property
+    def memo_key(self) -> int:  # permgroup.memo keys a system argument by it
+        return self._caches.serial
 
     # -- carrier helpers -------------------------------------------------
 
@@ -400,7 +413,9 @@ def is_weakly_closed(F: PreFusionSystem, Q: Subgroup) -> bool:
 
 @memo("strongly_closed")
 def is_strongly_closed(F: PreFusionSystem, Q: Subgroup) -> bool:
-    """No F-morphism carries a subgroup of Q outside Q."""
+    """No F-morphism carries a subgroup of Q outside Q; a Q outside the carrier raises."""
+    if Q.mask & ~F.carrier.mask:
+        raise NotASubgroup("the subgroup does not lie in the carrier")
     outside = ~Q.mask
     return all(r & outside == 0
                for R in pg.subgroups_of(Q) for r in F.store.get(R.mask, _NO_ROW))

@@ -62,14 +62,16 @@ def memo(name: str, named: bool = False):
     group's identity or the system's content alone.
 
     The owner is the first argument, or its parent group when that is a
-    Subgroup.  The key is the tuple of the other arguments with each Subgroup
-    replaced by its mask, after the first argument's mask when that is a
-    Subgroup.  When ``named``, the key ends with the name of the first
-    argument's ``parent``: groups compare by content, not by name, so a
-    value that carries that name (a quotient group's) is kept per name.  The
-    body runs only on a miss, so it may check only what follows from the
-    owner's content and the key; a build that raises stores nothing.
-    Positional arguments only.
+    Subgroup.  The key is the tuple of the other arguments, after the first
+    argument's mask when that is a Subgroup, with each Subgroup replaced by
+    its mask and each fusion system by its ``memo_key``: the serial of its
+    memo, which twins share and no other memo gets, so it stands for the
+    system's content and keeps no system alive.  When ``named``, the key
+    ends with the name of the first argument's ``parent``: groups compare by
+    content, not by name, so a value that carries that name (a quotient
+    group's) is kept per name.  The body runs only on a miss, so it may
+    check only what follows from the owner's content and the key; a build
+    that raises stores nothing.  Positional arguments only.
     """
     def deco(fn):
         def wrapper(first, *rest):
@@ -78,7 +80,7 @@ def memo(name: str, named: bool = False):
             else:
                 owner, key = first, ()
             for a in rest:
-                key += (a.mask if a.__class__ is Subgroup else a,)
+                key += (a.mask if a.__class__ is Subgroup else getattr(a, "memo_key", a),)
             if named:
                 key += (first.parent.name,)
             try:
@@ -203,8 +205,9 @@ class Group:
     is the group that first asked, cannot be told apart from a later asker.
     Equality and hashing stay by content (degree and elements), so renamed
     twins, distinct objects, still share the memos of equal fusion systems.
-    The multiplication, inverse and order tables and the conjugation maps
-    depend on the elements alone, so a new group takes those of a live twin.
+    The multiplication, inverse and order tables, the conjugation maps and
+    the member tuples of subgroup masks depend on the elements alone, so a
+    new group takes those of a live twin.
     """
 
     __slots__ = (
@@ -217,6 +220,7 @@ class Group:
         "_inv",
         "_orders",
         "_conj",
+        "_members",
         "_hash",
         "_caches",
         "__weakref__",
@@ -238,11 +242,11 @@ class Group:
         self._index = {img: i for i, img in enumerate(images)}
         self._hash = hash((degree, images))
         self._mul = self._inv = self._orders = None
-        self._conj = {}
+        self._conj, self._members = {}, {}
         twin = _GROUPS.get((degree, images))
         if twin is not None:  # the same elements: the same tables
             self._mul, self._inv, self._orders = twin._mul, twin._inv, twin._orders
-            self._conj = twin._conj
+            self._conj, self._members = twin._conj, twin._members
         self._caches = {}
         _GROUPS[key] = _GROUPS[(degree, images)] = self
         return self
@@ -453,8 +457,9 @@ class Subgroup:
 
     @property
     def members(self) -> tuple[int, ...]:
-        if self._members is None:
-            self._members = tuple(_bits(self.mask))
+        if self._members is None:  # the group keeps one tuple per mask
+            table, m = self.parent._members, self.mask
+            self._members = table.get(m) or table.setdefault(m, tuple(_bits(m)))
         return self._members
 
     @property
@@ -587,8 +592,18 @@ def subgroups(G: Group) -> list[Subgroup]:
 @memo("subgroups_of")
 def subgroups_of(S: Subgroup) -> list[Subgroup]:
     """All subgroups of the subgroup S, ordered by (order, bitmask).  Cached.
+    The subgroups of S are the H <= S in the lattice of any T >= S, and a
+    filter keeps the order: so the smallest such lattice that S's group
+    holds is filtered, and only a group holding none joins cosets."""
+    held = [lat for (t,), lat in S.parent._caches.get("subgroups_of", {}).items()
+            if not S.mask & ~t]
+    if not held:
+        return _joined_lattice(S)
+    return [H for H in min(held, key=len) if not H.mask & ~S.mask]
 
-    Cyclic extension over S-conjugacy classes: only one representative H of
+
+def _joined_lattice(S: Subgroup) -> list[Subgroup]:
+    """Cyclic extension over S-conjugacy classes: only one representative H of
     each class is joined with the cyclic representatives r (one element per
     cyclic subgroup of S), and a new join brings in its whole S-orbit, closed
     under conjugation by the generators of S.  Every class is reached: let

@@ -84,6 +84,11 @@ def is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
     holds the restriction to A v B of every psi out of S >= A v B, so each
     phi is pushed through the isos of F out of A v B alone."""
     _require_strongly_closed(F, E.carrier)
+    return _is_invariant(F, E)
+
+
+@memo("invariant")
+def _is_invariant(F: FusionSystem, E: PreFusionSystem) -> bool:
     for a, row in E.store.items():
         A = Subgroup(F.parent, a)
         for b, images in row.items():
@@ -117,8 +122,13 @@ def is_frattini(F: FusionSystem, E: PreFusionSystem) -> bool:
 def aut_f_acts_on(F: PreFusionSystem, E: PreFusionSystem) -> bool:
     """Whether each alpha in Aut_F(Q), Q the carrier of E, sends the isos of E
     into those of E: being injective on isos, the push is then onto them."""
+    check_in_carrier(F, E.carrier)
+    return _aut_f_acts_on(F, E)
+
+
+@memo("aut_f_acts")
+def _aut_f_acts_on(F: PreFusionSystem, E: PreFusionSystem) -> bool:
     Q = E.carrier
-    check_in_carrier(F, Q)
     return all(carries(E, dict(zip(Q.members, a)), E) for a in F.images(Q.mask, Q.mask))
 
 

@@ -6,8 +6,9 @@ The pass is the benchmark's own (``perfbench/workloads.py``, seed 41 unless
 given) on a fresh import of fuskit.  GroupHom builds are counted apart while
 an operation is timed, that is between the two clock readings that bracket
 it, and while its output is checked untimed.  It prints whether every
-operation passed, the two GroupHom counts and the builds per memo table
-over the pass.
+operation passed, the two GroupHom counts, the subgroup lattices built by
+joins (``joined``; the other ``subgroups_of`` builds filter a lattice the
+group holds) and the builds per memo table over the pass.
 """
 
 import json
@@ -40,10 +41,18 @@ def main() -> None:
         return time.perf_counter()
 
     fk.permgroup.GroupHom.__init__ = counted
+    join = fk.permgroup._joined_lattice
+
+    def joined(S):
+        builds["joined"] += 1
+        return join(S)
+
+    fk.permgroup._joined_lattice = joined
     before = Counter(fk.permgroup.BUILDS)
     result = work.run_pass(fk, specs, clock)
     json.dump({"ok": result.failed == 0, "ops": result.attempted,
                "GroupHom": builds["timed"], "GroupHom_untimed": builds["untimed"],
+               "joined": builds["joined"],
                "builds": fk.permgroup.BUILDS - before}, sys.stdout, sort_keys=True)
 
 

@@ -114,21 +114,54 @@ def test_subgroup_counts(groups):
     assert len(pg.subgroups(groups["e16"])) == 67 == gaussian_subspace_total(4, 2)
 
 
-def test_subgroups_match_the_brute_oracle(groups):
-    # proper subgroups too: their lattice closes orbits under S, not under G
-    carriers = [G.full_subgroup() for G in groups.values() if G.order <= 24]
-    carriers += [pg.sylow(groups["a6"], 2), pg.sylow(groups["qd3"], 3)]
+def _fresh(G, tag):
+    # its own name makes it a new identity: interning would hand back the
+    # warm group, with the lattices other tests left on it
+    fresh = pg.Group(G.degree, f"{G.name}-{tag}", G.generators, G.elements)
+    assert fresh._caches is not G._caches
+    return fresh
+
+
+def _counting_joins(monkeypatch):
+    calls = [0]
+    join = pg._joined_lattice
+
+    def counting(S):
+        calls[0] += 1
+        return join(S)
+
+    monkeypatch.setattr(pg, "_joined_lattice", counting)
+    return calls
+
+
+def test_subgroups_match_the_brute_oracle(groups, monkeypatch):
+    # proper subgroups too: their lattice closes orbits under S, not under
+    # G.  Fresh groups hold no lattice, so every one is joined
+    carriers = [_fresh(G, "brute").full_subgroup() for G in groups.values() if G.order <= 24]
+    carriers += [pg.sylow(_fresh(groups["a6"], "brute"), 2),
+                 pg.sylow(_fresh(groups["qd3"], "brute"), 3)]
+    joins = _counting_joins(monkeypatch)
     for S in carriers:
         assert [H.mask for H in pg.subgroups_of(S)] == brute_subgroups(S)
+    assert joins[0] == len(carriers)
+
+
+def test_held_lattice_filters_to_the_brute_oracle(groups, monkeypatch):
+    # with the lattice of T held, the lattice of every S <= T is read off it
+    tops = [_fresh(groups["s4"], "held").full_subgroup(),
+            _fresh(groups["d8xc2"], "held").full_subgroup(),
+            pg.sylow(_fresh(groups["qd3"], "held"), 3)]
+    joins = _counting_joins(monkeypatch)
+    for T in tops:
+        for S in pg.subgroups_of(T):
+            assert [H.mask for H in pg.subgroups_of(S)] == brute_subgroups(S)
+    assert joins[0] == len(tops)
 
 
 @pytest.mark.parametrize("name, count, most", [("a6", 501, 2_000), ("qd3", 182, 1_000)])
 def test_lattice_join_work_bound(groups, monkeypatch, name, count, most):
     # counts work, not time: joining every subgroup made 30,147 and 7,158 joins
-    G = groups[name]
-    # its own name makes it a new identity: interning would hand back the warm group
-    fresh = pg.Group(G.degree, f"{name}-joins", G.generators, G.elements)
-    assert fresh._caches is not G._caches
+    fresh = _fresh(groups[name], "joins")
     calls = 0
     join = pg._coset_join
 

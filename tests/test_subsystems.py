@@ -157,6 +157,11 @@ def _invariant_by_subgroups(F, E):
     return True
 
 
+def _only_identity(F, Q):
+    """The system on F's carrier holding only the identity of Q."""
+    return fz.PreFusionSystem(F.carrier, F.p, triples=[(Q.mask, Q.mask, Q.members)])
+
+
 def test_invariance_agrees_with_the_per_subgroup_route(corpus_entries):
     # every shipped system F: the inner system and F's restriction on each
     # strongly closed Q, and the verify's K-normalizers N_F^K(Q) in N_F(Q)
@@ -168,7 +173,7 @@ def test_invariance_agrees_with_the_per_subgroup_route(corpus_entries):
     for rec in corpus_systems(list(corpus_entries.values())):
         F = rec.system
         for Q in F.subgroups():
-            only_id = fz.PreFusionSystem(F.carrier, F.p, triples=[(Q.mask, Q.mask, Q.members)])
+            only_id = _only_identity(F, Q)
             assert ss.is_invariant(F, only_id) == fz.is_weakly_closed(F, Q)
             pairs.append((F, only_id))
             if fz.is_strongly_closed(F, Q):
@@ -185,6 +190,52 @@ def test_invariance_agrees_with_the_per_subgroup_route(corpus_entries):
     assert outcomes.count(False) >= 5 and CarrierNotStronglyClosed in outcomes
 
 
+def test_twin_reads_the_invariance_entry(s4_system, v4):
+    # the entries are keyed by the second system's memo serial, which a twin
+    # on a renamed ambient group shares
+    from fuskit.serialization import system_from_dict, system_to_dict
+    F, E = s4_system, ss.inner_system(v4, 2)
+    assert ss.is_invariant(F, E) and ss.aut_f_acts_on(F, E)
+    builds = (pg.BUILDS["invariant"], pg.BUILDS["aut_f_acts"])
+    doc = system_to_dict(E)
+    doc["ambient"]["name"] = "S4-invariance-twin"
+    twin = system_from_dict(doc)
+    assert twin is not E and twin.parent is not E.parent
+    assert twin.memo_key == E.memo_key
+    assert ss.is_invariant(F, twin) and ss.aut_f_acts_on(F, twin)
+    assert (pg.BUILDS["invariant"], pg.BUILDS["aut_f_acts"]) == builds
+
+
+def test_other_content_gets_its_own_invariance_entry(s4_system):
+    # two systems on one carrier, of other contents: the identity of the
+    # carrier, weakly closed, and of a subgroup of order 2 that F fuses
+    F = s4_system
+    P = F.carrier
+    Q = next(S for S in F.subgroups() if S.order == 2 and not fz.is_weakly_closed(F, S))
+    E_weak, E_fused = _only_identity(F, P), _only_identity(F, Q)
+    assert E_weak.carrier == E_fused.carrier and E_weak.memo_key != E_fused.memo_key
+    for pred, name in ((ss.is_invariant, "invariant"), (ss.aut_f_acts_on, "aut_f_acts")):
+        assert pred(F, E_weak)
+        builds = pg.BUILDS[name]
+        assert not pred(F, E_fused)
+        assert pg.BUILDS[name] == builds + 1
+        assert F._caches[name][(E_fused.memo_key,)] is False
+
+
+def test_invariance_entries_keep_no_system_alive(s4_system):
+    import gc
+    import weakref
+    F = s4_system
+    E = _only_identity(F, F.carrier)
+    assert ss.is_invariant(F, E) and ss.aut_f_acts_on(F, E)
+    key = (E.memo_key,)
+    gone = weakref.ref(E)
+    del E
+    gc.collect()
+    assert gone() is None
+    assert F._caches["invariant"][key] and F._caches["aut_f_acts"][key]
+
+
 def test_predicates_reject_a_subsystem_outside_the_carrier(s4_system):
     # t is a transposition outside the Sylow 2-subgroup: <t> is not in the
     # carrier, so E is no subsystem of F and no predicate may answer
@@ -197,6 +248,9 @@ def test_predicates_reject_a_subsystem_outside_the_carrier(s4_system):
                  ss.is_characteristic):
         with pytest.raises(NotASubgroup):
             pred(F, E)
+    for _ in range(2):  # a raise stores nothing, so a second call raises too
+        with pytest.raises(NotASubgroup):
+            fz.is_strongly_closed(F, E.carrier)
 
 
 # -- normal / characteristic --------------------------------------------------------

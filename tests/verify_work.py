@@ -6,7 +6,9 @@ Run it in a fresh interpreter, so that every memo starts empty and the counts
 do not depend on what ran before.  It prints the report's status, the builds
 per memo table, counted calls (n_phi, _n_phi: N_phi computed with or
 without the membership check, automorphisms, GroupHom builds, systems built
-(PreFusionSystem), pushed_images, transport and validate_hom, also counted
+(PreFusionSystem), pushed_images, lattices built by joins
+(_joined_lattice; the other subgroups_of builds filter a lattice the group
+holds), transport and validate_hom, also counted
 apart while an isomorphism-theorem verifier runs, as
 ``verify_third_iso.transport`` and so on), and the tables on the live system
 memos.
@@ -56,7 +58,7 @@ def replace(orig, new):
 
 def main() -> None:
     for fn in (fz.n_phi, fz._n_phi, pg.automorphisms, fz.transport, fz.validate_hom,
-               pg.pushed_images):
+               pg.pushed_images, pg._joined_lattice):
         replace(fn, counted(fn.__name__, fn))
     for fn in (qt.verify_second_iso, qt.verify_third_iso):
         replace(fn, scoped(fn.__name__, fn))
