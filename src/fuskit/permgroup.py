@@ -50,6 +50,10 @@ def order_cap() -> int:
 # off another group's table (``mul_table_read``)
 BUILDS: Counter = Counter()
 
+# closures computed by ``_closure_within`` (``closure``) and their coset
+# steps (``coset_step``)
+WORK: Counter = Counter()
+
 
 def memo(name: str, named: bool = False):
     """Memoize a function in the table ``name`` of its owner's ``_caches``.
@@ -559,24 +563,29 @@ def _closure_from_gens(G: Group, gens: Sequence[int]) -> int:
 
 
 def _closure_within(G: Group, gens: Sequence[int], most: int) -> int:
-    """The mask of the subgroup generated by gens, walked breadth first from
-    the identity; the walk stops after the first layer that takes it past
-    ``most`` elements, and the mask of the elements reached is returned."""
-    rows = G.rows()
-    mask = 1
-    size = 1
-    frontier = [0]
-    while frontier and size <= most:
-        nxt = []
-        for w in frontier:
-            row = rows[w]
-            for g in gens:
-                prod = row[g]
-                if not (mask >> prod) & 1:
-                    mask |= 1 << prod
-                    nxt.append(prod)
-        frontier = nxt
-        size += len(nxt)
+    """The mask of the subgroup generated by gens, by Dimino's algorithm
+    (Holt, Eick and O'Brien, 2005): the first generator gives its powers, a
+    generator in the subgroup H so far costs one bit test, and each other x
+    adds the right cosets of H in <H, x>, one coset step (``_coset_join``).
+    The mask is exact when the subgroup has at most ``most`` elements; else
+    the growth stops at a mask of more than ``most`` elements."""
+    WORK["closure"] += 1
+    rows, mask, used = G.rows(), 1, []
+    for x in gens:
+        if (mask >> x) & 1:
+            continue
+        WORK["coset_step"] += 1
+        used.append(x)
+        if mask == 1:  # the powers of x
+            y = x
+            while y:
+                mask |= 1 << y
+                y = rows[y][x]
+        else:
+            h_rows = list(map(rows.__getitem__, _bits(mask)))
+            mask = _coset_join(rows, h_rows, mask, used, most // len(h_rows))[0]
+        if mask.bit_count() > most:
+            break
     return mask
 
 
@@ -642,7 +651,9 @@ def _joined_lattice(S: Subgroup) -> list[Subgroup]:
                 if (covered >> x) & 1:
                     continue
                 new_gens = gens + (x,)
-                j, hx = _coset_join(rows, h_rows, mask, new_gens, most, S.mask)
+                j, hx = _coset_join(rows, h_rows, mask, new_gens, most)
+                if j.bit_count() > most * len(h_rows):  # Lagrange leaves only S
+                    j = S.mask
                 covered |= hx  # <H, h*x> = <H, x>: those joins are known
                 if j not in known:
                     known.add(j)
@@ -661,12 +672,12 @@ def _joined_lattice(S: Subgroup) -> list[Subgroup]:
     return sorted((Subgroup(G, m) for m in known), key=subgroup_key)
 
 
-def _coset_join(rows, h_rows: list, mask: int, gens: Sequence[int], most: int,
-                whole: int) -> tuple[int, int]:
+def _coset_join(rows, h_rows: list, mask: int, gens: Sequence[int], most: int) -> tuple[int, int]:
     """<H, x> for x = gens[-1], grown from the subgroup H (its mask and table
     rows; gens generate H with x) as a union of right cosets H*r by Dimino's
-    step, reading products off the table ``rows``.  A join of more than
-    ``most`` cosets is ``whole``.  Also returns the mask of the coset H*x."""
+    step, reading products off the table ``rows``: right multiplication by a
+    generator permutes the right cosets.  The growth stops once it holds
+    more than ``most`` cosets (H included).  Also returns the mask of H*x."""
     x = gens[-1]
     hx = 0
     for h_row in h_rows:
@@ -675,7 +686,7 @@ def _coset_join(rows, h_rows: list, mask: int, gens: Sequence[int], most: int,
     reps = [x]
     for r in reps:  # reps grows while we walk it
         if len(reps) >= most:
-            return whole, hx
+            break
         row = rows[r]
         for g in gens:
             y = row[g]
@@ -858,13 +869,14 @@ def meet(A: Subgroup, B: Subgroup) -> Subgroup:
 
 
 def set_product(A: Subgroup, B: Subgroup) -> Subgroup:
-    """The set AB, provided it is a subgroup."""
-    _check_same_parent(A, B)
-    G = A.parent
-    mask = mask_of(G.mul(a, b) for a in A.members for b in B.members)
-    if _closure_mask(G, mask) != mask:
+    """The set AB, provided it is a subgroup.  AB lies in <A, B> and has
+    |A|*|B|/|A n B| elements.  A subgroup AB holds A and B, so it is <A, B>;
+    and when |<A, B>|*|A n B| = |A|*|B|, AB fills <A, B>.  So AB is a
+    subgroup exactly when that holds, and it is then <A, B>."""
+    J = join(A, B)
+    if J.order * (A.mask & B.mask).bit_count() != A.order * B.order:
         raise ProductNotASubgroup("the set product AB is not closed under multiplication")
-    return Subgroup(G, mask)
+    return J
 
 
 def is_normal_in(Q: Subgroup, ambient: Subgroup) -> bool:
@@ -1312,9 +1324,9 @@ def _chain_gens(Q: Subgroup) -> tuple[int, ...]:
 
 
 @memo("aut_chain")
-def _aut_chain(Q: Subgroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The transversals T_0..T_{k-1} of the stabilizer chain of Aut(Q) along
-    _chain_gens(Q).  Cached.
+def _aut_chain(Q: Subgroup) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """The stabilizer chain of Aut(Q) along _chain_gens(Q), as one pair
+    (g_i, T_i) of a generator and its transversal per level.  Cached.
 
     With g_0..g_{k-1} that sequence and A_i the automorphisms that fix
     g_0..g_{i-1}, Aut(Q) = A_0 >= A_1 >= ... >= A_k = 1 (Holt, Eick and
@@ -1341,23 +1353,27 @@ def _aut_chain(Q: Subgroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
                 t = None if used is None else search.first(i + 1, used)
                 if t is not None:
                     T.append(t)
-        chain.append(tuple(T))
+        chain.append((g, tuple(T)))
     return tuple(chain)
 
 
 def aut_images(Q: Subgroup) -> list[tuple[int, ...]]:
     """All automorphisms of Q as the images of Q.members, sorted.
 
-    Listed bottom-up from the stabilizer chain (see _aut_chain): each
-    element of A_i is "a then t" for exactly one a in A_{i+1} and one t in
-    T_i or the identity, as the cosets of A_{i+1} in A_i match the images
-    of g_i.  So no automorphism is searched for, and none is listed twice.
-    A product is one map of t over the images of a, in member space.
-    """
+    Listed bottom-up from the stabilizer chain (see _aut_chain), none
+    searched for or listed twice.  A_i is the disjoint union of the cosets
+    A_{i+1}t = {"a then t" : a in A_{i+1}}, t in T_i or the identity.
+    Inversion maps A_i onto itself and A_{i+1}t onto t^-1 A_{i+1}, so the
+    inverses of the transversal are a transversal on the other side: each
+    element of A_i is "t^-1 then a" for exactly one such a and t.  It sends
+    x to a(t^-1(x)), so its images are a's read at the positions of t^-1:
+    one itemgetter call per automorphism."""
     auts = [Q.members]
-    for T in reversed(_aut_chain(Q)):
-        maps = [dict(zip(Q.members, t)).__getitem__ for t in T]
-        auts += [tuple(map(m, a)) for m in maps for a in auts]  # the old auts: A_{i+1}
+    for _, T in reversed(_aut_chain(Q)):
+        new: list[tuple[int, ...]] = []
+        for t in T:  # t^-1(members[j]) = members[i] for the i of the j-th least t[i]
+            new += map(itemgetter(*sorted(range(len(t)), key=t.__getitem__)), auts)
+        auts += new  # the old auts: A_{i+1}
     auts.sort()
     return auts
 
@@ -1367,12 +1383,33 @@ def automorphisms(Q: Subgroup) -> list[GroupHom]:
     return [GroupHom(Q, Q, a, Q.mask) for a in aut_images(Q)]
 
 
+def _aut_gens(Q: Subgroup) -> list[tuple[int, ...]]:
+    """A generating set of Aut(Q) as image tuples: the transversal elements
+    of its chain (see _aut_chain), read bottom-up, that move g_i outside the
+    orbit of g_i under those kept so far.  By induction the kept ones below
+    level i generate A_{i+1}, the stabilizer of g_i in A_i; with the kept
+    level-i ones they generate a K <= A_i with that stabilizer and the orbit
+    of A_i, so K = A_i by orbit-stabilizer."""
+    pos = {x: i for i, x in enumerate(Q.members)}
+    kept: list[tuple[int, ...]] = []
+    for g, T in reversed(_aut_chain(Q)):
+        orbit = {g}  # the elements kept so far lie in A_{i+1}: they fix g
+        for t in T:
+            if t[pos[g]] not in orbit:
+                kept.append(t)
+                todo = list(orbit)
+                while todo:
+                    x = pos[todo.pop()]
+                    for a in kept:
+                        if a[x] not in orbit:
+                            orbit.add(a[x])
+                            todo.append(a[x])
+    return kept
+
+
 def automorphism_generators(Q: Subgroup) -> list[GroupHom]:
-    """A generating set of Aut(Q), found without listing Aut(Q): the
-    transversal elements of its stabilizer chain (see _aut_chain), which
-    generate it since A_i is A_{i+1} followed by T_i or the identity, and
-    A_k = 1."""
-    return [GroupHom(Q, Q, t, Q.mask) for T in _aut_chain(Q) for t in T]
+    """A generating set of Aut(Q), found without listing it (_aut_gens)."""
+    return [GroupHom(Q, Q, t, Q.mask) for t in _aut_gens(Q)]
 
 
 def characteristic_subgroups(Q: Subgroup) -> list[Subgroup]:
@@ -1383,7 +1420,7 @@ def characteristic_subgroups(Q: Subgroup) -> list[Subgroup]:
     of S, so a(S) <= S gives a(S) = S, and the automorphisms that fix S form
     a subgroup of Aut(Q), which holds Aut(Q) once it holds its generators.
     """
-    auts = [dict(zip(Q.members, t)) for T in _aut_chain(Q) for t in T]
+    auts = [dict(zip(Q.members, t)) for t in _aut_gens(Q)]
     out = []
     for S in subgroups_of(Q):
         gens = S.generating_ids()

@@ -142,9 +142,12 @@ def is_characteristic(F: FusionSystem, E: FusionSystem) -> bool:
     if not is_normal_subsystem(F, E):
         raise NotNormal("E is not a normal subsystem of F")
     P = F.carrier
-    for a in pg.aut_images(P):
-        m = dict(zip(P.members, a))
-        # a moved carrier fails too: a saturated E stores its carrier's identity
-        if carries(F, m, F) and not carries(E, m, E):
-            return False
-    return True
+    # a moved carrier fails too: a saturated E stores its carrier's identity
+    return all(carries(E, dict(zip(P.members, a)), E) for a in _aut_stabilizer(F))
+
+
+@memo("aut_stabilizer")
+def _aut_stabilizer(F: PreFusionSystem) -> list[tuple[int, ...]]:
+    """The automorphisms of F's carrier that carry F onto F, as image tuples."""
+    P = F.carrier
+    return [a for a in pg.aut_images(P) if carries(F, dict(zip(P.members, a)), F)]

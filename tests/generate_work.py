@@ -8,7 +8,9 @@ an operation is timed, that is between the two clock readings that bracket
 it, and while its output is checked untimed.  It prints whether every
 operation passed, the two GroupHom counts, the subgroup lattices built by
 joins (``joined``; the other ``subgroups_of`` builds filter a lattice the
-group holds) and the builds per memo table over the pass.
+group holds), the work of the closure kernel (closures computed and their
+coset steps, ``permgroup.WORK``) and the builds per memo table over the
+pass.
 """
 
 import json
@@ -48,11 +50,12 @@ def main() -> None:
         return join(S)
 
     fk.permgroup._joined_lattice = joined
-    before = Counter(fk.permgroup.BUILDS)
+    before, kernel = Counter(fk.permgroup.BUILDS), Counter(fk.permgroup.WORK)
     result = work.run_pass(fk, specs, clock)
     json.dump({"ok": result.failed == 0, "ops": result.attempted,
                "GroupHom": builds["timed"], "GroupHom_untimed": builds["untimed"],
                "joined": builds["joined"],
+               "work": fk.permgroup.WORK - kernel,
                "builds": fk.permgroup.BUILDS - before}, sys.stdout, sort_keys=True)
 
 

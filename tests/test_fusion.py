@@ -590,6 +590,10 @@ def test_fusion_generate_work_bound():
     assert run["ok"] and run["ops"] == 320
     assert run["GroupHom"] <= 5_000
     assert run["joined"] <= 500
+    # the closure kernel (permgroup.WORK): 17,490 closures take 24,300 coset
+    # steps, so most closures are the powers of one generator
+    assert run["work"]["closure"] <= 18_000
+    assert run["work"]["coset_step"] <= 25_000
 
 
 # -- equal systems share one memo ---------------------------------------------------
@@ -663,7 +667,7 @@ def test_verify_work_bound(verify_run):
     # and 1,006 with one memo per object).  _n_phi counts every N_phi: the
     # public n_phi's, after its membership check, and is_saturated's, which
     # skips that check for the isos it reads off the table
-    ok, builds, calls, _ = verify_run
+    ok, builds, calls, run = verify_run
     assert ok
     assert builds["saturated"] <= 300
     assert calls["_n_phi"] <= 4000
@@ -711,6 +715,11 @@ def test_verify_work_bound(verify_run):
     # (fusion.aut_p): 1,416 builds serve the 2,816 N_phi, 271 K-normalizers
     # and 466 Aut_F(Q) realizations, which each built their own tuples before
     assert builds["aut_p"] <= 1_600
+    # the closure kernel (permgroup.WORK) takes a coset step only for a
+    # generator outside the subgroup grown so far: 11,573 closures take
+    # 28,256 steps
+    assert run["work"]["closure"] <= 12_000
+    assert run["work"]["coset_step"] <= 29_000
     # no memo table that no workload reads again: 18,753 builds in all,
     # 18,200 before the content-keyed invariant and aut_f_acts tables,
     # 18,620 with the id-keyed invariant table, 17,204 before the aut_p

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -161,6 +162,7 @@ def test_held_lattice_filters_to_the_brute_oracle(groups, monkeypatch):
 @pytest.mark.parametrize("name, count, most", [("a6", 501, 2_000), ("qd3", 182, 1_000)])
 def test_lattice_join_work_bound(groups, monkeypatch, name, count, most):
     # counts work, not time: joining every subgroup made 30,147 and 7,158 joins
+    # (the count takes in the closure kernel's coset steps too: 6 on each)
     fresh = _fresh(groups[name], "joins")
     calls = 0
     join = pg._coset_join
@@ -400,6 +402,81 @@ def test_sylow_work_bound(groups, monkeypatch):
     # and the full scan found its Sylow subgroup among them as well
     assert pg.sylow(a7, 2).mask == SYLOW_MASKS["a6@2"]
     assert work[0] <= 40 and work[1] <= 300
+
+
+def _breadth_first_closure(G, gens, most):
+    """The walk the closure kernel replaced: breadth first from the identity,
+    each element times every generator, stopping after the first layer that
+    takes it past most elements."""
+    mask, size, frontier = 1, 1, [0]
+    while frontier and size <= most:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                prod = G.mul(w, g)
+                if not (mask >> prod) & 1:
+                    mask |= 1 << prod
+                    nxt.append(prod)
+        frontier = nxt
+        size += len(nxt)
+    return mask
+
+
+def test_closure_agrees_with_breadth_first_walk(groups):
+    # seeded generator lists, drawn from the whole group and from subgroups
+    # so that many generate proper subgroups and repeat members; A7 has no
+    # table.  Under a cut-off the kernel is exact up to most elements, and
+    # stops past most elements otherwise, inside the subgroup
+    a7 = _from_cycles(7, [[0, 1, 2, 3, 4, 5, 6]], [[0, 1, 2]])
+    assert a7.order > pg._TABLE_LIMIT
+    cases = [(G, [range(G.order)] + [S.members for S in pg.subgroups(G)])
+             for G in groups.values()]
+    cases.append((a7, [range(a7.order), pg.sylow(a7, 2).members, pg.sylow(a7, 3).members,
+                       pg.sylow(a7, 7).members]))
+    rng = random.Random(27)
+    for G, pools in cases:
+        for _ in range(12 if G is a7 else 40):
+            pool = rng.choice(pools)
+            gens = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+            exact = _breadth_first_closure(G, gens, G.order)
+            assert pg._closure_within(G, gens, G.order) == exact, (G.name, gens)
+            for most in {1, 2, 3, 8, exact.bit_count() - 1, exact.bit_count(), G.order}:
+                got = pg._closure_within(G, gens, most)
+                if exact.bit_count() <= most:
+                    assert got == exact, (G.name, gens, most)
+                else:
+                    assert got.bit_count() > most and not got & ~exact, (G.name, gens, most)
+
+
+def test_closure_coset_steps_double(groups):
+    # counts work, not time: a coset step is taken only for a generator
+    # outside the subgroup H grown so far, and each step at least doubles
+    # |H|, so all 360 members of A6 as generators take at most
+    # ceil(log2(360)) = 9 steps (4 are taken; the breadth-first walk made
+    # 360 products per element)
+    a6 = groups["a6"]
+    before = Counter(pg.WORK)
+    assert a6.subgroup_of(range(a6.order)).order == 360
+    work = pg.WORK - before
+    assert work["closure"] == 1
+    assert 0 < work["coset_step"] <= math.ceil(math.log2(360))
+
+
+def test_set_product_agrees_with_the_product_set(groups):
+    # AB is a subgroup exactly when |<A, B>| * |A n B| = |A| * |B|; the
+    # oracle multiplies out every a*b
+    for name in ("s4", "d8xc2"):
+        G = groups[name]
+        subs = pg.subgroups(G)
+        for A in subs:
+            for B in subs:
+                prod = pg.mask_of(G.mul(a, b) for a in A.members for b in B.members)
+                members = [x for x in range(G.order) if (prod >> x) & 1]
+                if _breadth_first_closure(G, members, G.order) == prod:
+                    assert pg.set_product(A, B).mask == prod, (name, A.mask, B.mask)
+                else:
+                    with pytest.raises(ProductNotASubgroup):
+                        pg.set_product(A, B)
 
 
 def test_join_meet_set_product(groups):
@@ -813,18 +890,22 @@ def test_automorphism_search_work_bound(groups, monkeypatch):
     assert not hasattr(pg, "_extend_hom")
 
 
-def test_automorphisms_of_wide_carriers():
-    # the list from the chain is distinct and sorted, each element is a hom,
-    # and it has as many elements as the group its generators generate; the
-    # Sylow 3-subgroup of A7 (C3 x C3) is searched without a table
+def _wide_carriers():
+    """(Q, |Aut(Q)|) for four carriers wider than the corpus's; the Sylow
+    3-subgroup of A7 (C3 x C3) is searched without a table."""
     agl = _agl23()
     a7 = _from_cycles(7, [[0, 1, 2, 3, 4, 5, 6]], [[0, 1, 2]])
     assert agl.order == 432 and a7.order > pg._TABLE_LIMIT
-    cases = [(_from_cycles(9, [[0, 1, 2]], [[0, 3, 6], [1, 4, 7], [2, 5, 8]]).full_subgroup(), 324),
-             (_c2_wr_c2_wr_c2().full_subgroup(), 512),
-             (pg.sylow(agl, 3), 432),  # 3^(1+2)_+: 3^2 * |GL(2,3)|
-             (pg.sylow(a7, 3), 48)]  # GL(2,3)
-    for Q, n in cases:
+    return [(_from_cycles(9, [[0, 1, 2]], [[0, 3, 6], [1, 4, 7], [2, 5, 8]]).full_subgroup(), 324),
+            (_c2_wr_c2_wr_c2().full_subgroup(), 512),
+            (pg.sylow(agl, 3), 432),  # 3^(1+2)_+: 3^2 * |GL(2,3)|
+            (pg.sylow(a7, 3), 48)]  # GL(2,3)
+
+
+def test_automorphisms_of_wide_carriers():
+    # the list from the chain is distinct and sorted, each element is a hom,
+    # and it has as many elements as the group its generators generate
+    for Q, n in _wide_carriers():
         auts = pg.automorphisms(Q)
         images = [a.images for a in auts]
         assert len(set(images)) == len(images) == n
@@ -833,6 +914,26 @@ def test_automorphisms_of_wide_carriers():
             fz.validate_hom(a)
             assert a.image_mask == Q.mask
         assert _sympy_order(Q, pg.automorphism_generators(Q)) == n
+
+
+def _aut_images_by_dict_composition(Q):
+    """The listing that the itemgetter one replaced: A_i as the products
+    "a then t" for a in A_{i+1} and t in T_i or the identity, each composed
+    by one dict lookup per member."""
+    auts = [Q.members]
+    for _, T in reversed(pg._aut_chain(Q)):
+        maps = [dict(zip(Q.members, t)).__getitem__ for t in T]
+        auts += [tuple(map(m, a)) for m in maps for a in auts]
+    auts.sort()
+    return auts
+
+
+def test_aut_images_agree_with_dict_composition(corpus_entries, groups):
+    carriers = [pg.sylow(groups[name], p) for name, entry in corpus_entries.items()
+                for p in entry.primes]
+    carriers += [Q for Q, _ in _wide_carriers()]
+    for Q in carriers:
+        assert pg.aut_images(Q) == _aut_images_by_dict_composition(Q), (Q.parent.name, Q.mask)
 
 
 def test_automorphism_generators_of_7_1_2(monkeypatch):
@@ -851,6 +952,9 @@ def test_automorphism_generators_of_7_1_2(monkeypatch):
     monkeypatch.setattr(pg, "_extend_level", counting_extend)
     gens = pg.automorphism_generators(P)
     assert 0 < calls[0] <= 10_000
+    # a transversal element is kept only when it reaches a new image of its
+    # generator: 8 of the chain's 628
+    assert len(gens) <= 16
     for a in gens:
         fz.validate_hom(a)
     assert _sympy_order(P, gens) == 98_784

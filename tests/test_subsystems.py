@@ -306,17 +306,31 @@ def _characteristic_by_transport(F, E):
     return True
 
 
-def test_characteristic_agrees_with_transport():
-    # every inner subsystem of ten systems, exceptions included: 111 pairs
+def test_characteristic_agrees_with_transport(monkeypatch):
+    # every inner subsystem of ten systems, exceptions included: 111 pairs.
+    # F's memo keeps the automorphisms of P that carry F onto F, so E is
+    # pushed only through those: 1,361 calls of carries in all, 584 of them
+    # to find the ten stabilizers, against 2,354 when every pair pushed F
+    # through all of Aut(P) again
     systems = [("s4", 2), ("d8", 2), ("d8xc2", 2), ("q8", 2), ("c4xc2", 2), ("sl23", 2),
                ("a6", 2), ("a4", 2), ("qd3", 3), ("s3", 3)]
+    calls = [0]
+    carries = ss.carries
+
+    def counting_carries(*args):
+        calls[0] += 1
+        return carries(*args)
+
     outcomes = []
     for name, p in systems:
         F = fz.fusion_from_group(builtin_group(name), p)
         for Q in F.subgroups():
             E = ss.inner_system(Q, p)
+            monkeypatch.setattr(ss, "carries", counting_carries)
             got = _outcome(ss.is_characteristic, F, E)
+            monkeypatch.setattr(ss, "carries", carries)
             assert got == _outcome(_characteristic_by_transport, F, E), (name, Q.order)
             outcomes.append(got)
     assert len(outcomes) == 111
     assert {True, False, NotNormal, CarrierNotStronglyClosed} <= set(outcomes)
+    assert 0 < calls[0] <= 1_400

@@ -10,8 +10,9 @@ without the membership check, automorphisms, GroupHom builds, systems built
 (_joined_lattice; the other subgroups_of builds filter a lattice the group
 holds), transport and validate_hom, also counted
 apart while an isomorphism-theorem verifier runs, as
-``verify_third_iso.transport`` and so on), and the tables on the live system
-memos.
+``verify_third_iso.transport`` and so on), the work of the closure kernel
+(closures computed and their coset steps, ``permgroup.WORK``) and the tables
+on the live system memos.
 """
 
 import json
@@ -72,11 +73,12 @@ def main() -> None:
         return records
 
     verify.corpus_systems = capture
-    before = Counter(pg.BUILDS)
+    before, work = Counter(pg.BUILDS), Counter(pg.WORK)
     report = verify.run_verification(shipped_corpus_dir())
     json.dump({"ok": report.ok,
                "builds": pg.BUILDS - before,
                "calls": calls,
+               "work": pg.WORK - work,
                "memos": len(fz._MEMOS),
                "tables": sorted({name for memo in fz._MEMOS.values() for name in memo})},
               sys.stdout, sort_keys=True)
