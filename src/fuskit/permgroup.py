@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import weakref
 from collections import Counter
-from itertools import compress
+from itertools import compress, repeat
 from operator import getitem, itemgetter, not_
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -51,7 +51,8 @@ def order_cap() -> int:
 BUILDS: Counter = Counter()
 
 # closures computed by ``_closure_within`` (``closure``) and their coset
-# steps (``coset_step``)
+# steps (``coset_step``); K-normalizers decided on Alperin generators
+# (``knorm_generators``) and by a scan of the isos (``knorm_scan``)
 WORK: Counter = Counter()
 
 
@@ -188,6 +189,9 @@ class _ComposedRows:
 
     def __getitem__(self, i: int):
         return _ComposedRows(self.G, i) if self.a is None else self.G.mul(self.a, i)
+
+    def __iter__(self):  # a row: mul(a, b) for every b
+        return map(self.G.mul, repeat(self.a), range(self.G.order))
 
 
 # (degree, name, generator images, element images) -> the live group,
@@ -345,10 +349,11 @@ class Group:
         return inv[a]
 
     def conj_map(self, g: int) -> tuple[int, ...]:
-        """The table x -> g^-1 x g over all element indices, cached per g."""
+        """The table x -> g^-1 x g over all ids, cached per g: row(g^-1) through g's column."""
         cm = self._conj.get(g)
         if cm is None:
-            cm = self._conj[g] = conj_images(self, g, range(self.order))
+            rows = self.rows()
+            cm = self._conj[g] = tuple(map(itemgetter(g), map(rows.__getitem__, rows[self.inv(g)])))
         return cm
 
     def _read_table(self, src: "Group", lift: Sequence[int], down) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable
 
+from . import closure as cl
 from . import permgroup as pg
 from .errors import CarrierNotStronglyClosed, NotNormal
 from .fusion import (
@@ -51,15 +52,30 @@ def k_normalizer_system(F: FusionSystem, Q: Subgroup, K: Iterable[GroupHom]) -> 
 
 @memo("k_normalizer")
 def _k_normalizer(F: FusionSystem, Q: Subgroup, K: Subgroup) -> FusionSystem:
-    """The K-normalizer for K a subgroup of the realization of Aut_F(Q),
-    which F's memo holds: so K's mask keys the entry."""
+    """N_F^K(Q) for K a subgroup of the realization of Aut_F(Q), which F's
+    memo holds: so K's mask keys the entry.  F must be a fusion system.
+
+    N_F^K(Q) is closed under composition, restriction and inverses, and holds
+    the conjugations by its carrier N_P^K(Q).  When that is P and F is
+    saturated, Aut_F(S) for S fully normalized centric radical generate F
+    (Alperin's theorem; Aschbacher, Kessar and Oliver, Thm I.3.5): N_F^K(Q)
+    is F when it holds them all, and not F when one lies outside it.  Only
+    the full K can pass, as Aut_F(Q) lies in F.  Otherwise the isos are
+    scanned, for a proper K those of E = N_F(Q): a morphism of N_F^K(Q)
+    extends over Q inside E, so N_F^K(Q) = N_E^K(Q)."""
     real = aut_realization(F, Q)
     k_images = {real.images[i] for i in K.members} | {Q.members}  # with the identity
     n_mask = sum(xs for c, xs in aut_p(F, Q).items() if c in k_images)  # disjoint fibres
-
-    on_q = extensions_on(F, Q)
-    kept = ((r, s, imgs) for r, s, imgs in F.triples()  # inside N_K(Q), extending over Q into K
-            if not (r | s) & ~n_mask and any(x in k_images for x in on_q(r, imgs)))
+    whole = K.order == real.group.order
+    E = F if whole else normalizer_system(F, Q)
+    on_q = extensions_on(E, Q)
+    inside = lambda r, imgs: any(x in k_images for x in on_q(r, imgs))  # extends into K
+    if whole and n_mask == F.carrier.mask and is_saturated(F) and all(
+            inside(S.mask, a) for S in cl.fnrc_subgroups(F) for a in F.images(S.mask, S.mask)):
+        pg.WORK["knorm_generators"] += 1
+        return FusionSystem(F.carrier, F.p, triples=F.triples())
+    pg.WORK["knorm_scan"] += 1
+    kept = ((r, s, imgs) for r, s, imgs in E.triples() if not (r | s) & ~n_mask and inside(r, imgs))
     return FusionSystem(Subgroup(F.parent, n_mask), F.p, triples=kept)
 
 

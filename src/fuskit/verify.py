@@ -151,15 +151,9 @@ def _strongly_closed(F: FusionSystem) -> list[Subgroup]:
 def _knorm_instances(F: FusionSystem) -> list:
     """(Q, K, N_F(Q), N_F^K(Q)) for fully normalized Q and K normal in
     Aut_F(Q); shared between several suites."""
-    got = []
-    for Q in F.subgroups():
-        if not is_fully_normalized(F, Q):
-            continue
-        real = cl.aut_realization(F, Q)
-        nq = ss.normalizer_system(F, Q)
-        for K in pg.normal_subgroups(real.group):
-            got.append((Q, K, nq, ss._k_normalizer(F, Q, K)))
-    return got
+    return [(Q, K, ss.normalizer_system(F, Q), ss._k_normalizer(F, Q, K))
+            for Q in F.subgroups() if is_fully_normalized(F, Q)
+            for K in pg.normal_subgroups(cl.aut_realization(F, Q).group)]
 
 
 def _holds(check: Callable[[], bool]) -> bool:

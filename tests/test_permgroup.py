@@ -1034,6 +1034,19 @@ def test_tables_and_conjugation_match_perm_products(groups):
     assert trivial._mul == ((0,),)
 
 
+def test_conj_map_reads_the_row_of_the_inverse(groups):
+    # conj_map(g) maps row(g^-1) through the column of g; conj_images reads
+    # each id's conjugate through row(g^-1) and then that column.  S7 has
+    # no table, so its rows compose each product when read
+    for G in groups.values():
+        for g in range(G.order):
+            assert G.conj_map(g) == pg.conj_images(G, g, range(G.order)), (G.name, g)
+    s7 = _from_cycles(7, [[0, 1, 2, 3, 4, 5, 6]], [[0, 1]])
+    assert s7.order > pg._TABLE_LIMIT
+    for g in (1, 2, 4_999):
+        assert s7.conj_map(g) == pg.conj_images(s7, g, range(s7.order))
+
+
 def test_thompson_subgroup_characteristic(groups):
     for name in ("d8", "q8", "c4xc2", "d8xc2", "e16"):
         G = groups[name]

@@ -82,6 +82,63 @@ def test_k_normalizer_carrier(s4_system, v4):
     assert E.carrier == v4
 
 
+def _k_normalizer_by_scan(F, Q, K):
+    """N_F^K(Q) as it was built before the generator test: every stored iso
+    of F inside N_P^K(Q) that extends over Q to an iso of F restricting into K."""
+    real = fz.aut_realization(F, Q)
+    k_images = {real.images[i] for i in K.members} | {Q.members}
+    n_mask = sum(xs for c, xs in fz.aut_p(F, Q).items() if c in k_images)
+    on_q = fz.extensions_on(F, Q)
+    kept = ((r, s, imgs) for r, s, imgs in F.triples()
+            if not (r | s) & ~n_mask and any(x in k_images for x in on_q(r, imgs)))
+    return fz.FusionSystem(pg.Subgroup(F.parent, n_mask), F.p, triples=kept)
+
+
+def _affine_3(name, *maps):
+    """The group of the maps (x, y) -> maps(x, y) mod 3 on the points 3x + y."""
+    pts = [(x, y) for x in range(3) for y in range(3)]
+    return pg.group_from_generators(
+        9, [[u % 3 * 3 + v % 3 for u, v in (f(x, y) for x, y in pts)] for f in maps], name)
+
+
+def _k_normalizers_agree(F):
+    """Compare every K-normalizer of F, each Q and K = 1, K normal in Aut_F(Q)
+    and K = Aut_F(Q), with the scan; F's entries are built here.  Returns the
+    number that the generator test decided."""
+    F._caches.pop("k_normalizer", None)
+    before = pg.WORK["knorm_generators"]
+    for Q in F.subgroups():
+        grp = fz.aut_realization(F, Q).group
+        ks = {K.mask: K for K in [grp.trivial_subgroup(), grp.full_subgroup()]
+              + pg.normal_subgroups(grp)}
+        for K in ks.values():
+            got = ss._k_normalizer(F, Q, K)
+            assert fz.same_system(got, _k_normalizer_by_scan(F, Q, K)), (F, Q.order, K.order)
+    return pg.WORK["knorm_generators"] - before
+
+
+def test_k_normalizer_agrees_with_the_scan(corpus_entries, e16_seeded):
+    # a K-normalizer that is all of F is recognised from the automorphisms
+    # of F's fully normalized centric radical subgroups; every other one is
+    # scanned, inside N_F(Q) for a proper K
+    decided = 0
+    for rec in corpus_systems(list(corpus_entries.values())):
+        if fz.is_saturated(rec.system):
+            decided += _k_normalizers_agree(rec.system)
+    assert decided >= 100
+    c3_wr_c3 = pg.group_from_generators(9, [[1, 2, 0, 3, 4, 5, 6, 7, 8],
+                                            [3, 4, 5, 6, 7, 8, 0, 1, 2]], "C3wrC3")
+    agl23 = _affine_3("AGL(2,3)", lambda x, y: (x + 1, y), lambda x, y: (y, -x),
+                      lambda x, y: (x, x + y), lambda x, y: (2 * x, y))
+    for G in (c3_wr_c3, agl23):
+        F = fz.fusion_from_group(G, 3)
+        assert fz.is_saturated(F)
+        assert _k_normalizers_agree(F) > 0
+    # the generators of an unsaturated system need not generate it
+    assert not fz.is_saturated(e16_seeded)
+    assert _k_normalizers_agree(e16_seeded) == 0
+
+
 # -- invariance / Frattini --------------------------------------------------------
 
 def test_inner_v4_invariant(s4_system, v4):
