@@ -20,16 +20,12 @@ from .serialization import canonical_json, load_json
 SUBGROUP_COUNT_LIMIT = 100
 
 
-def _leaf(value) -> dict:
-    return {"value": value, "provenance": "derived-oracle"}
-
-
 def _put(block: dict, key: str, value):
     """Stamp block[key], unless it holds a hand-entered reference fact."""
     old = block.get(key)
     if isinstance(old, dict) and old.get("provenance") not in (None, "derived-oracle"):
         return
-    block[key] = _leaf(value)
+    block[key] = {"value": value, "provenance": "derived-oracle"}
 
 
 def stamp_entry(entry, records) -> dict:

@@ -135,12 +135,8 @@ def _cmd_quotient(args) -> int:
     if not isinstance(F, FusionSystem):
         raise ParseError("quotients need a closed fusion system as input")
     Q = _subgroup_from_arg(F, args.by)
-    if args.mode == "factor":
-        sub = qt.factor_system(F, Q)
-    elif args.mode == "bar":
-        sub = qt.bar_system(F, Q)
-    else:
-        sub = qt.generated_bar(F, Q)
+    build = {"factor": qt.factor_system, "bar": qt.bar_system, "generated-bar": qt.generated_bar}
+    sub = build[args.mode](F, Q)
     closed, witness = qt.prefusion_is_fusion(sub)
     out = {
         "mode": args.mode,

@@ -70,15 +70,15 @@ class PreFusionSystem:
     ``saturated``, ``aut_real``, ``fnrc``, ``normal_subgroup``, ``o_p``,
     ``z_f``, ``quotient_parts``, ``factor_system``, ``bar_system``,
     ``generated_bar``, ``pushes_to_factor``, ``is_fusion``, ``k_normalizer``,
-    ``knorm``, ``invariant``, ``aut_f_acts``, ``aut_stabilizer``) holds a
-    function of ``(kind, p, carrier, store)`` and the key alone: none reads
-    ``provenance`` or depends on which object asks.  ``invariant`` and
-    ``aut_f_acts`` read the stores and carriers of the system and of a second
-    one, keyed by that one's memo serial, which stands for its content.  So on
-    its first memo lookup a system finds its memo by that content key in a
-    weak registry: it adopts the memo of any live twin, or registers a fresh
-    one.  The registry holds memos weakly, so it keeps no system alive, and a
-    memo lives as long as one of its systems does.
+    ``knorm``, ``invariant``, ``aut_stabilizer``) holds a function of
+    ``(kind, p, carrier, store)`` and the key alone: none reads
+    ``provenance`` or depends on which object asks.  ``invariant`` reads the
+    stores and carriers of the system and of a second one, keyed by that
+    one's memo serial, which stands for its content.  So on its first memo
+    lookup a system finds its memo by that content key in a weak registry:
+    it adopts the memo of any live twin, or registers a fresh one.  The
+    registry holds memos weakly, so it keeps no system alive, and a memo
+    lives as long as one of its systems does.
     Groups compare by content, not by name, so twins may sit on distinct
     equal ambient groups; a memoized subgroup then lives in the first twin's
     group, which compares equal to the others'.  A quotient group is named
@@ -517,6 +517,11 @@ class AutRealization:
 
     def __post_init__(self):
         self._index = {imgs: i for i, imgs in enumerate(self.images)}
+
+    @property
+    def generators(self) -> list[Images]:
+        """Image tuples that generate Aut_F(Q) under composition."""
+        return [self.images[i] for i in self.group.full_subgroup().generating_ids()]
 
     def id_of(self, h: GroupHom) -> int:
         i = self._index.get(h.images)

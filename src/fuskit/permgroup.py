@@ -29,6 +29,7 @@ from .errors import (
     NotInjective,
     NotNormal,
     OrderCapExceeded,
+    ParseError,
     ProductNotASubgroup,
 )
 
@@ -42,7 +43,10 @@ _TABLE_LIMIT = 2048
 def order_cap() -> int:
     """The group-order cap: FUSKIT_ORDER_CAP if set, else DEFAULT_ORDER_CAP."""
     env = os.environ.get("FUSKIT_ORDER_CAP")
-    return int(env) if env else DEFAULT_ORDER_CAP
+    try:
+        return int(env) if env else DEFAULT_ORDER_CAP
+    except ValueError:
+        raise ParseError(f"FUSKIT_ORDER_CAP is not an integer: {env!r}") from None
 
 
 # builds per memo table name: one on every miss of ``memo``, hits are not
@@ -310,7 +314,10 @@ class Group:
                 continue
             # row(g)[b] = index of g*b; a degree-1 group is trivial, so its
             # generator is reached already and itemgetter gets 2+ points here
-            gens.append((g, tuple(map(idx.__getitem__, map(itemgetter(*gp.images), images)))))
+            row_g = tuple(map(idx.get, map(itemgetter(*gp.images), images)))
+            if None in row_g:
+                raise InvariantViolation(f"{self.name} is not closed under products")
+            gens.append((g, row_g))
             n_old = len(reached)
             for i, s in enumerate(reached):  # reached grows while we walk it
                 row_s = rows[s]
@@ -333,7 +340,10 @@ class Group:
             if mt is None:  # above _TABLE_LIMIT: compose on demand
                 pa = self.elements[a].images
                 pb = self.elements[b].images
-                return self._index[tuple(pb[i] for i in pa)]
+                try:
+                    return self._index[tuple(pb[i] for i in pa)]
+                except KeyError:
+                    raise InvariantViolation(f"{self.name} is not closed under products") from None
         return mt[a][b]
 
     def rows(self):
@@ -345,7 +355,10 @@ class Group:
     def inv(self, a: int) -> int:
         inv = self._inv
         if inv is None:
-            inv = self._inv = tuple(self._index[p.inverse().images] for p in self.elements)
+            inv = tuple(self._index.get(p.inverse().images) for p in self.elements)
+            if None in inv:
+                raise InvariantViolation(f"{self.name} is not closed under inverses")
+            self._inv = inv
         return inv[a]
 
     def conj_map(self, g: int) -> tuple[int, ...]:
@@ -511,13 +524,7 @@ class Subgroup:
         return tuple(gens)
 
     def is_abelian(self) -> bool:
-        G = self.parent
-        mem = self.members
-        for i, a in enumerate(mem):
-            for b in mem[i + 1:]:
-                if G.mul(a, b) != G.mul(b, a):
-                    return False
-        return True
+        return centralizer(self, self).mask == self.mask
 
     def element_orders(self) -> dict[int, int]:
         hist: dict[int, int] = {}
@@ -906,14 +913,11 @@ def upper_central_series(Q: Subgroup) -> list[Subgroup]:
     """1 = Z_0 <= Z_1 <= ... up to the hypercenter of Q."""
     G = Q.parent
     series = [Subgroup(G, 1)]
-    while True:
-        prev = series[-1].mask
-        nxt = central_preimage(Q, prev)
-        if nxt == prev:
+    while series[-1].mask != Q.mask:
+        nxt = central_preimage(Q, series[-1].mask)
+        if nxt == series[-1].mask:
             break
         series.append(Subgroup(G, nxt))
-        if nxt == Q.mask:
-            break
     return series
 
 

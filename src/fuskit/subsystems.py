@@ -62,7 +62,8 @@ def _k_normalizer(F: FusionSystem, Q: Subgroup, K: Subgroup) -> FusionSystem:
     is F when it holds them all, and not F when one lies outside it.  Only
     the full K can pass, as Aut_F(Q) lies in F.  Otherwise the isos are
     scanned, for a proper K those of E = N_F(Q): a morphism of N_F^K(Q)
-    extends over Q inside E, so N_F^K(Q) = N_E^K(Q)."""
+    extends over Q inside E, so N_F^K(Q) = N_E^K(Q).  Membership in N_F^K(Q)
+    is closed under composition, so the generators of each Aut_F(S) decide."""
     real = aut_realization(F, Q)
     k_images = {real.images[i] for i in K.members} | {Q.members}  # with the identity
     n_mask = sum(xs for c, xs in aut_p(F, Q).items() if c in k_images)  # disjoint fibres
@@ -71,7 +72,8 @@ def _k_normalizer(F: FusionSystem, Q: Subgroup, K: Subgroup) -> FusionSystem:
     on_q = extensions_on(E, Q)
     inside = lambda r, imgs: any(x in k_images for x in on_q(r, imgs))  # extends into K
     if whole and n_mask == F.carrier.mask and is_saturated(F) and all(
-            inside(S.mask, a) for S in cl.fnrc_subgroups(F) for a in F.images(S.mask, S.mask)):
+            inside(S.mask, a) for S in cl.fnrc_subgroups(F)
+            for a in aut_realization(F, S).generators):
         pg.WORK["knorm_generators"] += 1
         return FusionSystem(F.carrier, F.p, triples=F.triples())
     pg.WORK["knorm_scan"] += 1
@@ -135,17 +137,13 @@ def is_frattini(F: FusionSystem, E: PreFusionSystem) -> bool:
     return True
 
 
-def aut_f_acts_on(F: PreFusionSystem, E: PreFusionSystem) -> bool:
+def aut_f_acts_on(F: FusionSystem, E: PreFusionSystem) -> bool:
     """Whether each alpha in Aut_F(Q), Q the carrier of E, sends the isos of E
-    into those of E: being injective on isos, the push is then onto them."""
-    check_in_carrier(F, E.carrier)
-    return _aut_f_acts_on(F, E)
-
-
-@memo("aut_f_acts")
-def _aut_f_acts_on(F: PreFusionSystem, E: PreFusionSystem) -> bool:
+    into those of E: being injective on isos, the push is then onto them.  The
+    alpha that carry E onto E form a subgroup of Aut(Q), so F must be a fusion
+    system, whose Aut_F(Q) is a group: its generators decide."""
     Q = E.carrier
-    return all(carries(E, dict(zip(Q.members, a)), E) for a in F.images(Q.mask, Q.mask))
+    return all(carries(E, dict(zip(Q.members, a)), E) for a in aut_realization(F, Q).generators)
 
 
 def is_normal_subsystem(F: FusionSystem, E: FusionSystem) -> bool:

@@ -692,12 +692,15 @@ def test_verify_work_bound(verify_run):
     # answers an invariant table, 419 builds, kept per memo of F)
     assert calls["PreFusionSystem"] <= 2_100
     assert calls["pushed_images"] <= 58_253
-    # invariance and the action of Aut_F(Q) are memoized on F by the memo
-    # serial of E, which stands for E's content: 419 and 133 builds for
-    # 1,096 and 409 calls, which each decided their pair before (the pushes
-    # fell from 53,108 to 40,703)
+    # invariance is memoized on F by the memo serial of E, which stands for
+    # E's content: 419 builds for 1,096 calls, which each decided their pair
+    # before (the pushes fell from 53,108 to 40,703).  The action of
+    # Aut_F(Q) on E, and the Alperin test of a K-normalizer, read only the
+    # generators of each Aut_F(S): one verify makes 1,700 carries calls
+    # (1,838 when the action pushed E through all of Aut_F(Q), with a memo
+    # table of 133 builds for 409 calls)
     assert builds["invariant"] <= 450
-    assert builds["aut_f_acts"] <= 150
+    assert calls["carries"] <= 1_700
     # a lattice is read off the smallest lattice its group holds above it:
     # 205 of the 811 lattices are joined
     assert calls["_joined_lattice"] <= 250
@@ -723,15 +726,16 @@ def test_verify_work_bound(verify_run):
     assert run["work"]["coset_step"] <= 15_500
     # a K-normalizer that is all of F is recognised from the Alperin
     # generators of F: 130 of the 271 are, and the other 141 are scanned.
-    # One verify makes 5,748 extension scans, against 12,215 when every
+    # One verify makes 5,481 extension scans, against 5,748 when every
+    # element of each Aut_F(S) was tested and 12,215 when every
     # K-normalizer scanned all of F's isos
     assert run["work"]["knorm_generators"] >= 120
     assert calls["extensions"] <= 6_500
-    # no memo table that no workload reads again: 18,753 builds in all,
-    # 18,200 before the content-keyed invariant and aut_f_acts tables,
-    # 18,620 with the id-keyed invariant table, 17,204 before the aut_p
-    # table (19,102 with the centric, radical, qdp_free and aut_generators
-    # tables and the verify's per-record lists)
+    # no memo table that no workload reads again: 18,622 builds in all,
+    # 18,753 with the aut_f_acts table, 18,200 before the content-keyed
+    # invariant and aut_f_acts tables, 18,620 with the id-keyed invariant
+    # table, 17,204 before the aut_p table (19,102 with the centric, radical,
+    # qdp_free and aut_generators tables and the verify's per-record lists)
     assert sum(builds.values()) <= 19_000
 
 

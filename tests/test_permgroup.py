@@ -99,6 +99,22 @@ def test_registry_lets_groups_go():
     assert key not in pg._GROUPS
 
 
+def test_elements_not_closed_raise_invariant_violation():
+    # {1, (0 1 2)} holds neither the square nor the inverse of (0 1 2)
+    G = pg.Group._from_elements(3, [pg.Perm((0, 1, 2)), pg.Perm((1, 2, 0))], "not-closed")
+    with pytest.raises(InvariantViolation):
+        G.rows()
+    with pytest.raises(InvariantViolation):
+        G.inv(1)
+    # above the table limit a product is composed when it is asked for
+    s7 = pg.group_from_generators(7, [[1, 2, 3, 4, 5, 6, 0], [1, 0, 2, 3, 4, 5, 6]], "S7")
+    gone = s7.elements[5]
+    H = pg.Group._from_elements(7, [p for p in s7.elements if p != gone], "S7-minus-one")
+    assert H.order > pg._TABLE_LIMIT
+    with pytest.raises(InvariantViolation):
+        H.mul(1, H.index_of(H.elements[1].inverse() * gone))
+
+
 def test_identity_first_and_inverse_law(groups):
     for G in groups.values():
         assert G.elements[0].is_identity()

@@ -316,6 +316,14 @@ def _s4_doc_without_isos_on_the_carrier():
     return dict(doc, isos=[iso for iso in doc["isos"] if len(iso["domain"]) != 8])
 
 
+def _d8_doc_without_an_automorphism():
+    # a "fusion" document whose Aut_F(P) lacks one non-identity automorphism:
+    # the rest are not closed under composition
+    doc = _system_doc("d8", 2)
+    auts = [iso for iso in doc["isos"] if len(iso["domain"]) == 8]
+    return dict(doc, isos=[iso for iso in doc["isos"] if iso is not auts[1]])
+
+
 @pytest.mark.parametrize("argv, doc", [
     (("fusion", "check"), _system_doc("s4", 2, ambient=None)),
     (("fusion", "check"), _system_doc("s4", 2, p=4)),
@@ -337,12 +345,14 @@ def _s4_doc_without_isos_on_the_carrier():
     (("fusion", "check", "--closure"), _s4_doc_without_isos_on_the_carrier()),
     (("fusion", "check"), _system_doc("s4", 2, p=3)),
     (("fusion", "check"), _system_doc("s4", 2, carrier=list(range(24)))),
+    (("fusion", "check", "--closure"), _d8_doc_without_an_automorphism()),
 ], ids=["system-without-ambient", "system-p-not-prime", "spec-p-not-prime",
         "string-in-generator", "bool-in-generator", "bool-degree",
         "subgroup-spec-not-a-list", "carrier-not-subgroup", "domain-not-subgroup",
         "iso-outside-carrier", "seed-morphisms-not-a-list", "seed-morphisms-null",
         "spec-p-of-5000-digits", "spec-p-past-the-prime-limit", "subgroup-spec-of-5000-digits",
-        "carrier-identity-missing", "carrier-not-a-3-group", "carrier-not-a-2-group"])
+        "carrier-identity-missing", "carrier-not-a-3-group", "carrier-not-a-2-group",
+        "aut-not-closed"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, doc):
     # a doc given as text is written as it is: json.dumps cannot write an
     # int of 5,000 digits, and json.loads cannot read one
@@ -351,6 +361,13 @@ def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, doc):
     assert run_cli(*argv[:2], str(path), *argv[2:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_order_cap_not_an_integer_exit_code(monkeypatch, capsys):
+    monkeypatch.setenv("FUSKIT_ORDER_CAP", "abc")
+    assert run_cli("group", "info", str(CORPUS / "groups" / "d8.json")) == 2
+    err = capsys.readouterr().err
+    assert err == "error: FUSKIT_ORDER_CAP is not an integer: 'abc'\n"
 
 
 def test_cli_failed_command_prints_no_warning(tmp_path):

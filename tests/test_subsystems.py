@@ -247,20 +247,72 @@ def test_invariance_agrees_with_the_per_subgroup_route(corpus_entries):
     assert outcomes.count(False) >= 5 and CarrierNotStronglyClosed in outcomes
 
 
+def _acts_on_by_every_element(F, E):
+    """aut_f_acts_on as it was written: E pushed through every element of
+    Aut_F(Q), Q the carrier of E."""
+    Q = E.carrier
+    return all(fz.carries(E, dict(zip(Q.members, a)), E) for a in F.images(Q.mask, Q.mask))
+
+
+def _alperin_test_by_every_element(F, Q, K):
+    """The Alperin test of _k_normalizer over every element of each Aut_F(S),
+    S fully normalized centric radical: N_F^K(Q) is F exactly when it passes."""
+    real = cl.aut_realization(F, Q)
+    k_images = {real.images[i] for i in K.members}
+    on_q = fz.extensions_on(F, Q)
+    return (K.order == real.group.order and F.normalizer_in_carrier(Q) == F.carrier
+            and all(any(x in k_images for x in on_q(S.mask, a))
+                    for S in cl.fnrc_subgroups(F) for a in F.images(S.mask, S.mask)))
+
+
+def test_generators_of_aut_f_agree_with_every_element(corpus_entries):
+    # every saturated shipped F: Aut_F(Q) acting on the inner system of each
+    # strongly closed Q, and Aut_F(P) on the system on P holding only the
+    # identity of Q, for every Q, which an automorphism moving Q does not
+    # carry onto itself; and the K-normalizers that the Alperin test of
+    # _k_normalizer, read on generators, decides to be F
+    acts, only_id, decided = [], [], []
+    for rec in corpus_systems(list(corpus_entries.values())):
+        F = rec.system
+        if not fz.is_saturated(F):
+            continue
+        for Q in F.subgroups():
+            E = _only_identity(F, Q)
+            only_id.append(ss.aut_f_acts_on(F, E))
+            assert only_id[-1] == _acts_on_by_every_element(F, E), (F, Q)
+            if fz.is_strongly_closed(F, Q):
+                E = ss.inner_system(Q, F.p)
+                acts.append(ss.aut_f_acts_on(F, E))
+                assert acts[-1] == _acts_on_by_every_element(F, E), (F, Q)
+        instances = verify._knorm_instances(F)
+        F._caches.pop("k_normalizer")  # so each N_F(Q) is decided afresh
+        for Q, K, _, nk in instances:
+            expected = _alperin_test_by_every_element(F, Q, K)
+            assert fz.same_system(nk, F) == expected, (F, Q, K)
+            if K.order == cl.aut_realization(F, Q).group.order:  # no proper K can pass
+                before = pg.WORK["knorm_generators"]
+                ss.normalizer_system(F, Q)
+                decided.append(pg.WORK["knorm_generators"] > before)
+                assert decided[-1] == expected, (F, Q)
+    assert (len(only_id), only_id.count(False)) == (200, 52)
+    assert (len(acts), acts.count(False)) == (136, 0)
+    assert (len(decided), decided.count(True)) == (189, 132)
+
+
 def test_twin_reads_the_invariance_entry(s4_system, v4):
     # the entries are keyed by the second system's memo serial, which a twin
     # on a renamed ambient group shares
     from fuskit.serialization import system_from_dict, system_to_dict
     F, E = s4_system, ss.inner_system(v4, 2)
-    assert ss.is_invariant(F, E) and ss.aut_f_acts_on(F, E)
-    builds = (pg.BUILDS["invariant"], pg.BUILDS["aut_f_acts"])
+    assert ss.is_invariant(F, E)
+    builds = pg.BUILDS["invariant"]
     doc = system_to_dict(E)
     doc["ambient"]["name"] = "S4-invariance-twin"
     twin = system_from_dict(doc)
     assert twin is not E and twin.parent is not E.parent
     assert twin.memo_key == E.memo_key
-    assert ss.is_invariant(F, twin) and ss.aut_f_acts_on(F, twin)
-    assert (pg.BUILDS["invariant"], pg.BUILDS["aut_f_acts"]) == builds
+    assert ss.is_invariant(F, twin)
+    assert pg.BUILDS["invariant"] == builds
 
 
 def test_other_content_gets_its_own_invariance_entry(s4_system):
@@ -271,12 +323,11 @@ def test_other_content_gets_its_own_invariance_entry(s4_system):
     Q = next(S for S in F.subgroups() if S.order == 2 and not fz.is_weakly_closed(F, S))
     E_weak, E_fused = _only_identity(F, P), _only_identity(F, Q)
     assert E_weak.carrier == E_fused.carrier and E_weak.memo_key != E_fused.memo_key
-    for pred, name in ((ss.is_invariant, "invariant"), (ss.aut_f_acts_on, "aut_f_acts")):
-        assert pred(F, E_weak)
-        builds = pg.BUILDS[name]
-        assert not pred(F, E_fused)
-        assert pg.BUILDS[name] == builds + 1
-        assert F._caches[name][(E_fused.memo_key,)] is False
+    assert ss.is_invariant(F, E_weak)
+    builds = pg.BUILDS["invariant"]
+    assert not ss.is_invariant(F, E_fused)
+    assert pg.BUILDS["invariant"] == builds + 1
+    assert F._caches["invariant"][(E_fused.memo_key,)] is False
 
 
 def test_invariance_entries_keep_no_system_alive(s4_system):
@@ -284,13 +335,13 @@ def test_invariance_entries_keep_no_system_alive(s4_system):
     import weakref
     F = s4_system
     E = _only_identity(F, F.carrier)
-    assert ss.is_invariant(F, E) and ss.aut_f_acts_on(F, E)
+    assert ss.is_invariant(F, E)
     key = (E.memo_key,)
     gone = weakref.ref(E)
     del E
     gc.collect()
     assert gone() is None
-    assert F._caches["invariant"][key] and F._caches["aut_f_acts"][key]
+    assert F._caches["invariant"][key]
 
 
 def test_predicates_reject_a_subsystem_outside_the_carrier(s4_system):

@@ -6,7 +6,8 @@ Run it in a fresh interpreter, so that every memo starts empty and the counts
 do not depend on what ran before.  It prints the report's status, the builds
 per memo table, counted calls (n_phi, _n_phi: N_phi computed with or
 without the membership check, extensions: scans for the stored isos that
-extend a map, automorphisms, GroupHom builds, systems built
+extend a map, carries: pushes of a whole system through an element map,
+automorphisms, GroupHom builds, systems built
 (PreFusionSystem), pushed_images, lattices built by joins
 (_joined_lattice; the other subgroups_of builds filter a lattice the group
 holds), transport and validate_hom, also counted
@@ -61,7 +62,7 @@ def replace(orig, new):
 
 def main() -> None:
     for fn in (fz.n_phi, fz._n_phi, pg.automorphisms, fz.transport, fz.validate_hom,
-               pg.pushed_images, pg._joined_lattice, fz.extensions):
+               pg.pushed_images, pg._joined_lattice, fz.extensions, fz.carries):
         replace(fn, counted(fn.__name__, fn))
     for fn in (qt.verify_second_iso, qt.verify_third_iso):
         replace(fn, scoped(fn.__name__, fn))
