@@ -8,9 +8,10 @@ an operation is timed, that is between the two clock readings that bracket
 it, and while its output is checked untimed.  It prints whether every
 operation passed, the two GroupHom counts, the subgroup lattices built by
 joins (``joined``; the other ``subgroups_of`` builds filter a lattice the
-group holds), the work of the closure kernel (closures computed and their
-coset steps, ``permgroup.WORK``) and the builds per memo table over the
-pass.
+group holds), the work of the closure kernel and of the lattice joins
+(closures computed, their coset steps and the joins <H, x> that
+``_joined_lattice`` ran, ``permgroup.WORK``) and the builds per memo table
+over the pass.
 """
 
 import json

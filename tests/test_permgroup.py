@@ -175,22 +175,93 @@ def test_held_lattice_filters_to_the_brute_oracle(groups, monkeypatch):
     assert joins[0] == len(tops)
 
 
-@pytest.mark.parametrize("name, count, most", [("a6", 501, 2_000), ("qd3", 182, 1_000)])
-def test_lattice_join_work_bound(groups, monkeypatch, name, count, most):
-    # counts work, not time: joining every subgroup made 30,147 and 7,158 joins
-    # (the count takes in the closure kernel's coset steps too: 6 on each)
+@pytest.mark.parametrize("name, count, most", [("a6", 501, 750), ("qd3", 182, 500)])
+def test_lattice_join_work_bound(groups, name, count, most):
+    # counts work, not time: joining every subgroup made 30,147 and 7,158
+    # joins, one join per right coset 1,082 and 600, and one per double coset
+    # for joins that are the whole group 684 and 459
     fresh = _fresh(groups[name], "joins")
-    calls = 0
-    join = pg._coset_join
-
-    def counting_join(*args):
-        nonlocal calls
-        calls += 1
-        return join(*args)
-
-    monkeypatch.setattr(pg, "_coset_join", counting_join)
+    before = pg.WORK["lattice_join"]
     assert len(pg.subgroups(fresh)) == count
-    assert 0 < calls <= most
+    assert 0 < pg.WORK["lattice_join"] - before <= most
+
+
+def _right_coset_lattice(S):
+    """The lattice of S by the cyclic-extension loop that covers only the
+    right coset Hx after each join <H, x>: the reference for
+    ``_joined_lattice``, which also covers double cosets."""
+    G, rows = S.parent, S.parent.rows()
+    reps = sorted({pg._closure_from_gens(G, [x]): x for x in reversed(S.members)}.items())
+    gens_s = S.generating_ids()
+    conj = [dict(zip(S.members, pg.conj_images(G, g, S.members)))
+            for g in gens_s if any(rows[g][h] != rows[h][g] for h in gens_s)]
+    known, layer = {1}, [(1, ())]
+    while layer:
+        nxt = []
+        for mask, gens in layer:
+            covered, h_rows = mask, [rows[h] for h in pg._bits(mask)]
+            index = S.order // len(h_rows)
+            most = index // next((q for q in range(2, index + 1) if index % q == 0), 1)
+            for _, x in reps:
+                if (covered >> x) & 1:
+                    continue
+                hx = 0
+                for h_row in h_rows:
+                    hx |= 1 << h_row[x]
+                j, coset_reps = mask | hx, [x]
+                for r in coset_reps:  # Dimino's step, as far as most cosets
+                    if len(coset_reps) >= most:
+                        break
+                    for g in gens + (x,):
+                        y = rows[r][g]
+                        if not (j >> y) & 1:
+                            coset_reps.append(y)
+                            for h_row in h_rows:
+                                j |= 1 << h_row[y]
+                if j.bit_count() > most * len(h_rows):
+                    j = S.mask
+                covered |= hx
+                if j not in known:
+                    known.add(j)
+                    orbit = [j]
+                    for k in orbit:
+                        for cm in conj:
+                            c = pg.mask_image(cm, k)
+                            if c not in known:
+                                known.add(c)
+                                orbit.append(c)
+                    nxt.append((j, gens + (x,)))
+        layer = nxt
+    return sorted(known, key=lambda m: (m.bit_count(), m))
+
+
+def _relabelled(G, seed):
+    """G on its points renamed by a seeded permutation."""
+    pts = list(range(G.degree))
+    random.Random(seed).shuffle(pts)
+    gens = []
+    for g in G.generators:
+        img = [0] * G.degree
+        for i, y in enumerate(g.images):
+            img[pts[i]] = pts[y]
+        gens.append(img)
+    return pg.group_from_generators(G.degree, gens, f"{G.name}-relabelled-{seed}")
+
+
+def test_double_coset_lattice_agrees_with_right_coset_joins(groups):
+    # covering the double coset HxH after a join that is all of S skips only
+    # joins <H, h*x*h'> = <H, x>, so the lattice is the same list of masks
+    wide = [_fresh(G, "agree") for G in (
+        _c2_wr_c2_wr_c2(), _from_cycles(9, [[0, 1, 2]], [[0, 3, 6], [1, 4, 7], [2, 5, 8]]),
+        _from_cycles(9, [[0, 1, 2]], [[0, 1]], [[0, 3, 6], [1, 4, 7], [2, 5, 8]]))]
+    assert [G.order for G in wide] == [128, 81, 648]
+    cases = [_fresh(G, "agree") for G in groups.values()]
+    cases += [_relabelled(G, seed) for G in groups.values() for seed in (30, 31)]
+    for G in cases + wide:
+        assert "subgroups_of" not in G._caches  # so the lattice is joined
+        S = G.full_subgroup()
+        assert [H.mask for H in pg.subgroups_of(S)] == _right_coset_lattice(S), G.name
+    assert [len(pg.subgroups(G)) for G in wide] == [576, 50, 1_208]
 
 
 def _from_cycles(degree, *gens):

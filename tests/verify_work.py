@@ -14,7 +14,8 @@ holds), transport and validate_hom, also counted
 apart while an isomorphism-theorem verifier runs, as
 ``verify_third_iso.transport`` and so on), the work of the closure kernel
 (closures computed and their coset steps, ``permgroup.WORK``, with the
-K-normalizers decided on Alperin generators and those scanned) and the tables
+joins <H, x> that ``_joined_lattice`` ran and the K-normalizers decided on
+Alperin generators and those scanned) and the tables
 on the live system memos.
 """
 
