@@ -529,12 +529,16 @@ class Subgroup:
     def is_abelian(self) -> bool:
         return centralizer(self, self).mask == self.mask
 
-    def element_orders(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
+    @memo("order_classes")
+    def order_classes(self) -> dict[int, tuple[int, ...]]:
+        """The members by element order, each class in member order.  Cached."""
+        G, classes = self.parent, {}
         for x in self.members:
-            o = self.parent.element_order(x)
-            hist[o] = hist.get(o, 0) + 1
-        return hist
+            classes.setdefault(G.element_order(x), []).append(x)
+        return {o: tuple(xs) for o, xs in classes.items()}
+
+    def element_orders(self) -> dict[int, int]:
+        return {o: len(xs) for o, xs in self.order_classes().items()}
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.name})"
@@ -1191,6 +1195,13 @@ def _cayley_levels(G: Group, gens: Sequence[int]) -> list[tuple[list, list]]:
     return levels
 
 
+@memo("cayley_levels")
+def _levels_of(A: Subgroup, gens: tuple[int, ...]) -> list[tuple[list, list]]:
+    """_cayley_levels along gens, a generating sequence of A.  Cached per
+    (A, gens): the searches from A and A's automorphism chain read it."""
+    return _cayley_levels(A.parent, gens)
+
+
 def _extend_level(level: tuple[list, list], img: list[int], gen_img: Sequence[int], rows,
                   used: int) -> Optional[int]:
     """Extend img over one level of _cayley_levels, given the images of the
@@ -1262,20 +1273,20 @@ class _IsoSearch:
 
     ``img`` holds the image of each element of A's parent reached so far and
     ``gen_img`` the images of gens; both start as the identity.  A candidate
-    image of a generator has its order and is kept when its level extends.
+    image of a generator is a member of B of its order (``order_classes``)
+    and is kept when its level extends.  The levels and the classes are read
+    from the memos of A and B, so a search pays only for its backtrack.
     """
 
-    def __init__(self, A: Subgroup, B: Subgroup, gens: Sequence[int]):
-        GA, GB = A.parent, B.parent
+    def __init__(self, A: Subgroup, B: Subgroup, gens: tuple[int, ...]):
+        GA = A.parent
         self.A, self.gens = A, gens
-        self.levels = _cayley_levels(GA, gens)
-        self.rows = GB.rows()
+        self.levels = _levels_of(A, gens)
+        self.rows = B.parent.rows()
         self.img = list(range(GA.order))
         self.gen_img = list(gens)
-        by_order: dict[int, list[int]] = {}
-        for y in B.members:
-            by_order.setdefault(GB.element_order(y), []).append(y)
-        self.candidates = [by_order.get(GA.element_order(g), ()) for g in gens]
+        classes = B.order_classes()
+        self.candidates = [classes.get(GA.element_order(g), ()) for g in gens]
 
     def extend(self, k: int, y: int, used: int) -> Optional[int]:
         """Send gens[k] to y and extend img over its level (see _extend_level)."""

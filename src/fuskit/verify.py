@@ -2,7 +2,9 @@
 
 Each suite checks one statement exhaustively over every corpus system it
 applies to.  A failing instance always carries a machine-replayable witness
-(element-index payloads for the subgroups and morphisms involved).  Reports
+(element-index payloads for the subgroups and morphisms involved); an
+error a suite raises, other than a parse error, is a failed instance of
+that suite, and the other suites still run.  Reports
 are deterministic: timings are kept in memory but stay out of the emitted
 bytes unless explicitly requested.
 """
@@ -177,6 +179,21 @@ def _suite(theorem: str, description: str):
         _SUITES[theorem] = (description, fn)
         return fn
     return deco
+
+
+def _guarded(check: Check) -> Check:
+    """A suite's instances, then one failed instance holding the fault when
+    the suite raises a FuskitError other than a ParseError: a generator
+    that raised cannot resume, and the other suites still run."""
+    instance_id = None
+    try:
+        for instance_id, ok, detail in check:
+            yield instance_id, ok, detail
+    except ParseError:
+        raise
+    except FuskitError as exc:
+        where = f"raised after {instance_id}" if instance_id is not None else "raised first"
+        yield where, False, {"error": type(exc).__name__, "message": str(exc)}
 
 
 # -- the suites ----------------------------------------------------------------------
@@ -706,7 +723,7 @@ def run_verification(corpus_dir, theorem: Optional[str] = None) -> VerificationR
         start = time.perf_counter()
         instances = passes = 0
         failures = []
-        for instance_id, ok, detail in fn(ctx):
+        for instance_id, ok, detail in _guarded(fn(ctx)):
             instances += 1
             if ok:
                 passes += 1

@@ -11,7 +11,11 @@ joins (``joined``; the other ``subgroups_of`` builds filter a lattice the
 group holds), the work of the closure kernel and of the lattice joins
 (closures computed, their coset steps and the joins <H, x> that
 ``_joined_lattice`` ran, ``permgroup.WORK``) and the builds per memo table
-over the pass.
+over the pass.  The benchmark's set-up, which draws the specs with an
+isomorphism search between every two proper subgroups of equal order of a
+carrier and lists the automorphisms of each, runs with the builds of Cayley
+levels (``permgroup._cayley_levels``) counted: ``setup_cayley_levels``, and
+``cayley_levels`` for the pass.
 """
 
 import json
@@ -29,7 +33,16 @@ def main() -> None:
     import workloads
     fk = workloads.fresh_import()
     work = workloads.FusionGenerate()
+    levels = fk.permgroup._cayley_levels
+    built = Counter()
+
+    def counted_levels(*args):
+        built["levels"] += 1
+        return levels(*args)
+
+    fk.permgroup._cayley_levels = counted_levels
     specs = work.setup(fk, seed)
+    in_setup = built["levels"]
 
     builds = Counter()
     timed = [False]  # the clock is read once as an operation starts and once as it ends
@@ -56,6 +69,7 @@ def main() -> None:
     json.dump({"ok": result.failed == 0, "ops": result.attempted,
                "GroupHom": builds["timed"], "GroupHom_untimed": builds["untimed"],
                "joined": builds["joined"],
+               "setup_cayley_levels": in_setup, "cayley_levels": built["levels"] - in_setup,
                "work": fk.permgroup.WORK - kernel,
                "builds": fk.permgroup.BUILDS - before}, sys.stdout, sort_keys=True)
 

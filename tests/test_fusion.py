@@ -594,6 +594,13 @@ def test_fusion_generate_work_bound():
     # steps, so most closures are the powers of one generator
     assert run["work"]["closure"] <= 18_000
     assert run["work"]["coset_step"] <= 25_000
+    # the set-up searches for an isomorphism between every two equal-order
+    # proper subgroups of each carrier and lists their automorphisms; Cayley
+    # levels are kept per (subgroup, generator sequence), so it builds 157
+    # (2,510 when every search built its own, and the automorphism chain one
+    # per level).  The timed pass runs no search
+    assert run["setup_cayley_levels"] <= 200
+    assert run["cayley_levels"] == 0
 
 
 # -- equal systems share one memo ---------------------------------------------------
@@ -685,6 +692,10 @@ def test_verify_work_bound(verify_run):
     assert calls["automorphisms"] == 0
     assert calls["transport"] == 0
     assert builds["aut_chain"] <= 200
+    # the Cayley levels of a subgroup's searches are built once per generator
+    # sequence: 125 builds (229 when every search built its own, and the
+    # automorphism chain one per level)
+    assert calls["_cayley_levels"] <= 130
     # invariance pushes each iso of E through the isos of F out of the join
     # of its domain and image, with no system built per subgroup of E's
     # carrier: one verify builds 1,895 systems and makes 53,108 pushes
@@ -731,8 +742,8 @@ def test_verify_work_bound(verify_run):
     # K-normalizer scanned all of F's isos
     assert run["work"]["knorm_generators"] >= 120
     assert calls["extensions"] <= 6_500
-    # no memo table that no workload reads again: 18,622 builds in all,
-    # 18,753 with the aut_f_acts table, 18,200 before the content-keyed
+    # no memo table that no workload reads again: 18,868 builds in all,
+    # 18,622 before the cayley_levels and order_classes tables, 18,753 with the aut_f_acts table, 18,200 before the content-keyed
     # invariant and aut_f_acts tables, 18,620 with the id-keyed invariant
     # table, 17,204 before the aut_p table (19,102 with the centric, radical,
     # qdp_free and aut_generators tables and the verify's per-record lists)

@@ -930,6 +930,63 @@ def test_sylow_automorphism_digests(corpus_entries, groups):
     assert got == SYLOW_AUT_DIGESTS
 
 
+# sha256 over the first isomorphism Q -> R (or none) for every ordered pair of
+# equal-order proper subgroups, and over aut_images(Q) for every proper Q, of
+# the carriers of the benchmark's fusion-generate workload, built as its spec
+# drawing builds them; stamped before the search state was kept per subgroup
+SEARCH_PAIRS = 2361
+SEARCH_DIGEST = "7443ba4481f2437dc7818f89a1f3e4f4fafeec2885d53ba61f6df8372148710b"
+
+
+def test_search_results_the_spec_drawing_reads(groups):
+    # the benchmark draws its seed isos from these results, so a change of
+    # search order changes which specs it runs
+    carriers = [groups[name] for name in ("c4xc2", "d8", "d8xc2", "e16", "q8")]
+    for name, p in (("qd3", 3), ("s4", 2), ("sl23", 2)):
+        G = groups[name]
+        carriers.append(pg.group_from_generators(
+            G.degree, [G.elements[x] for x in pg.sylow(G, p).generating_ids()], f"{name}-sylow{p}"))
+    digest, pairs = hashlib.sha256(), 0
+    for C in carriers:
+        proper = [S for S in pg.subgroups(C) if 1 < S.order < C.order]
+        for Q in proper:
+            for R in proper:
+                if R.order == Q.order:
+                    pairs += 1
+                    iso = pg.isomorphisms_between(Q, R)
+                    digest.update(repr((Q.mask, R.mask, iso[0].images if iso else None)).encode())
+        for Q in proper:
+            digest.update(repr((Q.mask, pg.aut_images(Q))).encode())
+    assert (pairs, digest.hexdigest()) == (SEARCH_PAIRS, SEARCH_DIGEST)
+
+
+def test_search_state_is_kept_per_subgroup(groups, monkeypatch):
+    # Cayley levels are built once per (subgroup, generator sequence): the
+    # automorphism chain of C2 wr C2 wr C2 runs along 3 generators, its
+    # isomorphism searches along its 7 generating ids
+    Q = _c2_wr_c2_wr_c2("C2wrC2wrC2-levels").full_subgroup()
+    chain, ids = pg._chain_gens(Q), Q.generating_ids()
+    assert len(chain) == 3 and len(ids) == 7
+    built = Counter()
+    levels = pg._cayley_levels
+
+    def counting(G, gens):
+        built[gens] += 1
+        return levels(G, gens)
+
+    monkeypatch.setattr(pg, "_cayley_levels", counting)
+    assert pg.isomorphisms_between(Q, Q)[0].is_identity_map()
+    assert len(pg.automorphisms(Q)) == 512
+    assert pg.isomorphisms_between(Q, Q)[0].is_identity_map()
+    assert built == {ids: 1, chain: 1}
+    # the candidates are the codomain's members of each order
+    s4 = groups["s4"]
+    fours = [S for S in pg.subgroups(s4) if S.order == 4 and S.element_orders() == {1: 1, 2: 3}]
+    for A, B in combinations(fours, 2):
+        assert pg.mask_of(pg.isomorphisms_between(A, B)[0].images) == B.mask
+        assert B.order_classes() == {1: (0,), 2: B.members[1:]}
+
+
 def _cold(G, name):
     """A twin of G with empty tables: its own name makes it a new identity,
     where interning would hand back the group whose automorphisms an earlier

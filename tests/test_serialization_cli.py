@@ -589,6 +589,36 @@ def test_full_text_report_matches_golden_file(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+def test_verify_fault_in_a_suite_fails_that_suite(capsys, monkeypatch):
+    # a fault raised inside a suite is one failed instance after its last
+    # yielded one, with the exception in its detail; the other suites run,
+    # and the exit code is 1 (2 means malformed input)
+    from fuskit import verify
+    from fuskit.errors import InvariantViolation
+    name = "core-over-centre"
+    description, _ = verify._SUITES[name]
+
+    def faulty(ctx):
+        yield "s4@p2", True, {}
+        raise InvariantViolation("the join of the closed subgroups is not closed")
+
+    monkeypatch.setitem(verify._SUITES, name, (description, faulty))
+    assert run_cli("verify", str(CORPUS)) == 1
+    failure = {"detail": {"error": "InvariantViolation",
+                          "message": "the join of the closed subgroups is not closed"},
+               "instance": "raised after s4@p2",
+               "replay": f"fuskit verify {CORPUS} --theorem {name}"}
+    golden = (Path(__file__).parent / "data" / "verify_golden.txt").read_text().splitlines()
+    want = []
+    for line in golden[:-1]:
+        if line.startswith(f"ok   {name}: "):
+            want += [f"FAIL {name}: 1/2", f"     failure: {ser.canonical_json(failure).strip()}"]
+        else:
+            want.append(line)
+    want.append("FAIL: 33 theorems, 15981 instances, 1 failures")  # 15,997 - 18 + 2
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+
 def test_cli_verify_deterministic(capsys):
     assert run_cli("verify", str(CORPUS), "--theorem",
                    "example-sixteen-quotient", "--format", "json") == 0

@@ -10,7 +10,8 @@ extend a map, carries: pushes of a whole system through an element map,
 automorphisms, GroupHom builds, systems built
 (PreFusionSystem), pushed_images, lattices built by joins
 (_joined_lattice; the other subgroups_of builds filter a lattice the group
-holds), transport and validate_hom, also counted
+holds), Cayley levels built for isomorphism and automorphism searches
+(_cayley_levels), transport and validate_hom, also counted
 apart while an isomorphism-theorem verifier runs, as
 ``verify_third_iso.transport`` and so on), the work of the closure kernel
 (closures computed and their coset steps, ``permgroup.WORK``, with the
@@ -63,7 +64,8 @@ def replace(orig, new):
 
 def main() -> None:
     for fn in (fz.n_phi, fz._n_phi, pg.automorphisms, fz.transport, fz.validate_hom,
-               pg.pushed_images, pg._joined_lattice, fz.extensions, fz.carries):
+               pg.pushed_images, pg._joined_lattice, pg._cayley_levels, fz.extensions,
+               fz.carries):
         replace(fn, counted(fn.__name__, fn))
     for fn in (qt.verify_second_iso, qt.verify_third_iso):
         replace(fn, scoped(fn.__name__, fn))
