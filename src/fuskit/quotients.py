@@ -4,12 +4,13 @@ closure transfer to quotients, and the isomorphism-theorem verifiers.
 Quotient carriers are always realized explicitly by the coset action of the
 carrier, read off its parent's table, and every comparison between systems
 on quotients pushes isos along an explicitly constructed map of carriers
-(``fusion.carries``); nothing is identified "by name".
+(``fusion.carries``, ``_pushes``); nothing is identified "by name".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from . import permgroup as pg
@@ -23,12 +24,12 @@ from .errors import (
 from .fusion import (
     FusionSystem,
     PreFusionSystem,
+    Triple,
     carries,
     generated_on,
     is_saturated,
     is_strongly_closed,
     is_weakly_closed,
-    pushed,
     restrictor,
     same_system,
     stored_in,
@@ -70,25 +71,34 @@ def factor_parts(F: PreFusionSystem, Q: Subgroup) -> tuple[FusionSystem, dict[in
     return factor_system(F, Q), _quotient_parts(F, Q).proj
 
 
+def _pushes(F: PreFusionSystem, Q: Subgroup, fixing: bool) -> list[Triple]:
+    """The push through P -> P/Q of F's isos between overgroups of Q that map
+    Q onto Q (fixing) or of all the others (not fixing).  Every iso is pushed,
+    so one that induces no map raises InvariantViolation."""
+    proj = _quotient_parts(F, Q).proj
+    over = {r: restrictor(r, Q.members) for r in F.store if not Q.mask & ~r}  # the overgroups of Q
+    members = {q: Subgroup(F.parent, q).members for q in F.store}
+    return [pg.pushed_images(members[q], imgs, proj) for q, _, imgs in F.triples()
+            if (q in over and pg.mask_of(over[q](imgs)) == Q.mask) == fixing]
+
+
 @memo("factor_system", named=True)
 def factor_system(F: PreFusionSystem, Q: Subgroup) -> FusionSystem:
     """The factor system on P/Q: morphisms between overgroups of Q fixing Q."""
-    parts = _quotient_parts(F, Q)
-    over = {r: (Subgroup(F.parent, r).members, restrictor(r, Q.members))  # the overgroups of Q
-            for r in F.store if not Q.mask & ~r}
-    fixing = (pg.pushed_images(over[r][0], imgs, parts.proj) for r, _, imgs in F.triples()
-              if r in over and pg.mask_of(over[r][1](imgs)) == Q.mask)  # Q onto Q
-    return FusionSystem(parts.group.full_subgroup(), F.p, triples=fixing, provenance="factor")
+    return FusionSystem(_quotient_parts(F, Q).group.full_subgroup(), F.p,
+                        triples=_pushes(F, Q, True), provenance="factor")
 
 
 @memo("bar_system", named=True)
 def bar_system(F: PreFusionSystem, Q: Subgroup) -> PreFusionSystem:
-    """The prefusion system on P/Q induced by ALL morphisms of F."""
+    """The prefusion system on P/Q induced by ALL morphisms of F: the factor
+    system F/Q, which holds the pushes of the isos fixing Q, and the pushes of
+    the others."""
     if not is_strongly_closed(F, Q):
         raise NotStronglyClosed("the bar construction needs a strongly closed kernel")
-    parts = _quotient_parts(F, Q)
     # phi: R' -> S' induces QR'/Q -> QS'/Q, well defined as Q is strongly closed
-    return PreFusionSystem(parts.group.full_subgroup(), F.p, triples=pushed(F, parts.proj),
+    return PreFusionSystem(_quotient_parts(F, Q).group.full_subgroup(), F.p,
+                           triples=chain(factor_system(F, Q).triples(), _pushes(F, Q, False)),
                            provenance="bar")
 
 
@@ -259,8 +269,11 @@ def _canonical_iso(A: Subgroup, B: Subgroup, xs, to_a, to_b) -> Optional[dict[in
 
 @memo("pushes_to_factor")
 def _pushes_to_factor(E: PreFusionSystem, K: Subgroup) -> bool:
-    """Is the push of all of E through the projection of E/K equal to E/K?"""
-    return carries(E, _quotient_parts(E, K).proj, factor_system(E, K))
+    """Is the push of all of E through the projection of E/K equal to E/K?
+    E/K is the push of E's isos that fix K, so the two are equal exactly when
+    the pushes of the others, all made before any is compared, lie in E/K."""
+    factor, rest = factor_system(E, K), _pushes(E, K, False)
+    return all(imgs in factor.images(q, r) for q, r, imgs in rest)
 
 
 def verify_second_iso(F: FusionSystem, Q: Subgroup, E: FusionSystem) -> bool:

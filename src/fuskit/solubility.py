@@ -12,7 +12,7 @@ from .closure import o_p
 from .errors import InvariantViolation, NotSaturated, OrderCapExceeded, SylowMismatch
 from .fusion import FusionSystem, carries, fusion_from_group, generated_on, is_saturated, same_system
 from .permgroup import Group, Subgroup, memo
-from .quotients import _preimage_subgroup, _quotient_parts, factor_parts
+from .quotients import _preimage_subgroup, _quotient_parts, factor_system
 from .subsystems import centralizer_system, normalizer_system
 
 
@@ -28,19 +28,19 @@ def o_p_tower(F: FusionSystem) -> SolubilityReport:
     """Iterate T_{i+1} = preimage of O_p(F/T_i) until it stabilizes.
 
     The system is p-soluble exactly when the tower reaches the carrier, and
-    the tower length is then the p-length.
+    the tower length is then the p-length.  The projection P -> P/1 is a
+    group isomorphism that carries F onto F/1, so the preimage of O_p(F/1)
+    is O_p(F): the tower starts T_1 = O_p(F), with no quotient built.  When
+    O_p(F) = 1 the tower is [1], which reaches a trivial carrier (p-length 0).
     """
     if not is_saturated(F):
         raise NotSaturated("the core tower requires a saturated system")
     tower = [F.parent.trivial_subgroup()]
-    while tower[-1].mask != F.carrier.mask:
-        cur = tower[-1]
-        quot, _ = factor_parts(F, cur)
-        core = o_p(quot)
-        pre = _preimage_subgroup(F, _quotient_parts(F, cur), core)
-        if pre.mask == cur.mask:
-            break
+    pre = o_p(F)
+    while pre.mask != tower[-1].mask:
         tower.append(pre)
+        if pre.mask != F.carrier.mask:
+            pre = _preimage_subgroup(F, _quotient_parts(F, pre), o_p(factor_system(F, pre)))
     soluble = tower[-1].mask == F.carrier.mask
     return SolubilityReport(
         tower=tower,

@@ -601,6 +601,11 @@ def test_fusion_generate_work_bound():
     # per level).  The timed pass runs no search
     assert run["setup_cayley_levels"] <= 200
     assert run["cayley_levels"] == 0
+    # the core tower of a saturated spec starts at O_p(F), which P -> P/1
+    # carries onto O_p(F/1): the pass builds 68 factor systems and 73 O_p
+    # (136 and 111 when the tower built F/1 and found its O_p again)
+    assert run["builds"]["factor_system"] <= 70
+    assert run["builds"]["o_p"] <= 80
 
 
 # -- equal systems share one memo ---------------------------------------------------
@@ -669,11 +674,12 @@ def verify_run():
 
 def test_verify_work_bound(verify_run):
     # one verify builds equal systems again and again through different
-    # routes; sharing one memo per content saturates each table once (224
-    # builds, 2,816 N_phi computed and 222 O_p builds, against 1,017, 20,832
-    # and 1,006 with one memo per object).  _n_phi counts every N_phi: the
-    # public n_phi's, after its membership check, and is_saturated's, which
-    # skips that check for the isos it reads off the table
+    # routes; sharing one memo per content saturates each table once (212
+    # builds, 2,517 N_phi computed and 210 O_p builds, against 1,017, 20,832
+    # and 1,006 with one memo per object; 224, 2,816 and 222 when the core
+    # tower built F/1).  _n_phi counts every N_phi: the public n_phi's,
+    # after its membership check, and is_saturated's, which skips that check
+    # for the isos it reads off the table
     ok, builds, calls, run = verify_run
     assert ok
     assert builds["saturated"] <= 300
@@ -698,22 +704,27 @@ def test_verify_work_bound(verify_run):
     assert calls["_cayley_levels"] <= 130
     # invariance pushes each iso of E through the isos of F out of the join
     # of its domain and image, with no system built per subgroup of E's
-    # carrier: one verify builds 1,895 systems and makes 53,108 pushes
-    # (3,807 and 58,253 when every subgroup S got restricted_to(E, S), whose
-    # answers an invariant table, 419 builds, kept per memo of F)
+    # carrier: one verify builds 1,918 systems (3,807 when every subgroup S
+    # got restricted_to(E, S), whose answers an invariant table, 419 builds,
+    # kept per memo of F).  A bar system and the second isomorphism theorem
+    # read the isos of F that fix Q off F/Q and push only the others: one
+    # verify makes 34,031 pushes (39,021 when both pushed every iso of F
+    # again, 53,108 before the invariant table, 58,253 before
+    # restricted_to went)
     assert calls["PreFusionSystem"] <= 2_100
-    assert calls["pushed_images"] <= 58_253
+    assert calls["pushed_images"] <= 35_000
     # invariance is memoized on F by the memo serial of E, which stands for
     # E's content: 419 builds for 1,096 calls, which each decided their pair
-    # before (the pushes fell from 53,108 to 40,703).  The action of
-    # Aut_F(Q) on E, and the Alperin test of a K-normalizer, read only the
-    # generators of each Aut_F(S): one verify makes 1,700 carries calls
-    # (1,838 when the action pushed E through all of Aut_F(Q), with a memo
-    # table of 133 builds for 409 calls)
+    # before.  The action of Aut_F(Q) on E, and the Alperin test of a
+    # K-normalizer, read only the generators of each Aut_F(S), and the
+    # second isomorphism theorem pushes no whole system: one verify makes
+    # 837 carries calls (1,700 when that theorem pushed all of E through
+    # carries, 1,838 when the action pushed E through all of Aut_F(Q), with
+    # a memo table of 133 builds for 409 calls)
     assert builds["invariant"] <= 450
-    assert calls["carries"] <= 1_700
+    assert calls["carries"] <= 900
     # a lattice is read off the smallest lattice its group holds above it:
-    # 205 of the 811 lattices are joined
+    # 198 of the 789 lattices are joined
     assert calls["_joined_lattice"] <= 250
     # an interned group builds its multiplication table once, and a group
     # made while a group with the same elements is live takes that group's
@@ -726,24 +737,24 @@ def test_verify_work_bound(verify_run):
     # them on every call (6,249 builds on 1,053 subgroups)
     assert builds["cayley_columns"] <= 1_200
     # Aut_P(Q) is built once per (system, Q) as conjugation image tuples
-    # (fusion.aut_p): 1,416 builds serve the 2,816 N_phi, 271 K-normalizers
-    # and 466 Aut_F(Q) realizations, which each built their own tuples before
+    # (fusion.aut_p): 1,314 builds serve the 2,517 N_phi, 271 K-normalizers
+    # and 440 Aut_F(Q) realizations, which each built their own tuples before
     assert builds["aut_p"] <= 1_600
     # the closure kernel (permgroup.WORK) takes a coset step only for a
-    # generator outside the subgroup grown so far: 7,573 closures take
-    # 14,744 steps (11,573 and 28,256 when every K-normalizer was scanned,
+    # generator outside the subgroup grown so far: 7,493 closures take
+    # 14,653 steps (11,573 and 28,256 when every K-normalizer was scanned,
     # with a join per domain of F's isos)
     assert run["work"]["closure"] <= 8_000
     assert run["work"]["coset_step"] <= 15_500
     # a K-normalizer that is all of F is recognised from the Alperin
     # generators of F: 130 of the 271 are, and the other 141 are scanned.
-    # One verify makes 5,481 extension scans, against 5,748 when every
+    # One verify makes 5,236 extension scans, against 5,748 when every
     # element of each Aut_F(S) was tested and 12,215 when every
     # K-normalizer scanned all of F's isos
     assert run["work"]["knorm_generators"] >= 120
     assert calls["extensions"] <= 6_500
-    # no memo table that no workload reads again: 18,868 builds in all,
-    # 18,622 before the cayley_levels and order_classes tables, 18,753 with the aut_f_acts table, 18,200 before the content-keyed
+    # no memo table that no workload reads again: 18,191 builds in all
+    # (18,868 when the core tower built F/1), 18,622 before the cayley_levels and order_classes tables, 18,753 with the aut_f_acts table, 18,200 before the content-keyed
     # invariant and aut_f_acts tables, 18,620 with the id-keyed invariant
     # table, 17,204 before the aut_p table (19,102 with the centric, radical,
     # qdp_free and aut_generators tables and the verify's per-record lists)
@@ -753,8 +764,9 @@ def test_verify_work_bound(verify_run):
 def test_verify_quotient_work_bound(verify_run):
     # each quotient check pushes an iso table through a projection once:
     # the second isomorphism theorem pushes E once through E -> E/(R n Q),
-    # memoized per (E, R n Q) (863 pushes), instead of through F -> F/Q and
-    # again along the canonical map (5,507 pushes); the functor condition
+    # memoized per (E, R n Q) (863 pairs), instead of through F -> F/Q and
+    # again along the canonical map (5,507 pushes), and only the isos that
+    # E/(R n Q) does not already hold the push of; the functor condition
     # reads the memoized bar table; each bar table is closed once (39
     # closures for 292 checks).  A system stores image tuples under masks,
     # and every check and builder reads and files those: one verify builds

@@ -246,6 +246,50 @@ def test_second_iso_rejects_a_system_that_induces_no_map(s4_system, v4):
         qt.verify_second_iso(s4_system, v4, E)
 
 
+@pytest.fixture(scope="module")
+def shipped_records(corpus_entries):
+    from fuskit.corpus import corpus_systems
+    return corpus_systems(list(corpus_entries.values()))
+
+
+def test_bar_system_is_the_push_of_all_of_f(shipped_records):
+    # the oracle pushes every iso of F through the projection, as bar_system
+    # did before it read the isos fixing Q off the factor system
+    pairs = 0
+    for rec in shipped_records:
+        F = rec.system
+        for Q in F.subgroups():
+            if fz.is_strongly_closed(F, Q):
+                parts = qt._quotient_parts(F, Q)
+                pushed = fz.PreFusionSystem(parts.group.full_subgroup(), F.p,
+                                            triples=fz.pushed(F, parts.proj))
+                assert qt.bar_system(F, Q).store == pushed.store, (rec.key, Q.order)
+                pairs += 1
+    assert pairs == 167
+
+
+def test_pushes_to_factor_agrees_with_carries(shipped_records):
+    # against the push of all of E compared with E/K: on every (inner system,
+    # R n Q) pair that the second-isomorphism suite builds, and on every
+    # shipped system with each strongly closed K, where the unsaturated e16
+    # seeded pushes isos outside E/K
+    pairs = {}
+    for rec in shipped_records:
+        F = rec.system
+        for Q in (Q for Q in F.subgroups() if fz.is_strongly_closed(F, Q)):
+            pairs[F.memo_key, Q.mask] = F, Q
+            if fz.is_saturated(F):
+                for R in F.subgroups():
+                    E, K = ss.inner_system(R, F.p), pg.meet(R, Q)
+                    pairs[E.memo_key, K.mask] = E, K
+    verdicts = []
+    for E, K in pairs.values():
+        whole = fz.carries(E, qt._quotient_parts(E, K).proj, qt.factor_system(E, K))
+        assert qt._pushes_to_factor(E, K) == whole, (E.carrier.order, K.order)
+        verdicts.append(whole)
+    assert len(verdicts) == 911 and verdicts.count(False) == 25
+
+
 def test_canonical_iso_rejects_what_is_not_an_isomorphism(s4_system, v4):
     P = s4_system.carrier
     same = {x: x for x in P.members}

@@ -3,7 +3,9 @@ import pytest
 from fuskit import closure as cl
 from fuskit import fusion as fz
 from fuskit import permgroup as pg
+from fuskit import quotients as qt
 from fuskit import solubility as sol
+from fuskit.corpus import corpus_systems
 from fuskit.errors import NotSaturated, OrderCapExceeded, SylowMismatch
 from fuskit.oracles import brute_normal_subgroups, oracle_tower
 
@@ -54,6 +56,73 @@ def test_tower_qd3(groups):
     rep = sol.o_p_tower(F)
     assert [s.order for s in rep.tower] == [1, 9, 27]
     assert rep.p_length == 2 and rep.constrained
+
+
+def _tower_from_f_mod_1(F):
+    """The core tower as o_p_tower built it before it started at O_p(F):
+    every step, the first one included, builds F/T and finds O_p(F/T)."""
+    tower = [F.parent.trivial_subgroup()]
+    while tower[-1].mask != F.carrier.mask:
+        cur = tower[-1]
+        quot, _ = qt.factor_parts(F, cur)
+        pre = qt._preimage_subgroup(F, qt._quotient_parts(F, cur), cl.o_p(quot))
+        if pre.mask == cur.mask:
+            break
+        tower.append(pre)
+    return tower
+
+
+def _masks(tower):
+    return [T.mask for T in tower]
+
+
+@pytest.mark.parametrize("name, p, orders, soluble", [
+    ("a6", 2, [1], False),          # O_p(F) = 1
+    ("c3", 2, [1], True),           # a trivial carrier: p-length 0
+    ("d8", 2, [1, 8], True),        # O_p(F) = P
+    ("s4", 2, [1, 4, 8], True),     # two steps
+    ("qd3", 3, [1, 9, 27], True),
+])
+def test_tower_first_step_edge_cases(groups, name, p, orders, soluble):
+    # the tower starts at O_p(F); the oracle builds F/1 and finds its core
+    F = fz.fusion_from_group(groups[name], p)
+    rep = sol.o_p_tower(F)
+    tower, oracle_soluble, length = oracle_tower(F)
+    assert _masks(rep.tower) == _masks(tower)
+    assert [T.order for T in rep.tower] == orders
+    assert rep.p_soluble == oracle_soluble == soluble
+    assert rep.p_length == length == (len(orders) - 1 if soluble else None)
+
+
+def test_tower_agrees_with_the_loop_from_f_mod_1(corpus_entries):
+    saturated = [r.system for r in corpus_systems(list(corpus_entries.values()))
+                 if fz.is_saturated(r.system)]
+    assert len(saturated) == 18
+    for F in saturated:
+        masks = _masks(sol.o_p_tower(F).tower)
+        assert masks == _masks(_tower_from_f_mod_1(F)) == _masks(oracle_tower(F)[0])
+
+
+def test_tower_agrees_on_generated_specs(monkeypatch):
+    # the saturated specs of one fusion-generate pass (seed 41), drawn as
+    # perfbench/workloads.py draws them
+    import importlib
+    import importlib.util
+    import sys
+    from pathlib import Path
+    from types import SimpleNamespace
+    from fuskit.serialization import fusion_spec_from_dict
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    fk = SimpleNamespace(**{m: importlib.import_module(f"fuskit.{m}") for m in workloads.MODULES})
+    systems = [fusion_spec_from_dict(s) for s in workloads.FusionGenerate().setup(fk, 41)]
+    saturated = [F for F in systems if fz.is_saturated(F)]
+    assert len(saturated) == 68
+    for F in saturated:
+        assert _masks(sol.o_p_tower(F).tower) == _masks(_tower_from_f_mod_1(F))
 
 
 # -- constrained -------------------------------------------------------------------
