@@ -15,7 +15,6 @@ system share its ambient group, so their morphism sets are literally subsets.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
@@ -43,17 +42,13 @@ _NO_ISOS: frozenset[Images] = frozenset()
 
 
 class _Memo(dict):
-    """The named memo tables of a system (a dict subclass, so it can be held
-    weakly), numbered from a counter: no two memos get one serial."""
+    """The named memo tables of a system's content, numbered from a counter:
+    no two memos get one serial."""
 
     serials = count()
 
     def __init__(self):
         self.serial = next(self.serials)
-
-
-# (kind, p, carrier, store items) -> the memo of the live systems with that content
-_MEMOS: "weakref.WeakValueDictionary[tuple, _Memo]" = weakref.WeakValueDictionary()
 
 
 class PreFusionSystem:
@@ -75,16 +70,17 @@ class PreFusionSystem:
     ``provenance`` or depends on which object asks.  ``invariant`` reads the
     stores and carriers of the system and of a second one, keyed by that
     one's memo serial, which stands for its content.  So on its first memo
-    lookup a system finds its memo by that content key in a weak registry:
-    it adopts the memo of any live twin, or registers a fresh one.  The
-    registry holds memos weakly, so it keeps no system alive, and a memo
-    lives as long as one of its systems does.
-    Groups compare by content, not by name, so twins may sit on distinct
-    equal ambient groups; a memoized subgroup then lives in the first twin's
-    group, which compares equal to the others'.  A quotient group is named
-    after the ambient group, so ``quotient_parts``, ``factor_system``,
-    ``bar_system`` and ``generated_bar`` also key each entry by that name
-    (``memo(..., named=True)``): each twin gets quotients of its own name.
+    lookup a system finds its memo in its ambient group's ``_systems``, by
+    the key (kind, p, carrier mask, store items), or files a fresh one there.
+    A memo lives as long as the group's elements, like every other table of
+    the group: it outlives its systems, and a system rebuilt with equal
+    content reads it again.  Renamed twins share ``_systems`` (see
+    ``permgroup.Group``), so twins may sit on distinct equal ambient groups;
+    a memoized subgroup then lives in the first twin's group, which compares
+    equal to the others'.  A quotient group is named after the ambient
+    group, so ``quotient_parts``, ``factor_system``, ``bar_system`` and
+    ``generated_bar`` also key each entry by that name (``memo(...,
+    named=True)``): each twin gets quotients of its own name.
     """
 
     kind = "prefusion"
@@ -107,11 +103,12 @@ class PreFusionSystem:
     @cached_property
     def _caches(self) -> _Memo:
         # resolved lazily: most derived systems are only compared, never queried
-        key = (self.kind, self.p, self.carrier,
+        key = (self.kind, self.p, self.carrier.mask,
                tuple((q, tuple(row.items())) for q, row in self.store.items()))
-        memo = _MEMOS.get(key)
+        systems = self.parent._systems
+        memo = systems.get(key)
         if memo is None:
-            memo = _MEMOS[key] = _Memo()
+            memo = systems[key] = _Memo()
         return memo
 
     @property

@@ -64,21 +64,20 @@ WORK: Counter = Counter()
 def memo(name: str, named: bool = False):
     """Memoize a function in the table ``name`` of its owner's ``_caches``.
 
-    Groups, fusion systems and the verification context each own a
-    ``_caches`` dict of named tables.  A group's is its own, since a live
-    identity is one object (see ``Group``); a fusion system's is shared with
-    its twins, the live systems with the same kind, prime, carrier and table
-    (see ``fusion.PreFusionSystem``).  So a table must depend on the
-    group's identity or the system's content alone.
+    Groups and fusion systems each own a ``_caches`` dict of named tables.
+    A group's is its own, since a live identity is one object (see
+    ``Group``); a fusion system's is the memo its ambient group files for
+    its kind, prime, carrier and table (see ``fusion.PreFusionSystem``).  So
+    a table must depend on the group's identity or the system's content alone.
 
     The owner is the first argument, or its parent group when that is a
     Subgroup.  The key is the tuple of the other arguments, after the first
     argument's mask when that is a Subgroup, with each Subgroup replaced by
     its mask and each fusion system by its ``memo_key``: the serial of its
-    memo, which twins share and no other memo gets, so it stands for the
-    system's content and keeps no system alive.  When ``named``, the key
-    ends with the name of the first argument's ``parent``: groups compare by
-    content, not by name, so a value that carries that name (a quotient
+    memo, which equal systems share and no other memo gets, so it stands for
+    the system's content and keeps no system alive.  When ``named``, the key
+    ends with the name of the first argument's ``parent``: renamed twins
+    share their system memos, so a value that carries that name (a quotient
     group's) is kept per name.  The body runs only on a miss, so it may
     check only what follows from the owner's content and the key; a build
     that raises stores nothing.  Positional arguments only.
@@ -201,7 +200,7 @@ class _ComposedRows:
 
 # (degree, name, generator images, element images) -> the live group,
 # (degree, name, generator images) -> the live group group_from_generators
-# made, and (degree, element images) -> the live group last made with them
+# made, and (degree, element images) -> the oldest live group made with them
 _GROUPS: "weakref.WeakValueDictionary[tuple, Group]" = weakref.WeakValueDictionary()
 
 
@@ -216,11 +215,13 @@ class Group:
     The registry holds groups weakly, so it keeps none alive.  The name and
     generators belong to the key so that a memoized subgroup's parent, which
     is the group that first asked, cannot be told apart from a later asker.
-    Equality and hashing stay by content (degree and elements), so renamed
-    twins, distinct objects, still share the memos of equal fusion systems.
-    The multiplication, inverse and order tables, the conjugation maps and
-    the member tuples of subgroup masks depend on the elements alone, so a
-    new group takes those of a live twin.
+    Equality and hashing stay by content (degree and elements).  The
+    multiplication, inverse and order tables, the conjugation maps, the
+    member tuples of subgroup masks and the memos of the fusion systems on
+    its subgroups (``_systems``, see ``fusion.PreFusionSystem``) depend on
+    the elements alone, so a new group takes those of the oldest live group
+    with its elements: renamed twins, distinct objects, share them, and they
+    live as long as one group with those elements does.
     """
 
     __slots__ = (
@@ -234,6 +235,7 @@ class Group:
         "_orders",
         "_conj",
         "_members",
+        "_systems",
         "_hash",
         "_caches",
         "__weakref__",
@@ -255,13 +257,13 @@ class Group:
         self._index = {img: i for i, img in enumerate(images)}
         self._hash = hash((degree, images))
         self._mul = self._inv = self._orders = None
-        self._conj, self._members = {}, {}
-        twin = _GROUPS.get((degree, images))
-        if twin is not None:  # the same elements: the same tables
+        self._conj, self._members, self._systems = {}, {}, {}
+        twin = _GROUPS.setdefault((degree, images), self)
+        if twin is not self:  # the same elements: the same tables
             self._mul, self._inv, self._orders = twin._mul, twin._inv, twin._orders
-            self._conj, self._members = twin._conj, twin._members
+            self._conj, self._members, self._systems = twin._conj, twin._members, twin._systems
         self._caches = {}
-        _GROUPS[key] = _GROUPS[(degree, images)] = self
+        _GROUPS[key] = self
         return self
 
     def __reduce__(self):  # copy and pickle go through __new__, so they intern too

@@ -12,7 +12,8 @@ bytes unless explicitly requested.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Callable, Iterator, Optional
@@ -109,10 +110,8 @@ class _Ctx:
     corpus_dir: Path
     entries: list[CorpusEntry]
     records: list[SystemRecord]
-    _caches: dict = field(default_factory=dict)
 
-    @property
-    @memo("saturated_records")
+    @cached_property
     def saturated(self) -> list[SystemRecord]:
         return [r for r in self.records if is_saturated(r.system)]
 

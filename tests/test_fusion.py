@@ -640,36 +640,82 @@ def test_memo_is_keyed_by_kind_prime_and_carrier(s4_system, v4):
     assert len({id(m) for m in memos}) == 4
 
 
-def test_registry_lets_systems_go(groups):
+def test_a_rebuilt_system_reads_the_memo_of_its_content(groups):
+    # the memo lives in the ambient group, not in the system: a system
+    # rebuilt with equal content after the first one died reads it again
     import gc
+    import weakref
     P = pg.sylow(groups["s4"], 2)
-    F = fz.FusionSystem(P, 7, {})  # no other live system has this content
-    assert F._caches == {}  # the first lookup registers F's memo
-    key = ("fusion", 7, P, ())
-    assert key in fz._MEMOS
+    F = fz.FusionSystem(P, 7, {})
+    serial = F.memo_key
+    F.normalizer_in_carrier(P)
+    builds = pg.BUILDS["norm"]
+    gone = weakref.ref(F)
     del F
     gc.collect()
-    assert key not in fz._MEMOS
+    assert gone() is None
+    again = fz.FusionSystem(P, 7, {})
+    assert again.memo_key == serial
+    again.normalizer_in_carrier(P)
+    assert pg.BUILDS["norm"] == builds
+
+
+def test_system_memos_keep_no_group_alive():
+    # a memo's key holds the carrier's mask, not the carrier, so the memos
+    # of a group's systems do not keep the group alive.  S4 on 5 points,
+    # fixing the last, so that no other test's group shares its elements
+    import gc
+    import weakref
+    G = pg.group_from_generators(5, [[1, 2, 3, 0, 4], [1, 0, 2, 3, 4]], "S4-on-5")
+    P = pg.sylow(G, 2)
+    E = ss.inner_system(P, 2)
+    assert fz.is_saturated(E)
+    gone = weakref.ref(G)
+    del G, P, E
+    gc.collect()
+    assert gone() is None
+
+
+def _verify_work(*args):
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(fz.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("verify_work.py")), *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 @pytest.fixture(scope="module")
 def verify_run():
     """The work of one full verify (see verify_work.py), counted in a fresh
-    interpreter, so the counts read the same whatever tests ran before."""
-    import json
-    import os
-    import subprocess
-    import sys
-    from collections import Counter
-    from pathlib import Path
-    src = str(Path(fz.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("verify_work.py"))],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    run = json.loads(proc.stdout)
+    interpreter, so the counts read the same whatever tests ran before; the
+    work of one more under ``gc.disable()`` is ``run["gc_off"]``."""
+    run = _verify_work()
+    run["gc_off"] = _verify_work("--gc-off")
     return run["ok"], Counter(run["builds"]), Counter(run["calls"]), run
+
+
+def test_verify_leaves_no_group_alive(verify_run):
+    # every memo table hangs off a group, and nothing outside the report and
+    # the records holds a group: dropping them frees every group
+    run = verify_run[3]
+    assert run["groups_left"] == 0
+    assert run["gc_off"]["groups_left"] == 0
+
+
+def test_verify_work_repeats_without_the_collector(verify_run):
+    # a memo lives as long as its group's elements, not as long as the
+    # collector leaves a system: the collector on or off, one verify makes
+    # the same builds (18,178 in all) and the same work
+    ok, builds, calls, run = verify_run
+    assert builds == run["gc_off"]["builds"]
+    assert run["work"] == run["gc_off"]["work"]
 
 
 def test_verify_work_bound(verify_run):
@@ -728,9 +774,10 @@ def test_verify_work_bound(verify_run):
     assert calls["_joined_lattice"] <= 250
     # an interned group builds its multiplication table once, and a group
     # made while a group with the same elements is live takes that group's
-    # tables: 45 are composed, and 49 quotient tables are read off a
-    # parent's table rows (438 when every named quotient read its own, 642
-    # when a subgroup was first copied into a group of its own)
+    # tables: 45 are composed, and 36 quotient tables are read off a
+    # parent's table rows (48 when the last group made, not the oldest live
+    # one, was filed under its elements; 438 when every named quotient read
+    # its own, 642 when a subgroup was first copied into a group of its own)
     assert builds["mul_table"] <= 60
     assert builds["mul_table_read"] <= 100
     # the Cayley columns of a subgroup are built once: validate_hom rebuilt
@@ -753,11 +800,15 @@ def test_verify_work_bound(verify_run):
     # K-normalizer scanned all of F's isos
     assert run["work"]["knorm_generators"] >= 120
     assert calls["extensions"] <= 6_500
-    # no memo table that no workload reads again: 18,191 builds in all
-    # (18,868 when the core tower built F/1), 18,622 before the cayley_levels and order_classes tables, 18,753 with the aut_f_acts table, 18,200 before the content-keyed
-    # invariant and aut_f_acts tables, 18,620 with the id-keyed invariant
-    # table, 17,204 before the aut_p table (19,102 with the centric, radical,
-    # qdp_free and aut_generators tables and the verify's per-record lists)
+    # no memo table that no workload reads again: 18,178 builds in all
+    # (18,191 when system memos lived in a weak registry, which kept every
+    # group alive, and the verify's saturated records had a table of their
+    # own; 18,868 when the core tower built F/1), 18,622 before the
+    # cayley_levels and order_classes tables, 18,753 with the aut_f_acts
+    # table, 18,200 before the content-keyed invariant and aut_f_acts tables,
+    # 18,620 with the id-keyed invariant table, 17,204 before the aut_p table
+    # (19,102 with the centric, radical, qdp_free and aut_generators tables
+    # and the verify's per-record lists)
     assert sum(builds.values()) <= 19_000
 
 

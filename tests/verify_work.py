@@ -1,9 +1,10 @@
 """Run one full verify over the shipped corpus and print its work as JSON.
 
-    python tests/verify_work.py
+    python tests/verify_work.py [--gc-off]
 
 Run it in a fresh interpreter, so that every memo starts empty and the counts
-do not depend on what ran before.  It prints the report's status, the builds
+do not depend on what ran before; ``--gc-off`` runs the verify under
+``gc.disable()``.  It prints the report's status, the builds
 per memo table, counted calls (n_phi, _n_phi: N_phi computed with or
 without the membership check, extensions: scans for the stored isos that
 extend a map, carries: pushes of a whole system through an element map,
@@ -16,10 +17,12 @@ apart while an isomorphism-theorem verifier runs, as
 ``verify_third_iso.transport`` and so on), the work of the closure kernel
 (closures computed and their coset steps, ``permgroup.WORK``, with the
 joins <H, x> that ``_joined_lattice`` ran and the K-normalizers decided on
-Alperin generators and those scanned) and the tables
-on the live system memos.
+Alperin generators and those scanned), the number of system memos on the
+live groups and their tables, and the groups still live once the report and
+the records are dropped and the collector has run.
 """
 
+import gc
 import json
 import sys
 from collections import Counter
@@ -63,6 +66,8 @@ def replace(orig, new):
 
 
 def main() -> None:
+    if "--gc-off" in sys.argv[1:]:
+        gc.disable()
     for fn in (fz.n_phi, fz._n_phi, pg.automorphisms, fz.transport, fz.validate_hom,
                pg.pushed_images, pg._joined_lattice, pg._cayley_levels, fz.extensions,
                fz.carries):
@@ -71,7 +76,7 @@ def main() -> None:
         replace(fn, scoped(fn.__name__, fn))
     pg.GroupHom.__init__ = counted("GroupHom", pg.GroupHom.__init__)
     fz.PreFusionSystem.__init__ = counted("PreFusionSystem", fz.PreFusionSystem.__init__)
-    records = []  # kept alive, so the memos of the systems stay registered
+    records = []  # kept alive, so the corpus groups and their memos stay
     real = verify.corpus_systems
 
     def capture(*args, **kwargs):
@@ -81,13 +86,18 @@ def main() -> None:
     verify.corpus_systems = capture
     before, work = Counter(pg.BUILDS), Counter(pg.WORK)
     report = verify.run_verification(shipped_corpus_dir())
-    json.dump({"ok": report.ok,
-               "builds": pg.BUILDS - before,
-               "calls": calls,
-               "work": pg.WORK - work,
-               "memos": len(fz._MEMOS),
-               "tables": sorted({name for memo in fz._MEMOS.values() for name in memo})},
-              sys.stdout, sort_keys=True)
+    out = {"ok": report.ok, "builds": pg.BUILDS - before, "calls": calls, "work": pg.WORK - work}
+    gc.collect()
+    # renamed twins share one _systems dict: count each once
+    systems = {id(G._systems): G._systems for G in list(pg._GROUPS.values())}
+    memos = [memo for table in systems.values() for memo in table.values()]
+    out["memos"] = len(memos)
+    out["tables"] = sorted({name for memo in memos for name in memo})
+    del report, systems, memos
+    records.clear()
+    gc.collect()
+    out["groups_left"] = len(pg._GROUPS)
+    json.dump(out, sys.stdout, sort_keys=True)
 
 
 if __name__ == "__main__":
