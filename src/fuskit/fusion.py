@@ -325,8 +325,9 @@ def generated_on(carrier: Subgroup, p: int, seeds: Sequence[GroupHom] = (),
     def add(q: int, m: dict[int, int], r: int):  # m lists q's members in order
         gens.setdefault(q, {})[tuple(m.values())] = (m, r)
 
+    mem = carrier.members
     for g in carrier.generating_ids():
-        cm = G.conj_map(g)
+        cm = dict(zip(mem, pg.conj_images(G, g, mem)))
         for Q in subs[1:]:
             m = {x: cm[x] for x in Q.members}
             add(Q.mask, m, pg.mask_of(m.values()))
@@ -435,7 +436,7 @@ def aut_p(F: PreFusionSystem, Q: Subgroup) -> dict[Images, int]:
     induce it.  These masks are the fibres, the cosets of C_P(Q) in N_P(Q)."""
     fibres: dict[Images, int] = {}
     for x in F.normalizer_in_carrier(Q).members:
-        c = tuple(map(F.parent.conj_map(x).__getitem__, Q.members))
+        c = pg.conj_images(F.parent, x, Q.members)
         fibres[c] = fibres.get(c, 0) | 1 << x
     return fibres
 

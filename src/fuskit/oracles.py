@@ -245,8 +245,7 @@ def conjugation_map_count(G: Group, Q: Subgroup, R: Subgroup) -> int:
     """|{induced maps Q -> R from conjugation by elements of G}| by brute force."""
     seen = set()
     for g in range(G.order):
-        cm = G.conj_map(g)
-        imgs = tuple(cm[x] for x in Q.members)
+        imgs = pg.conj_images(G, g, Q.members)
         if all((R.mask >> y) & 1 for y in imgs):
             seen.add(imgs)
     return len(seen)

@@ -50,8 +50,7 @@ def order_cap() -> int:
 
 
 # builds per memo table name: one on every miss of ``memo``, hits are not
-# counted; also one per multiplication table composed (``mul_table``) or read
-# off another group's table (``mul_table_read``)
+# counted; also one per multiplication table composed (``mul_table``)
 BUILDS: Counter = Counter()
 
 # closures computed by ``_closure_within`` (``closure``) and their coset
@@ -211,17 +210,17 @@ class Group:
     only filled in), and its name and generators are part of its identity,
     with its degree and elements.  Groups are interned: constructing a group
     whose identity is live returns that live object, with its multiplication,
-    inverse and order tables, conjugation maps and memo tables (``_caches``).
-    The registry holds groups weakly, so it keeps none alive.  The name and
-    generators belong to the key so that a memoized subgroup's parent, which
-    is the group that first asked, cannot be told apart from a later asker.
+    inverse and order tables and memo tables (``_caches``).  The registry
+    holds groups weakly, so it keeps none alive.  The name and generators
+    belong to the key so that a memoized subgroup's parent, which is the
+    group that first asked, cannot be told apart from a later asker.
     Equality and hashing stay by content (degree and elements).  The
-    multiplication, inverse and order tables, the conjugation maps, the
-    member tuples of subgroup masks and the memos of the fusion systems on
-    its subgroups (``_systems``, see ``fusion.PreFusionSystem``) depend on
-    the elements alone, so a new group takes those of the oldest live group
-    with its elements: renamed twins, distinct objects, share them, and they
-    live as long as one group with those elements does.
+    multiplication, inverse and order tables, the member tuples of subgroup
+    masks and the memos of the fusion systems on its subgroups (``_systems``,
+    see ``fusion.PreFusionSystem``) depend on the elements alone, so a new
+    group takes those of the oldest live group with its elements: renamed
+    twins, distinct objects, share them, and they live as long as one group
+    with those elements does.
     """
 
     __slots__ = (
@@ -233,7 +232,6 @@ class Group:
         "_mul",
         "_inv",
         "_orders",
-        "_conj",
         "_members",
         "_systems",
         "_hash",
@@ -257,11 +255,11 @@ class Group:
         self._index = {img: i for i, img in enumerate(images)}
         self._hash = hash((degree, images))
         self._mul = self._inv = self._orders = None
-        self._conj, self._members, self._systems = {}, {}, {}
+        self._members, self._systems = {}, {}
         twin = _GROUPS.setdefault((degree, images), self)
         if twin is not self:  # the same elements: the same tables
             self._mul, self._inv, self._orders = twin._mul, twin._inv, twin._orders
-            self._conj, self._members, self._systems = twin._conj, twin._members, twin._systems
+            self._members, self._systems = twin._members, twin._systems
         self._caches = {}
         _GROUPS[key] = self
         return self
@@ -365,25 +363,6 @@ class Group:
                 raise InvariantViolation(f"{self.name} is not closed under inverses")
             self._inv = inv
         return inv[a]
-
-    def conj_map(self, g: int) -> tuple[int, ...]:
-        """The table x -> g^-1 x g over all ids, cached per g: row(g^-1) through g's column."""
-        cm = self._conj.get(g)
-        if cm is None:
-            rows = self.rows()
-            cm = self._conj[g] = tuple(map(itemgetter(g), map(rows.__getitem__, rows[self.inv(g)])))
-        return cm
-
-    def _read_table(self, src: "Group", lift: Sequence[int], down) -> None:
-        """Take the table, when this group has none yet, from the rows of src:
-        element i here is down[lift[i]], for a hom down (a dict or table) from
-        src.  Re-indexing rows is much cheaper than composing, but above
-        _TABLE_LIMIT src has no rows to re-index."""
-        if self._mul is None and src.order <= _TABLE_LIMIT:
-            BUILDS["mul_table_read"] += 1
-            rows = src.rows()
-            get = down.__getitem__
-            self._mul = tuple(tuple(map(get, map(rows[x].__getitem__, lift))) for x in lift)
 
     def element_order(self, a: int) -> int:
         orders = self._orders
@@ -513,7 +492,7 @@ class Subgroup:
         return self._hash
 
     def conjugate(self, g: int) -> "Subgroup":
-        return Subgroup(self.parent, mask_image(self.parent.conj_map(g), self.mask))
+        return Subgroup(self.parent, mask_of(conj_images(self.parent, g, self.members)))
 
     @memo("generating_ids")
     def generating_ids(self) -> tuple[int, ...]:
@@ -741,7 +720,8 @@ def normal_subgroups(G: Group) -> list[Subgroup]:
 def conjugacy_classes(G: Group) -> list[tuple[int, int]]:
     """The conjugacy classes as (least element, class mask) pairs, cached.
     A class is grown by its images under the generators of G until they fix it."""
-    maps = [G.conj_map(g) for g in G.full_subgroup().generating_ids()]
+    ids = range(G.order)
+    maps = [conj_images(G, g, ids) for g in G.full_subgroup().generating_ids()]
     seen = 0
     classes = []
     for x in range(G.order):
@@ -859,16 +839,11 @@ def sylow(G: Group, p: int) -> Subgroup:
 @memo("core_p")
 def core_p(G: Group, p: int) -> Subgroup:
     """O_p(G): the intersection of all conjugates of a Sylow p-subgroup P,
-    which is the largest subset of P that conjugation fixes.  P is cut down
-    to its meets with its images under the generators of G until no
-    generator moves it: a subset M with M^g = M for every generator g."""
-    maps = [G.conj_map(g) for g in G.full_subgroup().generating_ids()]
-    mask, prev = sylow(G, p).mask, 0
-    while mask != prev:
-        prev = mask
-        for cm in maps:
-            mask &= mask_image(cm, mask)
-    return Subgroup(G, mask)
+    which is the union of the conjugacy classes inside P.  A class inside P
+    lies in P^g for every g, since it is its own conjugate; and O_p(G) is
+    normal, so it is a union of classes, each inside P."""
+    pmask = sylow(G, p).mask
+    return Subgroup(G, sum(cls for _, cls in conjugacy_classes(G) if not cls & ~pmask))
 
 
 @memo("core_pprime")
@@ -913,12 +888,15 @@ def set_product(A: Subgroup, B: Subgroup) -> Subgroup:
 
 
 def is_normal_in(Q: Subgroup, ambient: Subgroup) -> bool:
+    """Q^g = Q for every generating id g of ambient, reading g^-1 x g off the
+    table rows as ``normalizer`` does and stopping at the first x that leaves Q."""
     G = Q.parent
+    rows = G.rows()
     qmask = Q.mask
     for g in ambient.generating_ids():
-        cm = G.conj_map(g)
+        row_inv = rows[G.inv(g)]
         for x in Q.members:
-            if not (qmask >> cm[x]) & 1:
+            if not (qmask >> rows[row_inv[x]][g]) & 1:
                 return False
     return True
 
@@ -954,7 +932,8 @@ def quotient_group(S: Group | Subgroup, N: Subgroup) -> tuple[Group, tuple[int, 
     by the images of S.generating_ids(), or the identity when S is trivial.
     Cosets are numbered by their least element, so the construction is
     deterministic; the action is faithful for S/N because N is normal in S.
-    Products, and the quotient's table, are read off the rows of G's table.
+    The action is read off the rows of G's table; the quotient composes its
+    own table, as any group does.
     """
     if S.__class__ is Subgroup:
         G = S.parent
@@ -969,7 +948,7 @@ def quotient_group(S: Group | Subgroup, N: Subgroup) -> tuple[Group, tuple[int, 
     if not is_normal_in(N, S):
         raise NotNormal("N is not normal in S")
     rows = G.rows()
-    coset = [-1] * G.order  # the coset number of each member of S, then its id in Q
+    coset = [-1] * G.order  # the coset number of each member of S
     reps = []
     for x in S.members:
         if coset[x] == -1:
@@ -981,13 +960,7 @@ def quotient_group(S: Group | Subgroup, N: Subgroup) -> tuple[Group, tuple[int, 
     perms = {img: Perm(img) for img in images.values()}
     Q = Group._from_elements(len(reps), perms.values(), f"{name}/{N.order}",
                              generators=[perms[images[g]] for g in gens])
-    lift = [0] * len(reps)
-    for r in reps:
-        lift[Q._index[images[r]]] = r
-    for x in S.members:
-        coset[x] = Q._index[images[x]]
-    Q._read_table(G, lift, coset)
-    return Q, tuple(map(coset.__getitem__, S.members))
+    return Q, tuple(Q._index[images[x]] for x in S.members)
 
 
 # -- homomorphisms -----------------------------------------------------------
@@ -1226,7 +1199,7 @@ def conjugation_hom(g: int, Q: Subgroup, R: Subgroup) -> GroupHom:
     """theta_g : x -> g^-1 x g as a hom Q -> R; requires Q^g <= R."""
     _check_same_parent(Q, R)
     G = Q.parent
-    images = tuple(map(G.conj_map(g).__getitem__, Q.members))
+    images = conj_images(G, g, Q.members)
     for x, y in zip(Q.members, images):
         if y not in R:
             raise ConjugateEscapes(f"conjugate of element {x} lands outside R")

@@ -137,7 +137,7 @@ def prefusion_is_fusion(pre: PreFusionSystem) -> tuple[bool, Optional[PrefusionW
 
     for A in pg.subgroups_of(carrier):
         for g in carrier.members:
-            if missing(A.mask, tuple(map(G.conj_map(g).__getitem__, A.members))):
+            if missing(A.mask, pg.conj_images(G, g, A.members)):
                 theta = pg.conjugation_hom(g, A, A.conjugate(g))
                 return False, PrefusionWitness("missing-conjugation", (theta,))
     # (domain, its members, image mask, images) in hom_key order

@@ -84,7 +84,7 @@ def load_json(path: Union[str, Path]) -> dict:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)

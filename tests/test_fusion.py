@@ -421,15 +421,22 @@ def test_aut_realization_rejects_an_iso_with_an_automorphisms_images(s4_system):
     assert found > 0
 
 
-def test_from_group_above_the_table_limit():
-    # A7 has no multiplication table: conjugating all of it by every element
-    # took 143 s, conjugating the carrier's 8 members takes a fraction of one
+def test_from_group_above_the_table_limit(monkeypatch):
+    # A7 has no multiplication table, so every product is composed by
+    # Group.mul.  Conjugating all of A7 by every element takes 12.7 million
+    # products (143 s); conjugating the carrier's 8 members takes 50,808.
+    # Aut_P(Q) conjugates Q's members only: is_saturated takes 679 products
+    # (40,567 when each element of N_P(Q) conjugated all of A7)
     a7 = pg.group_from_generators(7, [[1, 2, 3, 4, 5, 6, 0], [1, 2, 0, 3, 4, 5, 6]], "A7")
     assert a7.order == 2_520 > pg._TABLE_LIMIT
+    mul = _counting(monkeypatch, pg.Group, "mul")
     F = fz.fusion_from_group(a7, 2)
     assert F.carrier.order == 8
-    assert fz.is_saturated(F) and oracle_saturated(F)
-    assert a7._conj.keys() <= set(F.carrier.members)
+    assert mul[0] <= 60_000
+    mul[0] = 0
+    assert fz.is_saturated(F)
+    assert mul[0] <= 1_000
+    assert oracle_saturated(F)
 
 
 @settings(max_examples=40, deadline=None)
@@ -443,7 +450,10 @@ def test_saturation_oracle_agrees_on_drawn_seeds(groups, data):
 # -- Aut_P(Q) by a second route ------------------------------------------------------
 
 def _conj(G, g, xs):
-    return tuple(G.conj_map(g)[x] for x in xs)
+    """The conjugates g^-1 x g of the ids xs, from products of the permutations."""
+    y = G.elements[g]
+    y_inv = y.inverse()
+    return tuple(G.index_of(y_inv * G.elements[x] * y) for x in xs)
 
 
 def _n_phi_per_element(F, q, r, imgs):
@@ -712,7 +722,7 @@ def test_verify_leaves_no_group_alive(verify_run):
 def test_verify_work_repeats_without_the_collector(verify_run):
     # a memo lives as long as its group's elements, not as long as the
     # collector leaves a system: the collector on or off, one verify makes
-    # the same builds (18,178 in all) and the same work
+    # the same builds (18,203 in all) and the same work
     ok, builds, calls, run = verify_run
     assert builds == run["gc_off"]["builds"]
     assert run["work"] == run["gc_off"]["work"]
@@ -774,12 +784,12 @@ def test_verify_work_bound(verify_run):
     assert calls["_joined_lattice"] <= 250
     # an interned group builds its multiplication table once, and a group
     # made while a group with the same elements is live takes that group's
-    # tables: 45 are composed, and 36 quotient tables are read off a
-    # parent's table rows (48 when the last group made, not the oldest live
-    # one, was filed under its elements; 438 when every named quotient read
-    # its own, 642 when a subgroup was first copied into a group of its own)
-    assert builds["mul_table"] <= 60
-    assert builds["mul_table_read"] <= 100
+    # tables: 81 are composed, 36 of them for quotients (which read theirs
+    # off a parent's table rows before: 45 composed and 36 read; 48 reads
+    # when the last group made, not the oldest live one, was filed under its
+    # elements; 438 when every named quotient read its own, 642 when a
+    # subgroup was first copied into a group of its own)
+    assert builds["mul_table"] <= 100
     # the Cayley columns of a subgroup are built once: validate_hom rebuilt
     # them on every call (6,249 builds on 1,053 subgroups)
     assert builds["cayley_columns"] <= 1_200
@@ -800,10 +810,12 @@ def test_verify_work_bound(verify_run):
     # K-normalizer scanned all of F's isos
     assert run["work"]["knorm_generators"] >= 120
     assert calls["extensions"] <= 6_500
-    # no memo table that no workload reads again: 18,178 builds in all
-    # (18,191 when system memos lived in a weak registry, which kept every
-    # group alive, and the verify's saturated records had a table of their
-    # own; 18,868 when the core tower built F/1), 18,622 before the
+    # no memo table that no workload reads again: 18,203 builds in all
+    # (18,178 when 36 quotients read their tables off a parent's rows, which
+    # are composed now, and O_p was cut down from a Sylow, with 25 fewer
+    # conjugacy-class tables; 18,191 when system memos lived in a weak
+    # registry, which kept every group alive, and the verify's saturated
+    # records had a table of their own; 18,868 when the core tower built F/1), 18,622 before the
     # cayley_levels and order_classes tables, 18,753 with the aut_f_acts
     # table, 18,200 before the content-keyed invariant and aut_f_acts tables,
     # 18,620 with the id-keyed invariant table, 17,204 before the aut_p table

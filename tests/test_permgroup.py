@@ -316,18 +316,29 @@ def test_wide_carrier_lattices():
     assert sol.is_qdp_free_group(s3_wr_c3, 3)
 
 
-def test_lattice_above_the_table_limit_conjugates_members_only():
-    # without a table a conj_map over all of S7 costs 5,040 products per
-    # generator, though the orbit step reads only the images of S4's members
-    s7 = _from_cycles(7, [[0, 1, 2, 3, 4, 5, 6]], [[0, 1]])
+def test_lattice_above_the_table_limit_conjugates_members_only(monkeypatch):
+    # without a table every product is composed by Group.mul: conjugating
+    # all of S7 costs 10,080 products per generator, though the orbit step
+    # reads only the images of S4's members.  The lattice takes 789 products.
+    # Its own name keeps S7's memo tables apart from a live twin's
+    s7 = pg.group_from_generators(
+        7, [Permutation(c, size=7).array_form for c in ([[0, 1, 2, 3, 4, 5, 6]], [[0, 1]])],
+        "S7-lattice")
     assert s7.order == 5_040 > pg._TABLE_LIMIT
     s4 = s7.subgroup_of(s7.index_of(pg.Perm(Permutation(c, size=7).array_form))
                         for c in ([[0, 1, 2, 3]], [[0, 1]]))
     assert s4.order == 24
-    conj_maps = set(s7._conj)
+    work = Counter()
+    mul = pg.Group.mul
+
+    def counting_mul(self, a, b):
+        work["mul"] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(pg.Group, "mul", counting_mul)
     masks = [H.mask for H in pg.subgroups_of(s4)]
+    assert 0 < work["mul"] <= 1_000
     assert len(masks) == 30 and masks == brute_subgroups(s4)
-    assert set(s7._conj) == conj_maps
 
 
 def test_subgroup_invariants(groups):
@@ -419,6 +430,27 @@ def test_core_p_of_s4(groups):
                 if pg._is_p_power(S.order, 2) and pg.is_normal_in(S, s4.full_subgroup())),
                key=lambda s: s.order)
     assert v4 == best and v4.order == 4
+
+
+def test_core_p_is_the_meet_of_the_sylow_conjugates(groups):
+    # O_p(G) from its definition: the intersection of P^g over every element
+    # g, from products of the permutations, for every shipped group and each
+    # prime dividing its order, and two groups with deeper Sylow subgroups
+    from sympy import primefactors
+    s3_wr_c3 = _from_cycles(9, [[0, 1, 2]], [[0, 1]], [[0, 3, 6], [1, 4, 7], [2, 5, 8]])
+    s4_x_s4 = _from_cycles(8, [[0, 1, 2, 3]], [[0, 1]], [[4, 5, 6, 7]], [[4, 5]])
+    pairs = 0
+    for G in (*groups.values(), s3_wr_c3, s4_x_s4):
+        els = G.elements
+        for p in primefactors(G.order):
+            P = [els[x] for x in pg.sylow(G, p).members]
+            meet = (1 << G.order) - 1
+            for y in els:
+                y_inv = y.inverse()
+                meet &= pg.mask_of(G.index_of(y_inv * x * y) for x in P)
+            assert pg.core_p(G, p).mask == meet, (G.name, p)
+            pairs += 1
+    assert pairs == 26
 
 
 def test_core_pprime(groups):
@@ -607,16 +639,24 @@ def test_standard_constructions(groups):
         pg.centralizer(s4_full, pg.center(d8_full))
 
 
+def _perm_conjugation_maps(G):
+    """For each g, the map x -> g^-1 x g over all ids, from products of the
+    permutations themselves."""
+    els = G.elements
+    return [tuple(G.index_of(y.inverse() * x * y) for x in els) for y in els]
+
+
 def test_centralizer_matches_the_conjugation_maps(groups):
     # C_S(Q) tests commuting with Q's generating ids on the table rows; the
-    # definition it replaced kept the g in S whose conjugation map fixes every
-    # member of Q.  Every (S, Q) pair of each corpus group, and S = G for A6,
-    # whose 501 subgroups make 251,001 pairs
+    # definition keeps the g in S whose conjugation map, from permutation
+    # products, fixes every member of Q.  Every (S, Q) pair of each corpus
+    # group, and S = G for A6, whose 501 subgroups make 251,001 pairs
     for name, G in groups.items():
+        conj = _perm_conjugation_maps(G)
         subs = pg.subgroups(G)
         for Q in subs:
             fixing = pg.mask_of(g for g in range(G.order)
-                                if all(G.conj_map(g)[x] == x for x in Q.members))
+                                if all(conj[g][x] == x for x in Q.members))
             for S in (subs if name != "a6" else [G.full_subgroup()]):
                 assert pg.centralizer(S, Q).mask == S.mask & fixing, (name, S.mask, Q.mask)
             if Q.mask == G.full_subgroup().mask:
@@ -626,13 +666,15 @@ def test_centralizer_matches_the_conjugation_maps(groups):
 def test_normalizer_and_normality_match_the_conjugation_maps(groups):
     # N_S(Q) conjugates Q's generating ids on the table rows, and "Q is
     # normal in S" conjugates Q by S's generating ids; the definition is the
-    # g whose conjugation map sends every member of Q into Q.  Every (S, Q)
+    # g whose conjugation map, from permutation products, sends every member
+    # of Q into Q.  Every (S, Q)
     # pair of each corpus group, and S = G for A6
     for name, G in groups.items():
+        conj = _perm_conjugation_maps(G)
         subs = pg.subgroups(G)
         for Q in subs:
             keeping = pg.mask_of(g for g in range(G.order)
-                                 if all((Q.mask >> G.conj_map(g)[x]) & 1 for x in Q.members))
+                                 if all((Q.mask >> conj[g][x]) & 1 for x in Q.members))
             for S in (subs if name != "a6" else [G.full_subgroup()]):
                 assert pg.normalizer(S, Q).mask == S.mask & keeping, (name, S.mask, Q.mask)
                 assert pg.is_normal_in(Q, S) == (S.mask & ~keeping == 0), (name, S.mask, Q.mask)
@@ -706,7 +748,8 @@ def _composed_table(H):
 
 
 def test_quotient_of_a_subgroup(groups):
-    # S/N is read off the rows of S's parent, with no group made for S
+    # the action on the cosets of N is read off the rows of S's parent, with
+    # no group made for S
     for name in ("s4", "qd3", "d8xc2"):
         G = groups[name]
         for S in pg.subgroups(G)[1::7]:
@@ -717,7 +760,7 @@ def test_quotient_of_a_subgroup(groups):
                 Q, proj = pg.quotient_group(S, N)
                 assert Q.name == f"{G.name}|{S.order}/{N.order}"
                 assert Q.order * N.order == S.order
-                assert Q._mul == _composed_table(Q), (name, S.mask, N.mask)
+                assert Q.rows() == _composed_table(Q), (name, S.mask, N.mask)
                 # the projection, aligned with S.members, is a surjective hom
                 # with kernel exactly N
                 assert len(proj) == S.order and set(proj) == set(range(Q.order))
@@ -1131,19 +1174,30 @@ def test_characteristic_subgroups_match_the_filter_over_all_of_aut(groups):
             assert pg.characteristic_subgroups(Q) == expected, (name, Q.mask)
 
 
-def test_tables_read_through_parent_match_composition(groups):
-    # quotient_group takes the quotient's table from the parent's rows (its
-    # quotients of subgroups: test_quotient_of_a_subgroup)
+def test_quotient_tables_match_perm_products(groups):
+    # a quotient of a group composes its table like any group (its quotients
+    # of subgroups: test_quotient_of_a_subgroup)
     for name in ("s4", "qd3"):
         G = groups[name]
         for N in pg.normal_subgroups(G):
             Q, _ = pg.quotient_group(G, N)
-            assert Q._mul == _composed_table(Q)
+            assert Q.rows() == _composed_table(Q)
+
+
+def _assert_conjugates_match_perm_products(G, gs):
+    """conj_images of all ids by each g in gs, against products and inverses
+    of the permutations themselves."""
+    els = G.elements
+    for g in gs:
+        y, y_inv = els[g], els[g].inverse()
+        assert pg.conj_images(G, g, range(G.order)) == tuple(
+            G.index_of(y_inv * x * y) for x in els), (G.name, g)
 
 
 def _assert_tables_match_perm_products(G, step=1):
-    """Every step-th row of the table and conjugation map, and every element
-    order, against products and inverses of the permutations themselves."""
+    """Every step-th row of the table and conjugation by every step-th
+    element, and every element order, against products and inverses of the
+    permutations themselves."""
     els = G.elements
     G.mul(0, 0)
     assert G._mul is not None
@@ -1151,14 +1205,12 @@ def _assert_tables_match_perm_products(G, step=1):
         assert G._mul[a] == tuple(G.index_of(els[a] * y) for y in els), (G.name, a)
     for a, x in enumerate(els):
         assert G.element_order(a) == math.lcm(*map(len, x.cycles())), (G.name, a)
-    for g in range(0, G.order, step):
-        y, y_inv = els[g], els[g].inverse()
-        assert G.conj_map(g) == tuple(G.index_of(y_inv * x * y) for x in els), (G.name, g)
+    _assert_conjugates_match_perm_products(G, range(0, G.order, step))
 
 
 def test_tables_and_conjugation_match_perm_products(groups):
-    # the table composes whole rows, the conjugation maps and element orders
-    # are read off it; the reference multiplies the permutations themselves
+    # the table composes whole rows, conjugates and element orders are read
+    # off it; the reference multiplies the permutations themselves
     for G in groups.values():
         _assert_tables_match_perm_products(G, 1 if G.order <= 100 else 5)
     s3_wr_c3 = _from_cycles(9, [[0, 1, 2]], [[0, 1]], [[0, 3, 6], [1, 4, 7], [2, 5, 8]])
@@ -1176,19 +1228,10 @@ def test_tables_and_conjugation_match_perm_products(groups):
     trivial = pg.group_from_generators(1, [[0]], "degree-1")
     _assert_tables_match_perm_products(trivial)
     assert trivial._mul == ((0,),)
-
-
-def test_conj_map_reads_the_row_of_the_inverse(groups):
-    # conj_map(g) maps row(g^-1) through the column of g; conj_images reads
-    # each id's conjugate through row(g^-1) and then that column.  S7 has
-    # no table, so its rows compose each product when read
-    for G in groups.values():
-        for g in range(G.order):
-            assert G.conj_map(g) == pg.conj_images(G, g, range(G.order)), (G.name, g)
+    # S7 has no table, so its rows compose each product when read
     s7 = _from_cycles(7, [[0, 1, 2, 3, 4, 5, 6]], [[0, 1]])
     assert s7.order > pg._TABLE_LIMIT
-    for g in (1, 2, 4_999):
-        assert s7.conj_map(g) == pg.conj_images(s7, g, range(s7.order))
+    _assert_conjugates_match_perm_products(s7, (1, 2, 4_999))
 
 
 def test_thompson_subgroup_characteristic(groups):

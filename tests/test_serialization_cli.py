@@ -346,21 +346,52 @@ def _d8_doc_without_an_automorphism():
     (("fusion", "check"), _system_doc("s4", 2, p=3)),
     (("fusion", "check"), _system_doc("s4", 2, carrier=list(range(24)))),
     (("fusion", "check", "--closure"), _d8_doc_without_an_automorphism()),
+    (("group", "info"), b'{"name": "\xff", "degree": 1, "generators": [[0]]}'),
 ], ids=["system-without-ambient", "system-p-not-prime", "spec-p-not-prime",
         "string-in-generator", "bool-in-generator", "bool-degree",
         "subgroup-spec-not-a-list", "carrier-not-subgroup", "domain-not-subgroup",
         "iso-outside-carrier", "seed-morphisms-not-a-list", "seed-morphisms-null",
         "spec-p-of-5000-digits", "spec-p-past-the-prime-limit", "subgroup-spec-of-5000-digits",
         "carrier-identity-missing", "carrier-not-a-3-group", "carrier-not-a-2-group",
-        "aut-not-closed"])
+        "aut-not-closed", "not-utf-8"])
 def test_cli_malformed_input_exit_code(tmp_path, capsys, argv, doc):
-    # a doc given as text is written as it is: json.dumps cannot write an
-    # int of 5,000 digits, and json.loads cannot read one
+    # a doc given as text or bytes is written as it is: json.dumps cannot
+    # write an int of 5,000 digits, and json.loads cannot read one
     path = tmp_path / "in.json"
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert run_cli(*argv[:2], str(path), *argv[2:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("group", "info", "{in}"),
+    ("fusion", "build", "{in}", "-o", "{out}"),
+    ("fusion", "check", "{in}"),
+    ("fusion", "check", "{spec}"),
+    ("quotient", "{in}", "--by", "[[0, 1, 2]]"),
+    ("verify", "{corpus}"),
+], ids=["group-info", "fusion-build", "fusion-check", "spec-group-file", "quotient",
+        "verify-corpus-group"])
+def test_cli_input_not_utf_8_exit_code(tmp_path, capsys, argv):
+    # a file that is not UTF-8, as the input, as the group file a spec names
+    # and as a corpus entry's group file: one error line, no traceback
+    bad = b'{"name": "\xff\xfe"}'
+    (tmp_path / "in.json").write_bytes(bad)
+    (tmp_path / "spec.json").write_text(json.dumps({"group": "in.json", "p": 2, "mode": "from-group"}))
+    corpus = tmp_path / "corpus"
+    (corpus / "groups").mkdir(parents=True)
+    (corpus / "groups" / "c3.json").write_bytes(bad)
+    (corpus / "c3.json").write_text((CORPUS / "c3.json").read_text())
+    paths = {"in": tmp_path / "in.json", "out": tmp_path / "out.json",
+             "spec": tmp_path / "spec.json", "corpus": corpus}
+    assert run_cli(*(a.format(**paths) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_cli_order_cap_not_an_integer_exit_code(monkeypatch, capsys):
