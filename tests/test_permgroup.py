@@ -1228,7 +1228,18 @@ def test_tables_and_conjugation_match_perm_products(groups):
     trivial = pg.group_from_generators(1, [[0]], "degree-1")
     _assert_tables_match_perm_products(trivial)
     assert trivial._mul == ((0,),)
-    # S7 has no table, so its rows compose each product when read
+
+
+def test_conj_map_reads_the_row_of_the_inverse(groups):
+    # conj_images reads each id's conjugate through row(g^-1) and then the
+    # column of g, for the ids in the order given, repeats included.  S7 has
+    # no table, so its rows compose each product when read
+    for G in groups.values():
+        for g in range(0, G.order, 1 if G.order <= 100 else 5):
+            full = pg.conj_images(G, g, range(G.order))
+            xs = [*range(G.order - 1, -1, -3), 0, 0]
+            assert pg.conj_images(G, g, xs) == tuple(full[x] for x in xs), (G.name, g)
+            assert pg.conj_images(G, g, ()) == ()
     s7 = _from_cycles(7, [[0, 1, 2, 3, 4, 5, 6]], [[0, 1]])
     assert s7.order > pg._TABLE_LIMIT
     _assert_conjugates_match_perm_products(s7, (1, 2, 4_999))
